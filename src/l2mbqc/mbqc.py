@@ -2,10 +2,11 @@
 
 A schedule lists, per physical qubit, the measurement round, the basis, a
 mask over the classical input bits, and the set of earlier qubits whose
-outcomes flip the basis sign.  The measured observable of an XY-plane qubit
-with setting bit s = P.x xor A.m is X(offset + (-1)^(s xor bias) * theta);
-Pauli-Z qubits carry no conditioning.  The computational output is the
-parity of the outcomes selected by ``o_ids`` plus the constant ``c``.
+outcomes flip the basis sign; those come earlier both in round order and
+in id order.  The measured observable of an XY-plane qubit with setting bit
+s = P.x xor A.m is X(offset + (-1)^(s xor bias) * theta); Pauli-Z qubits
+carry no conditioning.  The computational output is the parity of the
+outcomes selected by ``o_ids`` plus the constant ``c``.
 
 All compilers here emit canonical adaptation rows (every earlier
 opposite-parity site of the chain), which is what lets the simulator resolve
@@ -128,15 +129,18 @@ class MeasurementSchedule:
                         f"(round {rounds[a]}): violates causal ordering")
             if isinstance(q.basis, PauliZBasis) and (q.p_mask or q.a_ids):
                 raise ValueError("Pauli-Z qubits carry no conditioning")
+        # the simulator measures in id order, so adaptation must point down
+        for q in self.qubits:
+            top = max(q.a_ids, default=0)
+            if top > q.id:
+                raise ValueError(f"qubit {q.id} adapts on qubit {top}, "
+                                 f"which is not lower in id order")
         if not self.o_ids <= set(ids):
             raise ValueError("output mask references unknown qubits")
 
     @property
     def n_qubits(self) -> int:
         return self.resource.n_qubits
-
-    def measurement_order(self) -> list[QubitSpec]:
-        return sorted(self.qubits, key=lambda q: (q.round, q.id))
 
     def qubit(self, qid: int) -> QubitSpec:
         for q in self.qubits:

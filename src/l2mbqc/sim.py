@@ -1,12 +1,16 @@
 """Exact simulation of measurement schedules.
 
-Two engines: a dense state-vector oracle (up to 20 qubits, and branch
-enumeration up to 14) and a matrix-product-state engine for chains, GHZ
-states, and composites of those, which measures single sites in any order
-with bond dimension at most 2 and supports batched shots.  Outcomes are
-sampled by inverse CDF on exact marginals from a seeded generator (numpy's
-default PCG64 stream), so runs are reproducible bit for bit across
-platforms.
+Every schedule adapts a qubit only on outcomes of lower-id qubits (the
+schedule checks this when it is built), and measurements on different qubits
+commute, so the joint outcome distribution is sampled site by site in id
+order.  Two engines step through that order: a dense state-vector oracle
+(up to 20 qubits, and branch enumeration up to 14) and a bond-2 chain for
+GHZ states, 1D clusters and composites of those.  The chain tensors are
+right-canonical, so the unmeasured sites need no environment: one left
+vector per batch row carries the state, and a batch row is one
+(input, shot) pair.  Outcomes are drawn by inverse CDF on exact marginals
+from a seeded generator (numpy's default PCG64 stream), one uniform per row
+per site in id order, so runs are reproducible bit for bit across platforms.
 
 The analytic path resolves the canonical adaptation symbolically: a compiled
 schedule simulates a branch-independent single-qubit circuit whose rotation
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolean import BooleanFunction, dot2, nchvm_bound, parse_input
+from .boolean import BooleanFunction, nchvm_bound, parse_input
 from .mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, Resource,
                    ResourceReport, resources)
 from .qsp import rot_x, rot_z
@@ -29,34 +33,39 @@ from .qsp import rot_x, rot_z
 DENSE_CAP = 20
 ENUM_CAP = 14
 MARGINAL_TOL = 1e-12
+SAMPLE_CHUNK = 1024  # rows per chain sweep in verify_protocol; bounds memory
 
 
-class SideProcessorState:
-    """Mod-2 linear side processor: records outcomes, serves setting bits."""
+def parity(v) -> np.ndarray:
+    """Bit parity of non-negative integers below 2**63, elementwise."""
+    v = np.asarray(v, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
 
-    def __init__(self, schedule: MeasurementSchedule, x: int, batch: int = 1):
-        self.schedule = schedule
-        self.x = x
-        self.batch = batch
-        self.outcomes: dict[int, np.ndarray] = {}
 
-    def record(self, qid: int, outcome: np.ndarray) -> None:
-        self.outcomes[qid] = outcome
+def _ids(qids) -> np.ndarray:
+    return np.fromiter(qids, dtype=np.intp, count=len(qids))
 
-    def setting(self, q: QubitSpec) -> np.ndarray:
-        acc = np.full(self.batch, dot2(q.p_mask, self.x), dtype=np.int64)
-        for a in q.a_ids:
-            if a not in self.outcomes:
-                raise RuntimeError(f"setting of qubit {q.id} requested before "
-                                   f"its dependency {a} was measured")
-            acc ^= self.outcomes[a]
-        return acc
 
-    def output(self) -> np.ndarray:
-        acc = np.full(self.batch, self.schedule.c, dtype=np.int64)
-        for qid in self.schedule.o_ids:
-            acc ^= self.outcomes[qid]
-        return acc
+def setting_bits(q: QubitSpec, xs, outcomes: np.ndarray) -> np.ndarray:
+    """Setting bit P.x xor A.m of qubit q for every batch row.
+
+    ``xs`` holds one input per row; row k of the uint8 array ``outcomes``
+    holds qubit k's outcomes (row 0 is unused, so ids index rows).
+    """
+    return parity(q.p_mask & np.asarray(xs)) ^ np.bitwise_xor.reduce(
+        outcomes[_ids(q.a_ids)], axis=0)
+
+
+def output_bits(s: MeasurementSchedule, outcomes: np.ndarray) -> np.ndarray:
+    """Output parity c xor O.m for every batch row."""
+    return s.c ^ np.bitwise_xor.reduce(outcomes[_ids(s.o_ids)], axis=0)
+
+
+def _angles(q: QubitSpec, setting: np.ndarray) -> np.ndarray:
+    sign = 1.0 - 2.0 * ((setting ^ q.basis.bias) & 1)
+    return q.basis.offset + sign * q.basis.theta
 
 
 def xy_basis_vectors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,9 +85,7 @@ def _measurement_vectors(q: QubitSpec, setting: np.ndarray):
         v0[:, 0] = 1.0
         v1[:, 1] = 1.0
         return v0, v1
-    sign = 1.0 - 2.0 * ((setting ^ q.basis.bias) & 1)
-    angles = q.basis.offset + sign * q.basis.theta
-    return xy_basis_vectors(angles)
+    return xy_basis_vectors(_angles(q, setting))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +132,9 @@ class DenseEngine:
         return DenseEngine(self.resource, self.state.copy(), set(self.live))
 
     def _amp(self, qid: int, v: np.ndarray) -> np.ndarray:
-        t = self.state.reshape((2,) * len(self.live))
         axis = sorted(self.live).index(qid)
-        return np.tensordot(v.conj(), np.moveaxis(t, axis, 0), axes=(0, 0)).reshape(-1)
+        t = self.state.reshape(1 << axis, 2, -1)
+        return (v.conj() @ t).reshape(-1)
 
     def marginal(self, qid: int, v0: np.ndarray, v1: np.ndarray):
         a0 = self._amp(qid, v0[0] if v0.ndim == 2 else v0)
@@ -146,7 +153,7 @@ class DenseEngine:
 
 
 # ---------------------------------------------------------------------------
-# MPS engine (batched)
+# chain engine (batched)
 
 
 def _ghz_tensors(N: int) -> list[np.ndarray]:
@@ -181,273 +188,117 @@ def _cluster_tensors(N: int) -> list[np.ndarray]:
     return [first] + [mid] * (N - 2) + [last]
 
 
-MAX_BOND = 2
+def _chain_tensors(resource: Resource) -> list[np.ndarray]:
+    """Right-canonical (left, physical, right) tensors of sites 1..N.
+
+    Parts of a composite join at bonds of dimension 1, so their tensors
+    concatenate into one chain.
+    """
+    if resource.kind == "composite":
+        return [t for part in resource.parts for t in _chain_tensors(part)]
+    if resource.n_qubits == 0:
+        return []
+    if resource.kind == "ghz":
+        return _ghz_tensors(resource.n_qubits)
+    return _cluster_tensors(resource.n_qubits)
 
 
-class _Part:
-    def __init__(self, start: int, tensors: list[np.ndarray], batch: int):
-        self.start = start
-        self.tensors: dict[int, np.ndarray] = {}
-        for i, t in enumerate(tensors):
-            arr = np.broadcast_to(t, (batch,) + t.shape).copy()
-            self.tensors[start + i] = arr
-        self.live = sorted(self.tensors)
+class ChainEngine:
+    """Bond-2 chain measured site by site in id order, batched over rows.
 
-    def left_env(self, qid: int) -> np.ndarray:
-        env = None
-        for site in self.live:
-            if site >= qid:
-                break
-            A = self.tensors[site]
-            if env is None:
-                env = np.einsum("bisk,bisl->bkl", A.conj(), A)
-            else:
-                env = np.einsum("bisk,bij,bjsl->bkl", A.conj(), env, A)
-        if env is None:
-            B, l = self.tensors[qid].shape[0], self.tensors[qid].shape[1]
-            env = np.broadcast_to(np.eye(l, dtype=complex), (B, l, l)).copy()
-        return env
-
-    def right_env(self, qid: int) -> np.ndarray:
-        env = None
-        for site in reversed(self.live):
-            if site <= qid:
-                break
-            A = self.tensors[site]
-            if env is None:
-                env = np.einsum("bisk,bjsk->bij", A, A.conj())
-            else:
-                env = np.einsum("bisk,bkl,bjsl->bij", A, env, A.conj())
-        if env is None:
-            B, r = self.tensors[qid].shape[0], self.tensors[qid].shape[3]
-            env = np.broadcast_to(np.eye(r, dtype=complex), (B, r, r)).copy()
-        return env
-
-    def amplitude_probability(self, qid: int, v: np.ndarray) -> np.ndarray:
-        A = self.tensors[qid]
-        M = np.einsum("bs,blsr->blr", v.conj(), A)
-        L = self.left_env(qid)
-        R = self.right_env(qid)
-        p = np.einsum("bij,bik,bjl,bkl->b", L, M.conj(), M, R)
-        return np.maximum(p.real, 0.0)
-
-    def project(self, qid: int, v: np.ndarray, prob: np.ndarray) -> None:
-        A = self.tensors[qid]
-        M = np.einsum("bs,blsr->blr", v.conj(), A)
-        M = M / np.sqrt(prob)[:, None, None]
-        pos = self.live.index(qid)
-        del self.tensors[qid]
-        self.live.pop(pos)
-        if not self.live:
-            return
-        if pos > 0:
-            left = self.live[pos - 1]
-            merged = np.einsum("blsk,bkr->blsr", self.tensors[left], M)
-            assert merged.shape[1] <= MAX_BOND and merged.shape[3] <= MAX_BOND
-            self.tensors[left] = merged
-        else:
-            right = self.live[pos]
-            merged = np.einsum("bkl,blsr->bksr", M, self.tensors[right])
-            assert merged.shape[1] <= MAX_BOND and merged.shape[3] <= MAX_BOND
-            self.tensors[right] = merged
-
-    def _sweep_prob(self, L, M, R) -> np.ndarray:
-        if L is None and R is None:
-            p = np.einsum("bik,bik->b", M.conj(), M)
-        elif L is None:
-            p = np.einsum("bik,bil,bkl->b", M.conj(), M, R)
-        elif R is None:
-            p = np.einsum("bij,bik,bjk->b", L, M.conj(), M)
-        else:
-            p = np.einsum("bij,bik,bjl,bkl->b", L, M.conj(), M, R)
-        return np.maximum(p.real, 0.0)
-
-    def measure_sweep(self, items, rng) -> dict[int, np.ndarray]:
-        """Measure several sites in one ascending pass.
-
-        Right environments are computed once up front; the left environment
-        folds forward incrementally, so a whole round costs one sweep instead
-        of one full contraction per site.  Projected sites are absorbed into
-        their left live neighbor when one exists (already behind the cursor),
-        otherwise into the right neighbor (still ahead of it); either way the
-        cursor state stays exact.
-        """
-        targets = {qid: (v0, v1) for qid, v0, v1 in items}
-        B = self.tensors[self.live[0]].shape[0]
-        right_after: dict[int, np.ndarray | None] = {}
-        env = None
-        for site in reversed(self.live):
-            right_after[site] = env
-            A = self.tensors[site]
-            if env is None:
-                env = np.einsum("bisk,bjsk->bij", A, A.conj())
-            else:
-                env = np.einsum("bisk,bkl,bjsl->bij", A, env, A.conj())
-        results: dict[int, np.ndarray] = {}
-        L = None
-        for site in list(self.live):
-            A = self.tensors[site]
-            if site not in targets:
-                L = (np.einsum("bisk,bisl->bkl", A.conj(), A) if L is None
-                     else np.einsum("bisk,bij,bjsl->bkl", A.conj(), L, A))
-                continue
-            v0, v1 = targets[site]
-            M0 = np.einsum("bs,blsr->blr", v0.conj(), A)
-            M1 = np.einsum("bs,blsr->blr", v1.conj(), A)
-            R = right_after[site]
-            p0 = self._sweep_prob(L, M0, R)
-            p1 = self._sweep_prob(L, M1, R)
-            if np.max(np.abs(p0 + p1 - 1.0)) > MARGINAL_TOL:
-                raise AssertionError("per-measurement marginals do not sum to 1")
-            out = (rng.random(B) >= p0).astype(np.int64)
-            pick = out[:, None, None].astype(bool)
-            M = np.where(pick, M1, M0)
-            M = M / np.sqrt(np.where(out == 1, p1, p0))[:, None, None]
-            results[site] = out
-            pos = self.live.index(site)
-            del self.tensors[site]
-            self.live.pop(pos)
-            if pos > 0:
-                left = self.live[pos - 1]
-                self.tensors[left] = np.einsum("blsk,bkr->blsr",
-                                               self.tensors[left], M)
-                L = (np.einsum("bik,bil->bkl", M.conj(), M) if L is None
-                     else np.einsum("bik,bij,bjl->bkl", M.conj(), L, M))
-            elif pos < len(self.live):
-                right = self.live[pos]
-                merged = np.einsum("bkl,blsr->bksr", M, self.tensors[right])
-                assert merged.shape[1] <= MAX_BOND and merged.shape[3] <= MAX_BOND
-                self.tensors[right] = merged
-        return results
-
-
-class MpsEngine:
-    """Bond-2 matrix product state over GHZ/cluster parts, batched over shots."""
+    Right-canonical tensors make the identity the right environment of
+    every site, so the (rows, bond) left vector is the whole state and a
+    branch's probability is the squared norm of its next left vector.
+    """
 
     def __init__(self, resource: Resource, batch: int = 1):
-        self.resource = resource
-        self.batch = batch
-        self.parts: list[_Part] = []
-        self.part_of: dict[int, _Part] = {}
-        self._build(resource, 1)
+        self.tensors = _chain_tensors(resource)
+        self.left = np.ones((batch, 1), dtype=complex)
+        self.next = 1
 
-    def _build(self, resource: Resource, start: int) -> int:
-        if resource.kind == "composite":
-            for part in resource.parts:
-                start = self._build(part, start)
-            return start
-        N = resource.n_qubits
-        if N == 0:
-            return start
-        tensors = (_ghz_tensors(N) if resource.kind == "ghz"
-                   else _cluster_tensors(N))
-        part = _Part(start, tensors, self.batch)
-        self.parts.append(part)
-        for qid in range(start, start + N):
-            self.part_of[qid] = part
-        return start + N
-
-    def copy(self) -> "MpsEngine":
-        clone = MpsEngine.__new__(MpsEngine)
-        clone.resource = self.resource
-        clone.batch = self.batch
-        clone.parts = []
-        clone.part_of = {}
-        for part in self.parts:
-            p2 = _Part.__new__(_Part)
-            p2.start = part.start
-            p2.tensors = {k: v.copy() for k, v in part.tensors.items()}
-            p2.live = list(part.live)
-            clone.parts.append(p2)
-            for qid, owner in self.part_of.items():
-                if owner is part:
-                    clone.part_of[qid] = p2
-        return clone
+    def _branch(self, qid: int, v: np.ndarray) -> np.ndarray:
+        if qid != self.next:
+            raise ValueError(f"chain measures qubit {self.next} next, not {qid}")
+        A = self.tensors[qid - 1]
+        l, _, r = A.shape
+        t = self.left @ A.reshape(l, 2 * r)  # [:, :r] is s = 0, [:, r:] is s = 1
+        v = v.conj()
+        return v[:, :1] * t[:, :r] + v[:, 1:] * t[:, r:]
 
     def marginal(self, qid: int, v0: np.ndarray, v1: np.ndarray):
-        part = self.part_of[qid]
-        p0 = part.amplitude_probability(qid, np.atleast_2d(v0))
-        p1 = part.amplitude_probability(qid, np.atleast_2d(v1))
-        return p0, p1
+        # a matrix product, because numpy's sums over a length-2 axis are slow
+        return tuple((np.abs(m) ** 2) @ np.ones(m.shape[1])
+                     for m in (self._branch(qid, v0), self._branch(qid, v1)))
 
     def project(self, qid: int, v: np.ndarray, prob: np.ndarray) -> None:
-        self.part_of[qid].project(qid, np.atleast_2d(v), prob)
-
-    def measure_round(self, items, rng) -> dict[int, np.ndarray]:
-        """Batch-measure one adaptive round (items ascending by qubit id).
-
-        Parts occupy contiguous id ranges, so sweeping parts in order keeps
-        the random-draw sequence identical to per-site measurement.
-        """
-        out: dict[int, np.ndarray] = {}
-        grouped: dict[int, list] = {}
-        for qid, v0, v1 in items:
-            grouped.setdefault(self.part_of[qid].start, []).append((qid, v0, v1))
-        for start in sorted(grouped):
-            part = self.part_of[grouped[start][0][0]]
-            out.update(part.measure_sweep(grouped[start], rng))
-        return out
-
-
-def make_engine(resource: Resource, kind: str = "auto", batch: int = 1):
-    if kind == "auto":
-        kind = "dense" if (resource.n_qubits <= ENUM_CAP and batch == 1) else "mps"
-    if kind == "dense":
-        if batch != 1:
-            raise ValueError("dense engine is not batched")
-        return DenseEngine(resource)
-    if kind == "mps":
-        return MpsEngine(resource, batch)
-    raise ValueError(f"unknown engine {kind!r}")
+        self.left = self._branch(qid, v) / np.sqrt(prob)[:, None]
+        self.next += 1
 
 
 # ---------------------------------------------------------------------------
 # running schedules
 
 
+def _drive(engines, s: MeasurementSchedule, xs: np.ndarray, rng):
+    """Measure every qubit in id order on each engine, one row per input in xs.
+
+    Outcomes are drawn from the first engine's marginals, one uniform per
+    row per site, and forced on the others.  Returns the uint8 outcome rows
+    (see ``setting_bits``) and the largest marginal disagreement between
+    the first engine and the others.
+    """
+    outcomes = np.zeros((s.n_qubits + 1, len(xs)), dtype=np.uint8)
+    gap = 0.0
+    for q in sorted(s.qubits, key=lambda q: q.id):
+        v0, v1 = _measurement_vectors(q, setting_bits(q, xs, outcomes))
+        marginals = [eng.marginal(q.id, v0, v1) for eng in engines]
+        p0, p1 = marginals[0]
+        if np.max(np.abs(p0 + p1 - 1.0)) > MARGINAL_TOL:
+            raise AssertionError("per-measurement marginals do not sum to 1")
+        for m0, m1 in marginals[1:]:
+            gap = max(gap, float(np.max(np.abs(m0 - p0))),
+                      float(np.max(np.abs(m1 - p1))))
+        out = rng.random(len(xs)) >= p0
+        v = np.where(out[:, None], v1, v0)
+        for eng, (m0, m1) in zip(engines, marginals):
+            eng.project(q.id, v, np.where(out, m1, m0))
+        outcomes[q.id] = out
+    return outcomes, gap
+
+
+def chain_sample(s: MeasurementSchedule, xs, rng) -> np.ndarray:
+    """Sample one run per entry of xs (packed inputs) in a single chain sweep.
+
+    Returns uint8 outcome rows: row k holds qubit k's outcomes, row 0 is
+    unused.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    return _drive([ChainEngine(s.resource, len(xs))], s, xs, rng)[0]
+
+
 def run_schedule_batch(s: MeasurementSchedule, x, shots: int, seed: int,
                        engine: str = "auto"):
-    """Measure in round order, sampling outcomes by inverse CDF.
+    """Sample shots runs at one input, measuring in id order.
 
     Returns (outcome arrays keyed by qubit id, output bits), each of shape
-    (shots,).  Identical seeds reproduce identical runs.
+    (shots,).  Identical seeds reproduce identical runs, and the dense and
+    chain engines consume the seed's stream identically.
     """
     xi = parse_input(x, s.arity) if s.arity else 0
     if engine == "auto":
         engine = "mps" if (shots > 1 or s.n_qubits > DENSE_CAP) else "dense"
-    eng = make_engine(s.resource, engine, shots if engine == "mps" else 1)
-    if engine == "dense" and shots != 1:
-        raise ValueError("dense runs are single-shot")
-    rng = np.random.default_rng(seed)
-    proc = SideProcessorState(s, xi, batch=shots)
-    if isinstance(eng, MpsEngine):
-        order = s.measurement_order()
-        idx = 0
-        while idx < len(order):
-            rnd = order[idx].round
-            items = []
-            while idx < len(order) and order[idx].round == rnd:
-                q = order[idx]
-                v0, v1 = _measurement_vectors(q, proc.setting(q))
-                items.append((q.id, v0, v1))
-                idx += 1
-            for qid, out in eng.measure_round(items, rng).items():
-                proc.record(qid, out)
-        return proc.outcomes, proc.output()
-    for q in s.measurement_order():
-        setting = proc.setting(q)
-        v0, v1 = _measurement_vectors(q, setting)
-        p0, p1 = eng.marginal(q.id, v0, v1)
-        if np.max(np.abs(p0 + p1 - 1.0)) > MARGINAL_TOL:
-            raise AssertionError("per-measurement marginals do not sum to 1")
-        u = rng.random(shots)
-        out = (u >= p0).astype(np.int64)
-        pick = out[:, None].astype(bool)
-        v_sel = np.where(pick, v1, v0)
-        p_sel = np.where(out == 1, p1, p0)
-        eng.project(q.id, v_sel, p_sel)
-        proc.record(q.id, out)
-    return proc.outcomes, proc.output()
+    if engine == "mps":
+        eng = ChainEngine(s.resource, shots)
+    elif engine == "dense":
+        if shots != 1:
+            raise ValueError("dense runs are single-shot")
+        eng = DenseEngine(s.resource)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    xs = np.full(shots, xi, dtype=np.int64)
+    outcomes, _ = _drive([eng], s, xs, np.random.default_rng(seed))
+    return ({qid: outcomes[qid] for qid in range(1, s.n_qubits + 1)},
+            output_bits(s, outcomes))
 
 
 def run_shot(s: MeasurementSchedule, x, seed: int,
@@ -459,74 +310,49 @@ def run_shot(s: MeasurementSchedule, x, seed: int,
     return {qid: int(v[0]) for qid, v in outcomes.items()}, int(y[0])
 
 
-def exact_distribution(s: MeasurementSchedule, x) -> dict[int, float]:
-    """Output distribution by summing Born weights over all outcome branches."""
+def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, key, result):
+    """Depth-first over outcome branches; adds leaf weights to result[key]."""
+    if weight <= 1e-300:
+        return
+    if not order:
+        k = key(outcomes)
+        result[k] = result.get(k, 0.0) + weight
+        return
+    q = order[0]
+    v0, v1 = _measurement_vectors(q, setting_bits(q, xs, outcomes))
+    p0, p1 = eng.marginal(q.id, v0, v1)
+    if abs(float(p0[0] + p1[0]) - 1.0) > MARGINAL_TOL:
+        raise AssertionError("branch marginals do not sum to 1")
+    for out, v, p in ((0, v0, p0), (1, v1, p1)):
+        if p[0] <= 1e-300:
+            continue
+        sub = eng.copy()
+        sub.project(q.id, v, p)
+        outcomes[q.id] = out
+        _walk(sub, order[1:], xs, outcomes, weight * float(p[0]), key, result)
+
+
+def _enumerate(s: MeasurementSchedule, x, key) -> dict:
+    """Born weights of all outcome branches in id order, summed by key."""
     if s.n_qubits > ENUM_CAP:
         raise ValueError(f"branch enumeration capped at {ENUM_CAP} qubits")
-    xi = parse_input(x, s.arity) if s.arity else 0
-    order = s.measurement_order()
-    probs = {0: 0.0, 1: 0.0}
+    xs = np.array([parse_input(x, s.arity) if s.arity else 0])
+    outcomes = np.zeros((s.n_qubits + 1, 1), dtype=np.uint8)
+    result: dict = {}
+    _walk(DenseEngine(s.resource), sorted(s.qubits, key=lambda q: q.id), xs,
+          outcomes, 1.0, key, result)
+    return result
 
-    def walk(eng: DenseEngine, idx: int, outcomes: dict[int, int], weight: float):
-        if weight <= 1e-300:
-            return
-        if idx == len(order):
-            y = s.c
-            for qid in s.o_ids:
-                y ^= outcomes[qid]
-            probs[y] += weight
-            return
-        q = order[idx]
-        setting = dot2(q.p_mask, xi)
-        for a in q.a_ids:
-            setting ^= outcomes[a]
-        v0, v1 = _measurement_vectors(q, np.array([setting]))
-        p0, p1 = eng.marginal(q.id, v0, v1)
-        if abs(float(p0[0] + p1[0]) - 1.0) > MARGINAL_TOL:
-            raise AssertionError("branch marginals do not sum to 1")
-        for out, v, p in ((0, v0, p0), (1, v1, p1)):
-            if p[0] <= 1e-300:
-                continue
-            sub = eng.copy()
-            sub.project(q.id, v, p)
-            outcomes[q.id] = out
-            walk(sub, idx + 1, outcomes, weight * float(p[0]))
-            del outcomes[q.id]
 
-    walk(DenseEngine(s.resource), 0, {}, 1.0)
-    return probs
+def exact_distribution(s: MeasurementSchedule, x) -> dict[int, float]:
+    """Output distribution by summing Born weights over all outcome branches."""
+    return {0: 0.0, 1: 0.0} | _enumerate(
+        s, x, lambda outcomes: int(output_bits(s, outcomes)[0]))
 
 
 def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], float]:
     """Probability of every full outcome string (dense enumeration)."""
-    if s.n_qubits > ENUM_CAP:
-        raise ValueError(f"branch enumeration capped at {ENUM_CAP} qubits")
-    xi = parse_input(x, s.arity) if s.arity else 0
-    order = s.measurement_order()
-    result: dict[tuple[int, ...], float] = {}
-
-    def walk(eng: DenseEngine, idx: int, outcomes: dict[int, int], weight: float):
-        if idx == len(order):
-            key = tuple(outcomes[q.id] for q in sorted(s.qubits, key=lambda q: q.id))
-            result[key] = result.get(key, 0.0) + weight
-            return
-        q = order[idx]
-        setting = dot2(q.p_mask, xi)
-        for a in q.a_ids:
-            setting ^= outcomes[a]
-        v0, v1 = _measurement_vectors(q, np.array([setting]))
-        p0, p1 = eng.marginal(q.id, v0, v1)
-        for out, v, p in ((0, v0, p0), (1, v1, p1)):
-            if p[0] <= 1e-300:
-                continue
-            sub = eng.copy()
-            sub.project(q.id, v, p)
-            outcomes[q.id] = out
-            walk(sub, idx + 1, outcomes, weight * float(p[0]))
-            del outcomes[q.id]
-
-    walk(DenseEngine(s.resource), 0, {}, 1.0)
-    return result
+    return _enumerate(s, x, lambda outcomes: tuple(outcomes[1:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -539,30 +365,33 @@ class EffectiveCircuit:
     output_distribution: tuple[float, float]  # over y, constant folded in
 
 
-def effective_circuit(s: MeasurementSchedule, x) -> EffectiveCircuit:
-    """Branch-independent circuit of a compiled schedule at a given input.
+def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
+    """Effective-circuit unitaries of a compiled schedule, one per input.
 
     Canonical adaptation makes the sign corrections cancel symbolically, so
     the rotation at each site is offset + (-1)^(P.x xor bias) * theta; on a
     chain, odd sites rotate about X and even sites about Z, and the output
-    parity follows the final state's Z readout.
+    parity follows the final state's Z readout.  Returns shape (len(xs), 2, 2).
     """
     if not s.compiled:
         raise ValueError("schedule is not tagged as compiler-generated")
-    xi = parse_input(x, s.arity) if s.arity else 0
-    U = np.eye(2, dtype=complex)
     kind = s.resource.kind
     if kind == "composite":
         raise ValueError("no effective circuit for composite schedules")
+    xs = np.asarray(xs, dtype=np.int64)
+    U = np.tile(np.eye(2, dtype=complex), (len(xs), 1, 1))
     for q in sorted(s.qubits, key=lambda q: q.id):
         if isinstance(q.basis, PauliZBasis):
             raise ValueError("no effective circuit with Pauli-Z cuts")
-        sign = -1.0 if (dot2(q.p_mask, xi) ^ q.basis.bias) else 1.0
-        delta = q.basis.offset + sign * q.basis.theta
-        if kind == "ghz":
-            U = rot_x(delta) @ U
-        else:
-            U = (rot_x(delta) if q.id % 2 == 1 else rot_z(delta)) @ U
+        delta = _angles(q, parity(q.p_mask & xs))[:, None, None]
+        about_x = kind == "ghz" or q.id % 2 == 1
+        U = (rot_x(delta) if about_x else rot_z(delta)) @ U
+    return U
+
+
+def effective_circuit(s: MeasurementSchedule, x) -> EffectiveCircuit:
+    """Branch-independent circuit of a compiled schedule at a given input."""
+    U = effective_unitaries(s, [parse_input(x, s.arity) if s.arity else 0])[0]
     p1 = float(abs(U[1, 0]) ** 2)
     dist = (p1, 1.0 - p1) if s.c else (1.0 - p1, p1)
     return EffectiveCircuit(U, dist)
@@ -651,31 +480,40 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
     Runs the analytic effective circuit when the schedule supports it, branch
     enumeration when the register is small enough, and seeded sampling
     always.  Sampling is a smoke test; the determinism claims rest on the
-    analytic values.
+    analytic values.  The sampled rows are input-major (every shot of input
+    0, then of input 1, ...) and share one generator seeded with ``seed``,
+    swept SAMPLE_CHUNK rows at a time.
     """
     if f.n != s.arity:
         raise ValueError("arity mismatch")
     if use_exact is None:
         use_exact = s.n_qubits <= ENUM_CAP
+    inputs = np.arange(1 << f.n)
+    targets = np.array(f.table, dtype=np.int64)
+    analytic = [None] * len(inputs)
+    if s.compiled and s.resource.kind != "composite" and not any(
+            isinstance(q.basis, PauliZBasis) for q in s.qubits):
+        p1 = np.abs(effective_unitaries(s, inputs)[:, 1, 0]) ** 2
+        analytic = np.where(targets ^ s.c, p1, 1.0 - p1).tolist()
+    correct = np.zeros(len(inputs), dtype=np.int64)
+    if shots_per_input:
+        rows = np.repeat(inputs, shots_per_input)
+        rng = np.random.default_rng(seed)
+        for start in range(0, len(rows), SAMPLE_CHUNK):
+            xs = rows[start:start + SAMPLE_CHUNK]
+            ys = output_bits(s, chain_sample(s, xs, rng))
+            correct += np.bincount(xs[ys == targets[xs]], minlength=len(inputs))
     records = []
-    for x in range(1 << f.n):
-        target = f(x)
-        analytic = None
-        if s.compiled and s.resource.kind != "composite" and not any(
-                isinstance(q.basis, PauliZBasis) for q in s.qubits):
-            analytic = analytic_success(s, f, x)
+    for x in range(len(inputs)):
+        target = int(targets[x])
         exact = None
         if use_exact and s.n_qubits <= ENUM_CAP:
             exact = exact_distribution(s, x)[target]
-        correct = 0
-        if shots_per_input:
-            _, ys = run_schedule_batch(s, x, shots_per_input, seed + x, "mps")
-            correct = int(np.sum(ys == target))
-        for val in (analytic, exact):
+        for val in (analytic[x], exact):
             if val is not None and not -1e-12 <= val <= 1 + 1e-12:
                 raise AssertionError(f"success probability {val} out of range")
-        records.append(InputRecord(x, target, analytic, exact,
-                                   shots_per_input, correct))
+        records.append(InputRecord(x, target, analytic[x], exact,
+                                   shots_per_input, int(correct[x])))
     return SimulationReport(f.kind, f.n, tuple(records), resources(s), seed)
 
 
@@ -710,27 +548,11 @@ def bell_score(s: MeasurementSchedule, f: BooleanFunction,
 
 
 def compare_engines(s: MeasurementSchedule, x, seed: int = 11) -> float:
-    """Drive both engines through one run with forced common outcomes.
+    """Drive the dense and chain engines through one run in id order.
 
+    Outcomes are drawn from the dense marginals and forced on the chain.
     Returns the largest per-measurement marginal disagreement.
     """
-    xi = parse_input(x, s.arity) if s.arity else 0
-    dense = DenseEngine(s.resource)
-    mps = MpsEngine(s.resource, 1)
-    rng = np.random.default_rng(seed)
-    outcomes: dict[int, int] = {}
-    worst = 0.0
-    for q in s.measurement_order():
-        setting = dot2(q.p_mask, xi)
-        for a in q.a_ids:
-            setting ^= outcomes[a]
-        v0, v1 = _measurement_vectors(q, np.array([setting]))
-        d0, d1 = dense.marginal(q.id, v0, v1)
-        m0, m1 = mps.marginal(q.id, v0, v1)
-        worst = max(worst, abs(float(d0[0] - m0[0])), abs(float(d1[0] - m1[0])))
-        out = 0 if rng.random() < d0[0] else 1
-        v, p_d, p_m = (v0, d0, m0) if out == 0 else (v1, d1, m1)
-        dense.project(q.id, v, p_d)
-        mps.project(q.id, v, p_m)
-        outcomes[q.id] = out
-    return worst
+    xs = np.array([parse_input(x, s.arity) if s.arity else 0])
+    engines = [DenseEngine(s.resource), ChainEngine(s.resource)]
+    return _drive(engines, s, xs, np.random.default_rng(seed))[1]

@@ -28,6 +28,13 @@ class TestScheduleModel:
         with pytest.raises(ValueError, match="causal"):
             MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
 
+    def test_upward_adaptation_rejected(self):
+        # causal in rounds, but qubit 1 adapts on the higher id 2
+        qs = (QubitSpec(1, 2, XYBasis(1.0), 0, frozenset({2})),
+              QubitSpec(2, 1, XYBasis(0.0)))
+        with pytest.raises(ValueError, match="qubit 1 adapts on qubit 2"):
+            MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
+
     def test_pauli_z_carries_no_conditioning(self):
         qs = (QubitSpec(1, 1, PauliZBasis(), p_mask=1),)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from l2mbqc.mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, XYBasis,
                          cluster1d, compile_pfd_to_ghz, composite, ghz,
                          lift_ghz_to_cluster, mod3_protocol)
 from l2mbqc.qsp import rot_x, rot_z
-from l2mbqc.sim import (DenseEngine, MpsEngine, bell_score, branch_distribution,
-                        compare_engines, effective_circuit, exact_distribution,
+from l2mbqc.sim import (ChainEngine, DenseEngine, bell_score,
+                        branch_distribution, chain_sample, compare_engines,
+                        effective_circuit, exact_distribution,
                         run_schedule_batch, run_shot, verify_protocol,
                         xy_basis_vectors)
 
@@ -26,17 +28,22 @@ class TestEngines:
     def test_cluster_site3_pauli_z_marginal(self):
         z0 = np.array([[1, 0]], dtype=complex)
         z1 = np.array([[0, 1]], dtype=complex)
-        for eng in (DenseEngine(cluster1d(5)), MpsEngine(cluster1d(5))):
-            p0, p1 = eng.marginal(3, z0, z1)
-            assert p0[0] == pytest.approx(0.5, abs=1e-12)
-            assert p1[0] == pytest.approx(0.5, abs=1e-12)
+        p0, p1 = DenseEngine(cluster1d(5)).marginal(3, z0, z1)
+        assert p0[0] == pytest.approx(0.5, abs=1e-12)
+        assert p1[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_ghz_site1_pauli_z_marginal(self):
         z0 = np.array([[1, 0]], dtype=complex)
         z1 = np.array([[0, 1]], dtype=complex)
-        for eng in (DenseEngine(ghz(4)), MpsEngine(ghz(4))):
+        for eng in (DenseEngine(ghz(4)), ChainEngine(ghz(4))):
             p0, _ = eng.marginal(1, z0, z1)
             assert p0[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_chain_steps_in_id_order_only(self):
+        z0 = np.array([[1, 0]], dtype=complex)
+        z1 = np.array([[0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="next"):
+            ChainEngine(cluster1d(5)).marginal(3, z0, z1)
 
     def test_ghz_all_x_even_parity(self):
         # perfect X correlation on the three-party cat state
@@ -55,7 +62,10 @@ class TestEngines:
 
     def test_mps_bond_dimension_assertion_holds(self):
         s = mod3_protocol(2)
-        run_schedule_batch(s, 2, 8, seed=0)  # asserts internally
+        assert all(max(A.shape[0], A.shape[2]) <= 2
+                   for A in ChainEngine(s.resource).tensors)
+        _, ys = run_schedule_batch(s, 2, 8, seed=0)
+        assert (ys == boolean.mod_p(3, 0, 2)(2)).all()
 
 
 class TestRunShot:
@@ -65,7 +75,10 @@ class TestRunShot:
         b = run_shot(s, 2, seed=123)
         assert a == b
         c = run_shot(s, 2, seed=124)
-        assert a != c or True  # different seed may coincide; just must not crash
+        # one uniform per qubit in id order; the output is deterministic
+        assert "".join(str(a[0][q]) for q in sorted(a[0])) == "1000011011101"
+        assert "".join(str(c[0][q]) for q in sorted(c[0])) == "1111110100000"
+        assert a[1] == c[1] == boolean.mod_p(3, 0, 2)(2)
 
     def test_mod3_n4_specific_input(self):
         s = mod3_protocol(4)
@@ -84,6 +97,31 @@ class TestRunShot:
         a = run_shot(s, 1, seed=7, engine="dense")
         b = run_shot(s, 1, seed=7, engine="mps")
         assert a == b
+
+
+def assert_chain_sample_matches_branches(s, inputs, rows_per_input, seed):
+    """Empirical outcome strings of one sweep against the exact branch weights.
+
+    Rows cycle through the inputs, so each row's own input must be used.
+    E[TV] <= 0.5 * sum_k sqrt(p_k (1 - p_k) / n) by Jensen, and one row moves
+    the TV by at most 1/n, so by McDiarmid the TV exceeds that mean bound by
+    0.01 with probability at most exp(-2 n 0.01^2) = exp(-8) at n = 40000.
+    """
+    xs = np.tile(inputs, rows_per_input)
+    outcomes = chain_sample(s, xs, np.random.default_rng(seed))
+    n = rows_per_input
+    for x in inputs:
+        exact = branch_distribution(s, x)
+        counts = Counter(map(tuple, outcomes[1:, xs == x].T.tolist()))
+        tv = 0.5 * sum(abs(counts.get(k, 0) / n - exact.get(k, 0.0))
+                       for k in set(exact) | set(counts))
+        bound = 0.5 * sum(math.sqrt(p * (1 - p) / n) for p in exact.values())
+        assert tv < bound + 0.01
+
+
+class TestChainSample:
+    def test_mod3_n1_matches_branch_distribution(self):
+        assert_chain_sample_matches_branches(mod3_protocol(1), [0, 1], 40000, 17)
 
 
 class TestExactDistribution:
@@ -287,6 +325,10 @@ class TestComposite:
         s = self.build_xor_schedule()
         for x in (0, 5, 10, 15):
             assert compare_engines(s, x, seed=x) < 1e-12
+
+    def test_chain_sample_matches_branch_distribution(self):
+        assert_chain_sample_matches_branches(self.build_xor_schedule(),
+                                             [3, 12], 40000, 18)
 
     def test_sampling(self):
         s = self.build_xor_schedule()
