@@ -82,6 +82,17 @@ class BooleanFunction:
     def is_symmetric(self) -> bool:
         return self.symmetric_profile is not None
 
+    def zero_anchored_profile(self) -> tuple[list[int], int]:
+        """Weight profile complemented to read 0 at weight 0, plus the flip bit.
+
+        Rotation sequences read 0 at zero phase, so a symmetric function with
+        f(0) = 1 is synthesized as its complement with the output flipped.
+        """
+        if self.symmetric_profile is None:
+            raise ValueError("function is not symmetric")
+        f0 = self.symmetric_profile[0]
+        return [v ^ f0 for v in self.symmetric_profile], f0
+
     def complement(self) -> "BooleanFunction":
         return BooleanFunction(
             self.n,

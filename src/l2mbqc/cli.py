@@ -150,8 +150,7 @@ def _build_protocol(args) -> mbqc.MeasurementSchedule:
         f = parse_function_spec(args.fn, args.n)
         if not f.is_symmetric:
             raise ValueError("symmetric protocol needs a symmetric function")
-        f0 = f.symmetric_profile[0]
-        profile = [v ^ f0 for v in f.symmetric_profile]
+        profile, _ = f.zero_anchored_profile()
         angles = qsp.synthesize_symmetric(profile, args.n)
         return mbqc.qsp_symmetric_protocol(f, args.n, angles)
     if args.protocol == "or":
@@ -240,9 +239,7 @@ def cmd_table1(args, out) -> int:
     if p == 3:
         rows.append(("mod3-cluster", mbqc.resources(mbqc.mod3_protocol(n))))
     f = boolean.mod_p(p, 0, n)
-    f0 = f.symmetric_profile[0]
-    prof = [v ^ f0 for v in f.symmetric_profile]
-    sym = qsp.synthesize_symmetric(prof, n)
+    sym = qsp.synthesize_symmetric(f.zero_anchored_profile()[0], n)
     rows.append(("symmetric-cluster",
                  mbqc.resources(mbqc.qsp_symmetric_protocol(f, n, sym))))
     if n >= 2:

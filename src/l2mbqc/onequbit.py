@@ -211,8 +211,7 @@ def build_symmetric_program(f: BooleanFunction, n: int,
     q = 2 * n + 1
     if angles.grid_period != q or angles.length != 4 * n + 1:
         raise ValueError("angles do not match this arity")
-    f0 = f.symmetric_profile[0]
-    profile = [v ^ f0 for v in f.symmetric_profile]
+    profile, f0 = f.zero_anchored_profile()
     worst = verify_symmetric(angles, profile)
     if worst > FAILURE_TOL_OWN:
         raise ValueError(f"angles fail verification ({worst:.2e})")

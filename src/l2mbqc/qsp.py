@@ -21,7 +21,7 @@ the weight, which is what makes the reduced system square.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import mpmath as mp
@@ -76,28 +76,34 @@ class LaurentPair:
                 if h % 2 == 0 or not 0 < h <= self.degree:
                     raise ValueError("series must use odd harmonics <= degree")
 
-    def a_value(self, phi: float) -> float:
+    def a_value(self, phi):
         return sum(c * np.cos(h * phi / 2) for h, c in self.a.items())
 
-    def b_value(self, phi: float) -> float:
+    def b_value(self, phi):
         return sum(c * np.sin(h * phi / 2) for h, c in self.b.items())
 
     def min_remainder(self, samples: int = 2048) -> float:
         """min over the circle of 1 - A^2 - B^2 (feasibility check)."""
         phis = np.linspace(0.0, 4 * np.pi, samples, endpoint=False)
-        vals = [1.0 - self.a_value(p) ** 2 - self.b_value(p) ** 2 for p in phis]
-        return float(min(vals))
+        return float(np.min(1.0 - self.a_value(phis) ** 2 - self.b_value(phis) ** 2))
 
 
 @dataclass(frozen=True)
 class QspAngles:
-    """Rotation-axis angles; xi[0] belongs to the first rotation applied."""
+    """Rotation-axis angles; xi[0] belongs to the first rotation applied.
+
+    ``stats`` is the synthesis certificate (empty for loaded tables):
+    ``interp_residual``, ``grid_zeros`` (circle zeros divided out, 2q),
+    ``quotient_degree`` (degree handed to the root finder),
+    ``division_remainder`` (relative) and ``reconstruction_residual``.
+    """
 
     length: int
     xi: tuple[float, ...]
     grid_period: int
     target: dict = field(default_factory=dict)
     residual: float = 0.0
+    stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if len(self.xi) != self.length:
@@ -106,13 +112,14 @@ class QspAngles:
     def to_json(self) -> str:
         return json.dumps({"L": self.length, "xi": list(self.xi),
                            "target": self.target, "residual": self.residual,
-                           "grid_period": self.grid_period})
+                           "grid_period": self.grid_period, "stats": self.stats})
 
     @classmethod
     def from_json(cls, text: str) -> "QspAngles":
         obj = json.loads(text)
         return cls(obj["L"], tuple(obj["xi"]), obj.get("grid_period", 0),
-                   obj.get("target", {}), obj.get("residual", 0.0))
+                   obj.get("target", {}), obj.get("residual", 0.0),
+                   obj.get("stats", {}))
 
 
 def reference_angles(p: int) -> QspAngles:
@@ -248,15 +255,36 @@ def _laurent_square_remainder(pair: LaurentPair):
     return R
 
 
+def _divide_grid_zeros(poly, q: int):
+    """Divide a real polynomial by (w^q - 1)^2 = w^(2q) - 2 w^q + 1.
+
+    ``poly`` lists coefficients from the constant term up.  Returns the
+    quotient in the same order and the 2q low coefficients left over, which
+    vanish when every q-th root of unity is a double zero of ``poly``.
+    """
+    rest = list(poly)
+    quot = [mp.mpf(0)] * max(len(rest) - 2 * q, 0)
+    for k in range(len(rest) - 1, 2 * q - 1, -1):
+        c = rest[k]
+        quot[k - 2 * q] = c
+        rest[k - q] += 2 * c
+        rest[k - 2 * q] -= c
+    return quot, rest[:2 * q]
+
+
 def _complete(pair: LaurentPair):
     """Spectral factorization of the remainder into the Y and Z components.
 
-    Root selection takes one copy of each double circle root plus everything
-    strictly inside the unit circle; conjugation symmetry of that set keeps
-    the factor real.  Any such selection yields deterministic readout because
-    the remainder vanishes doubly at every grid point.
+    In w = z^2 the remainder vanishes doubly at each grid point, the q-th
+    roots of unity, so it is divided exactly by (w^q - 1)^2 first.  The
+    root finder then sees only the quotient, whose roots are simple and off
+    the circle; the factor takes its roots strictly inside the unit circle
+    plus one copy of each grid point.  Conjugation symmetry of that set keeps
+    the factor real, and the double grid zeros make the readout
+    deterministic.  Returns (c, d, stats) with the division certificate.
     """
     L = pair.degree
+    q = pair.grid_period
     R = _laurent_square_remainder(pair)
     rho: dict[int, mp.mpf] = {}
     for e, c in R.items():
@@ -266,46 +294,27 @@ def _complete(pair: LaurentPair):
     tiny = mp.mpf(10) ** (-SYNTHESIS_DPS + 10)
     if all(abs(c) < tiny for c in rho.values()):
         # exactly unitary pair: nothing to complete
-        return {j: mp.mpf(0) for j in range(1, L + 1, 2)}, \
-               {j: mp.mpf(0) for j in range(1, L + 1, 2)}
+        zeros = {j: mp.mpf(0) for j in range(1, L + 1, 2)}
+        return zeros, zeros, {"grid_zeros": 0, "quotient_degree": 0,
+                              "division_remainder": 0.0}
     # the remainder may deflate below the full degree budget (for instance a
     # pure-cosine interpolant leaves sin^2 of a single harmonic)
     deg = max(abs(e) for e, c in rho.items() if abs(c) > tiny)
     qc = [rho.get(k - deg, mp.mpf(0)) for k in range(2 * deg + 1)]
-    roots = mp.polyroots(list(reversed(qc)), maxsteps=600, extraprec=400)
-
-    on_circle, selected = [], []
-    for r in roots:
-        m = abs(r)
-        if abs(m - 1) < mp.mpf("1e-15"):
-            on_circle.append(r)
-        elif m < 1:
-            selected.append(r)
-    if len(on_circle) % 2:
-        raise SynthesisError("negative remainder: odd-order circle zero")
-    # circle zeros of the remainder sit at the grid points (the roots of
-    # unity of the grid period), as doubles; snap each pair onto its exact
-    # location so the selected set is exactly conjugation-closed
-    q = pair.grid_period
-    grid_points = [mp.expjpi(mp.mpf(2 * k) / q) for k in range(q)]
-    counts = [0] * q
-    leftovers = []
-    for r in on_circle:
-        dists = [abs(r - g) for g in grid_points]
-        k = min(range(q), key=lambda i: dists[i])
-        if dists[k] < mp.mpf("1e-10"):
-            counts[k] += 1
-        else:
-            leftovers.append(r)
-    for k, cnt in enumerate(counts):
-        if cnt % 2:
-            raise SynthesisError("odd-order circle zero at a grid point")
-        selected.extend([grid_points[k]] * (cnt // 2))
-    leftovers.sort(key=lambda r: float(mp.arg(r)))
-    selected.extend(leftovers[::2])
-    if len(selected) != deg:
-        raise SynthesisError(
-            f"root selection size {len(selected)} != {deg}; remainder likely negative")
+    quot, rest = _divide_grid_zeros(qc, q)
+    leftover = float(max(abs(c) for c in rest) / max(abs(c) for c in qc))
+    if leftover > COMPLETION_TOL:
+        raise SynthesisError(f"remainder lacks its double grid zeros "
+                             f"(division remainder {leftover:.1e})")
+    qdeg = len(quot) - 1
+    roots = mp.polyroots(quot[::-1], maxsteps=600, extraprec=400) if qdeg else []
+    if any(abs(abs(r) - 1) < mp.mpf("1e-15") for r in roots):
+        raise SynthesisError("remainder has a zero on the circle off the grid")
+    selected = [r for r in roots if abs(r) < 1]
+    if 2 * len(selected) != qdeg:
+        raise SynthesisError(f"{len(selected)} quotient roots inside the circle, "
+                             f"expected {qdeg // 2}")
+    selected += [mp.expjpi(mp.mpf(2 * k) / q) for k in range(q)]
 
     sigma = [mp.mpc(1)]
     for r in selected:
@@ -337,7 +346,8 @@ def _complete(pair: LaurentPair):
                              "remainder is negative somewhere on the circle")
     d = {jj: mp.re(G.get(jj, 0) + G.get(-jj, 0)) for jj in range(1, L + 1, 2)}
     c = {jj: mp.re(G.get(jj, 0) - G.get(-jj, 0)) for jj in range(1, L + 1, 2)}
-    return c, d
+    return c, d, {"grid_zeros": 2 * q, "quotient_degree": qdeg,
+                  "division_remainder": leftover}
 
 
 def _peel_angles(pair: LaurentPair, c, d):
@@ -422,44 +432,54 @@ def complete_and_extract_angles(pair: LaurentPair) -> QspAngles:
         feas = pair.min_remainder()
         if feas < -1e-12:
             raise SynthesisError(f"pair is infeasible: min remainder {feas:.3e}")
-        c, d = _complete(pair)
-        xis = _peel_angles(pair, c, d)
-        xi = tuple(float(x) for x in xis)
-    angles = QspAngles(pair.degree, xi, pair.grid_period,
-                       target={"values": list(pair.target_values)},
-                       residual=pair.residual)
-    worst = _reconstruction_residual(angles, pair)
+        c, d, stats = _complete(pair)
+        xi = tuple(float(x) for x in _peel_angles(pair, c, d))
+    worst = _reconstruction_residual(xi, pair)
     if worst > 1e-10:
         raise SynthesisError(f"reconstruction residual {worst:.2e}")
-    angles = QspAngles(angles.length, angles.xi, angles.grid_period,
-                       target=angles.target, residual=worst)
-    return angles
+    return QspAngles(pair.degree, xi, pair.grid_period,
+                     target={"values": list(pair.target_values)}, residual=worst,
+                     stats={"interp_residual": pair.residual, **stats,
+                            "reconstruction_residual": worst})
 
 
-def _reconstruction_residual(angles: QspAngles, pair: LaurentPair,
-                             samples: int = 1024) -> float:
-    worst = 0.0
-    for phi in np.linspace(0.0, 4 * np.pi, samples, endpoint=False):
-        U = reconstruct_unitary(angles, phi)
-        A = (U[0, 0] + U[1, 1]).real / 2
-        B = (U[0, 1] + U[1, 0]).imag / 2
-        worst = max(worst, abs(A - pair.a_value(phi)), abs(B - pair.b_value(phi)))
-    return worst
+def _reconstruction_residual(xi, pair: LaurentPair, samples: int = 1024) -> float:
+    phis = np.linspace(0.0, 4 * np.pi, samples, endpoint=False)
+    U = _rotation_product(xi, phis)
+    A = (U[:, 0, 0] + U[:, 1, 1]).real / 2
+    B = (U[:, 0, 1] + U[:, 1, 0]).imag / 2
+    return float(max(np.max(np.abs(A - pair.a_value(phis))),
+                     np.max(np.abs(B - pair.b_value(phis)))))
 
 
-def reconstruct_unitary(angles: QspAngles, phi: float,
-                        xi0: float | None = None) -> np.ndarray:
-    """Product of the conjugated X-rotations at a given rotation phase."""
-    U = rot_z(xi0) if xi0 is not None else _I2.copy()
-    for xi in angles.xi:
-        rz = rot_z(xi)
-        U = (rz @ rot_x(phi) @ rz.conj().T) @ U
+def _rotation_product(xi, phis, xi0: float | None = None) -> np.ndarray:
+    """Conjugated X-rotation products, shape (k, 2, 2), for k phases."""
+    rx = rot_x(np.reshape(phis, (-1, 1, 1)))
+    U = np.broadcast_to(rot_z(xi0) if xi0 is not None else _I2, rx.shape).copy()
+    for x in xi:
+        rz = rot_z(x)
+        U = (rz @ rx @ rz.conj().T) @ U
     return U
+
+
+def reconstruct_unitary(angles: QspAngles, phi, xi0: float | None = None) -> np.ndarray:
+    """Product of the conjugated X-rotations at a rotation phase.
+
+    A scalar ``phi`` gives one 2x2 matrix; an array of k phases gives shape
+    (k, 2, 2).
+    """
+    U = _rotation_product(angles.xi, phi, xi0)
+    return U[0] if np.ndim(phi) == 0 else U
 
 
 def unitarity_deviation(angles: QspAngles, phi: float) -> float:
     U = reconstruct_unitary(angles, phi)
     return float(np.max(np.abs(U.conj().T @ U - _I2)))
+
+
+def _worst_readout(angles: QspAngles, phis, targets) -> float:
+    U = reconstruct_unitary(angles, phis)
+    return float(np.max(1.0 - np.abs(U[np.arange(len(targets)), targets, 0]) ** 2))
 
 
 def verify_qsp(angles: QspAngles, p: int, j: int, n: int) -> float:
@@ -468,36 +488,24 @@ def verify_qsp(angles: QspAngles, p: int, j: int, n: int) -> float:
     The residue shift j enters as a constant offset of the rotation phase:
     the circuit rotates by 4*pi*(w - j)/p instead of 4*pi*w/p.
     """
-    worst = 0.0
-    for w in range(n + 1):
-        phi = 4 * np.pi * (w - j) / p
-        U = reconstruct_unitary(angles, phi)
-        target = 0 if (w % p) == (j % p) else 1
-        worst = max(worst, 1.0 - abs(U[target, 0]) ** 2)
-    return worst
+    w = np.arange(n + 1)
+    return _worst_readout(angles, 4 * np.pi * (w - j) / p, (w % p != j % p).astype(int))
 
 
 def verify_symmetric(angles: QspAngles, profile) -> float:
     """Worst failure probability of a symmetric-profile readout on its grid."""
     q = angles.grid_period
-    worst = 0.0
-    for w, fw in enumerate(profile):
-        U = reconstruct_unitary(angles, 4 * np.pi * w / q)
-        worst = max(worst, 1.0 - abs(U[fw, 0]) ** 2)
-    return worst
+    w = np.arange(len(profile))
+    return _worst_readout(angles, 4 * np.pi * w / q, np.asarray(profile, dtype=int))
 
 
 def synthesize_mod_p(p: int, j: int = 0) -> QspAngles:
     """End-to-end synthesis for the weight-counting functions."""
-    pair = solve_mod_p_coeffs(p, j)
-    angles = complete_and_extract_angles(pair)
-    angles.target.update({"p": p, "j": j})
-    return angles
+    angles = complete_and_extract_angles(solve_mod_p_coeffs(p, j))
+    return replace(angles, target={**angles.target, "p": p, "j": j})
 
 
 def synthesize_symmetric(profile, n: int) -> QspAngles:
     """End-to-end synthesis for a symmetric profile with f(0) = 0."""
-    pair = solve_symmetric_coeffs(profile, n)
-    angles = complete_and_extract_angles(pair)
-    angles.target.update({"profile": list(profile)})
-    return angles
+    angles = complete_and_extract_angles(solve_symmetric_coeffs(profile, n))
+    return replace(angles, target={**angles.target, "profile": list(profile)})

@@ -5,7 +5,7 @@ from l2mbqc import qsp
 
 @pytest.fixture(scope="session")
 def modp_angles():
-    """Own-synthesized angle sets, shared across tests (synthesis is slow)."""
+    """Own-synthesized angle sets, shared across tests."""
     return {p: qsp.synthesize_mod_p(p, 0) for p in (3, 5, 7, 9)}
 
 

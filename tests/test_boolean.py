@@ -185,6 +185,13 @@ class TestSymmetry:
             y = sum(((x >> i) & 1) << perm[i] for i in range(n))
             assert f(x) == f(y)
 
+    def test_zero_anchored_profile(self):
+        assert or_n(3).zero_anchored_profile() == ([0, 1, 1, 1], 0)
+        # mod_p reads 0 at weight 0 only when j = 0
+        assert mod_p(3, 1, 3).zero_anchored_profile() == ([0, 1, 0, 0], 1)
+        with pytest.raises(ValueError):
+            from_table([0, 1, 0, 0]).zero_anchored_profile()
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -71,6 +71,8 @@ class TestQsp:
         payload = json.loads(out)
         assert payload["functionally_equivalent"] is True
         assert float(payload["worst_failure"]) < 1e-9
+        assert payload["stats"]["grid_zeros"] == 6
+        assert payload["stats"]["quotient_degree"] == 4
 
     def test_phase_report_identity(self, capsys):
         code, out, _ = run_cli(capsys, "qsp", "--p", "3", "--phi", "0",

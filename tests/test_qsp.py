@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -96,6 +98,78 @@ class TestSymmetricSolve:
             solve_symmetric_coeffs([1, 0, 1], 2)
 
 
+# every profile with f(0) = 0 up to n = 3: 2 + 4 + 8 of them
+ALL_PROFILES = [(0, *bits) for n in (1, 2, 3)
+                for bits in itertools.product((0, 1), repeat=n)]
+
+
+def _remainder_degree(pair):
+    """Degree in w = z^2 of the remainder 1 - A^2 - B^2."""
+    R = qsp._laurent_square_remainder(pair)
+    return max(abs(e) for e, c in R.items() if abs(c) > 1e-40) // 2
+
+
+class TestGridZeroDivision:
+    @pytest.mark.parametrize("p", [3, 5, 7, 9])
+    def test_mod_p_certificate(self, p, modp_angles):
+        stats = modp_angles[p].stats
+        deg = _remainder_degree(solve_mod_p_coeffs(p, 0))
+        assert stats["division_remainder"] < qsp.COMPLETION_TOL
+        assert stats["grid_zeros"] == 2 * p
+        assert stats["quotient_degree"] == 2 * deg - 2 * p
+        if p == 7:
+            assert stats["quotient_degree"] == 12
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES)
+    def test_symmetric_certificate(self, profile):
+        n = len(profile) - 1
+        q = 2 * n + 1
+        angles = qsp.synthesize_symmetric(list(profile), n)
+        deg = _remainder_degree(solve_symmetric_coeffs(list(profile), n))
+        stats = angles.stats
+        assert stats["division_remainder"] < qsp.COMPLETION_TOL
+        assert stats["grid_zeros"] == 2 * q
+        assert stats["quotient_degree"] == 2 * deg - 2 * q
+        assert verify_symmetric(angles, list(profile)) < 1e-9
+
+    def test_root_finder_sees_only_the_quotient(self, monkeypatch):
+        degrees = []
+        real = mpmath.polyroots
+
+        def counting(coeffs, *args, **kwargs):
+            degrees.append(len(coeffs) - 1)
+            return real(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", counting)
+        qsp.synthesize_mod_p(7, 0)
+        assert degrees == [12]
+        degrees.clear()
+        # the constant-zero profile leaves a constant quotient: no root finding
+        qsp.synthesize_symmetric([0, 0, 0], 2)
+        assert degrees == []
+
+    def test_angles_match_pinned_values(self, modp_angles, symmetric_angles):
+        # values from before the grid zeros were divided out
+        np.testing.assert_allclose(modp_angles[5].xi, [
+            -2.643100054737851, -2.176674541361567, -1.806152448794077,
+            -1.7885794121847842, 2.895801153197672, -1.5550007680234488,
+            -0.4776716611851466, 0.08708532046967239, 0.25794858359336437],
+            rtol=0, atol=1e-12)
+        np.testing.assert_allclose(symmetric_angles[(0, 1, 0)].xi, [
+            -3.019405957908539, -2.9219061068545047, -1.700453159702252,
+            -0.7845085666681999, -2.1947324005126103, -1.4525015721219354,
+            -1.5342674828469243, -0.5582595374448357, 0.2389600672085269],
+            rtol=0, atol=1e-12)
+
+    def test_remainder_without_grid_zeros_rejected(self):
+        # feasible (1 - A^2 >= 3/4), but nothing vanishes at the grid points
+        pair = LaurentPair(1, {1: 0.5}, {}, 3, (0,), 0.0,
+                           {1: mpmath.mpf("0.5")}, {})
+        assert pair.min_remainder() > 0
+        with pytest.raises(SynthesisError, match="grid zeros"):
+            complete_and_extract_angles(pair)
+
+
 class TestCompletion:
     def test_pure_winding_gives_equal_angles(self):
         # A = cos(L phi/2), B = -sin(L phi/2) is a plain power of the X
@@ -144,6 +218,15 @@ class TestReconstruct:
             dev = unitarity_deviation(angles, float(rng.uniform(0, 4 * np.pi)))
             assert dev < 1e-13
 
+    def test_phase_array_matches_scalar_calls(self, modp_angles):
+        ang = modp_angles[5]
+        phis = np.linspace(0.0, 4 * np.pi, 7)
+        U = reconstruct_unitary(ang, phis, xi0=0.3)
+        assert U.shape == (7, 2, 2)
+        for k, phi in enumerate(phis):
+            assert np.allclose(U[k], reconstruct_unitary(ang, phi, xi0=0.3),
+                               atol=1e-15)
+
     def test_trailing_z_rotation_is_harmless(self, modp_angles):
         ang = modp_angles[3]
         phi = 4 * np.pi / 3
@@ -190,3 +273,13 @@ class TestSerialization:
         b = QspAngles.from_json(a.to_json())
         assert b.xi == a.xi and b.length == a.length
         assert b.grid_period == a.grid_period
+        assert b.stats == a.stats and b.stats["grid_zeros"] == 6
+
+    def test_json_without_stats_still_loads(self):
+        a = QspAngles.from_json('{"L": 1, "xi": [0.5], "grid_period": 3}')
+        assert a.stats == {} and a.xi == (0.5,)
+
+    def test_target_records_the_request(self, modp_angles):
+        a = modp_angles[3]
+        assert a.target == {"values": [0, 1], "p": 3, "j": 0}
+        assert qsp.synthesize_mod_p(3, 1).target["j"] == 1
