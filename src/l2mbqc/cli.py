@@ -188,7 +188,11 @@ def _target_function(s: mbqc.MeasurementSchedule, spec: str | None):
     if builder == "mod3_protocol":
         return boolean.mod_p(3, 0, s.arity)
     if builder == "modp_protocol":
-        return boolean.mod_p(meta["p"], meta["j"], s.arity)
+        p, j = meta.get("p"), meta.get("j")
+        if type(p) is not int or type(j) is not int:
+            raise ValueError("schedule meta of a modp_protocol needs integer "
+                             "p and j; pass --fn")
+        return boolean.mod_p(p, j, s.arity)
     if builder == "or_protocol":
         return boolean.or_n(s.arity)
     raise ValueError("cannot infer the target function; pass --fn")
@@ -340,7 +344,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -114,7 +115,8 @@ class MeasurementSchedule:
         ids = [q.id for q in self.qubits]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate qubit ids")
-        if set(ids) != set(range(1, self.resource.n_qubits + 1)):
+        if (len(ids) != self.resource.n_qubits
+                or set(ids) != set(range(1, len(ids) + 1))):
             raise ValueError("qubit ids must cover 1..n_qubits")
         rounds = {q.id: q.round for q in self.qubits}
         for q in self.qubits:
@@ -181,29 +183,111 @@ class MeasurementSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementSchedule":
+        """Decode schedule JSON; any malformed input raises ValueError.
+
+        Field types, ``c``, the width of ``p_mask`` and the finiteness of
+        angles are checked here, and the message names the offending field;
+        the structural rules are the constructor's.
+        """
         try:
-            obj = json.loads(text)
+            return cls._decode(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed schedule JSON at position {exc.pos}: "
                              f"{exc.msg}") from exc
+        except RecursionError as exc:
+            raise ValueError("schedule JSON is nested too deeply") from exc
 
-        def dec_resource(o):
-            parts = tuple(dec_resource(p) for p in o.get("parts", []))
-            return Resource(o["type"] if o["type"] != "cluster1d" else "cluster1d",
-                            o["n_qubits"], parts)
+    @classmethod
+    def _decode(cls, obj) -> "MeasurementSchedule":
+        if not isinstance(obj, dict):
+            raise ValueError(f"schedule JSON must be an object, got {obj!r:.60}")
+        arity = _field(obj, "arity", "a non-negative integer")
+        qubits = tuple(_decode_qubit(q, f"qubits[{i}]", arity) for i, q in
+                       enumerate(_field(obj, "qubits", "a list")))
+        return cls(_decode_resource(_field(obj, "resource", "an object"),
+                                    "resource"),
+                   arity, qubits,
+                   frozenset(_field(obj, "o_ids", "a list of positive integers")),
+                   _field(obj, "c", "0 or 1"),
+                   _field(obj, "l_c", "a non-negative integer or null",
+                          default=None),
+                   _field(obj, "compiled", "true or false", default=False),
+                   _field(obj, "meta", "an object", default={}))
 
-        def dec_basis(o):
-            if o["type"] == "z":
-                return PauliZBasis()
-            return XYBasis(o["theta"], o.get("bias", 0), o.get("offset", 0.0),
-                           o.get("exact"))
 
-        qubits = tuple(QubitSpec(q["id"], q["round"], dec_basis(q["basis"]),
-                                 q.get("p_mask", 0), frozenset(q.get("a_ids", [])))
-                       for q in obj["qubits"])
-        return cls(dec_resource(obj["resource"]), obj["arity"], qubits,
-                   frozenset(obj["o_ids"]), obj["c"], obj.get("l_c"),
-                   obj.get("compiled", False), obj.get("meta", {}))
+def _is_finite(v) -> bool:
+    if type(v) is int:
+        return abs(v) <= sys.float_info.max
+    return type(v) is float and math.isfinite(v)
+
+
+# what a schedule JSON field must be -> the test; bool is not an integer here
+_CHECKS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a non-negative integer": lambda v: type(v) is int and v >= 0,
+    "a positive integer": lambda v: type(v) is int and v >= 1,
+    "0 or 1": lambda v: type(v) is int and v in (0, 1),
+    "a finite number": _is_finite,
+    "true or false": lambda v: type(v) is bool,
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a non-negative integer or null":
+        lambda v: v is None or (type(v) is int and v >= 0),
+    "a list of positive integers":
+        lambda v: isinstance(v, list) and all(type(a) is int and a >= 1
+                                              for a in v),
+    "ghz, cluster1d or composite":
+        lambda v: v in ("ghz", "cluster1d", "composite"),
+    "xy or z": lambda v: v in ("xy", "z"),
+}
+_MISSING = object()
+
+
+def _check(value, want: str, name: str):
+    if not _CHECKS[want](value):
+        raise ValueError(f"schedule field {name!r} must be {want}, "
+                         f"got {value!r:.60}")
+    return value
+
+
+def _field(obj: dict, key: str, want: str, path: str = "", default=_MISSING):
+    """obj[key] checked against ``want`` (a key of _CHECKS)."""
+    name = f"{path}.{key}" if path else key
+    if key not in obj:
+        if default is _MISSING:
+            raise ValueError(f"schedule field {name!r} is missing")
+        return default
+    return _check(obj[key], want, name)
+
+
+def _decode_resource(o: dict, path: str) -> Resource:
+    parts = tuple(_decode_resource(_check(p, "an object", f"{path}.parts[{j}]"),
+                                   f"{path}.parts[{j}]")
+                  for j, p in enumerate(_field(o, "parts", "a list", path, [])))
+    return Resource(_field(o, "type", "ghz, cluster1d or composite", path),
+                    _field(o, "n_qubits", "a non-negative integer", path), parts)
+
+
+def _decode_qubit(o, path: str, arity: int) -> QubitSpec:
+    _check(o, "an object", path)
+    b = _field(o, "basis", "an object", path)
+    bpath = f"{path}.basis"
+    if _field(b, "type", "xy or z", bpath) == "z":
+        basis = PauliZBasis()
+    else:
+        basis = XYBasis(float(_field(b, "theta", "a finite number", bpath)),
+                        _field(b, "bias", "0 or 1", bpath, 0),
+                        float(_field(b, "offset", "a finite number", bpath, 0.0)),
+                        _field(b, "exact", "a string or null", bpath, None))
+    p_mask = _field(o, "p_mask", "a non-negative integer", path, 0)
+    if p_mask.bit_length() > arity:
+        raise ValueError(f"schedule field '{path}.p_mask' must be below "
+                         f"2**arity = 2**{arity}, got {p_mask}")
+    return QubitSpec(_field(o, "id", "a positive integer", path),
+                     _field(o, "round", "a positive integer", path), basis,
+                     p_mask, frozenset(_field(o, "a_ids",
+                                              "a list of positive integers",
+                                              path, [])))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,19 @@ Every schedule adapts a qubit only on outcomes of lower-id qubits (the
 schedule checks this when it is built), and measurements on different qubits
 commute, so the joint outcome distribution is sampled site by site in id
 order.  Two engines step through that order: a dense state-vector oracle
-(up to 20 qubits, and branch enumeration up to 14) and a bond-2 chain for
-GHZ states, 1D clusters and composites of those.  The chain tensors are
-right-canonical, so the unmeasured sites need no environment: one left
-vector per batch row carries the state, and a batch row is one
-(input, shot) pair.  Outcomes are drawn by inverse CDF on exact marginals
-from a seeded generator (numpy's default PCG64 stream), one uniform per row
-per site in id order, so runs are reproducible bit for bit across platforms.
+(up to 20 qubits) and a bond-2 chain for GHZ states, 1D clusters and
+composites of those.  The chain tensors are right-canonical, so the
+unmeasured sites need no environment: one left vector per batch row
+carries the state, and a batch row is one (input, shot) pair.  Outcomes
+are drawn by inverse CDF on exact marginals from a seeded generator
+(numpy's default PCG64 stream), one uniform per row per site in id order,
+so runs are reproducible bit for bit across platforms.
+
+Exact output distributions come from one sweep over the same chain at any
+size: the side processor is mod-2 linear, so branches that agree on the
+parities the rest of the run still reads merge exactly into one bond x bond
+density matrix.  Enumerating every outcome string stays a dense walk,
+capped at 14 qubits, and serves as the independent oracle for both sweeps.
 
 The analytic path resolves the canonical adaptation symbolically: a compiled
 schedule simulates a branch-independent single-qubit circuit whose rotation
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -310,12 +316,12 @@ def run_shot(s: MeasurementSchedule, x, seed: int,
     return {qid: int(v[0]) for qid, v in outcomes.items()}, int(y[0])
 
 
-def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, key, result):
-    """Depth-first over outcome branches; adds leaf weights to result[key]."""
+def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, result):
+    """Depth-first over outcome branches; adds leaf weights to result."""
     if weight <= 1e-300:
         return
     if not order:
-        k = key(outcomes)
+        k = tuple(outcomes[1:, 0].tolist())
         result[k] = result.get(k, 0.0) + weight
         return
     q = order[0]
@@ -329,30 +335,98 @@ def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, key, result):
         sub = eng.copy()
         sub.project(q.id, v, p)
         outcomes[q.id] = out
-        _walk(sub, order[1:], xs, outcomes, weight * float(p[0]), key, result)
+        _walk(sub, order[1:], xs, outcomes, weight * float(p[0]), result)
 
 
-def _enumerate(s: MeasurementSchedule, x, key) -> dict:
-    """Born weights of all outcome branches in id order, summed by key."""
+def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], float]:
+    """Probability of every full outcome string, by a dense walk in id order.
+
+    It lists up to 2^N strings, so it is capped at ENUM_CAP qubits.  It
+    shares no state representation with the chain, which makes it the
+    independent oracle for ``exact_distribution`` and ``chain_sample``.
+    """
     if s.n_qubits > ENUM_CAP:
         raise ValueError(f"branch enumeration capped at {ENUM_CAP} qubits")
     xs = np.array([parse_input(x, s.arity) if s.arity else 0])
     outcomes = np.zeros((s.n_qubits + 1, 1), dtype=np.uint8)
     result: dict = {}
     _walk(DenseEngine(s.resource), sorted(s.qubits, key=lambda q: q.id), xs,
-          outcomes, 1.0, key, result)
+          outcomes, 1.0, result)
     return result
 
 
-def exact_distribution(s: MeasurementSchedule, x) -> dict[int, float]:
-    """Output distribution by summing Born weights over all outcome branches."""
-    return {0: 0.0, 1: 0.0} | _enumerate(
-        s, x, lambda outcomes: int(output_bits(s, outcomes)[0]))
+class OutputDistribution(dict):
+    """{y: probability} of the output bit, with the counters of the DP.
+
+    ``peak_states`` is the largest number of DP states held at once, and
+    ``marginal_dev`` the worst gap between a state's weight and the sum of
+    its two outcome weights, relative to that weight.
+    """
+    peak_states: int = 0
+    marginal_dev: float = 0.0
 
 
-def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], float]:
-    """Probability of every full outcome string (dense enumeration)."""
-    return _enumerate(s, x, lambda outcomes: tuple(outcomes[1:, 0].tolist()))
+def exact_distribution(s: MeasurementSchedule, x) -> OutputDistribution:
+    """Output distribution by a parity-keyed DP over the bond-2 chain.
+
+    The side processor only adds outcomes mod 2, so the rest of a run sees
+    the past outcomes only through a few parities: for each unmeasured
+    qubit, the parity of its measured ``a_ids``, and for the output, the
+    parity of its measured ``o_ids``.  One sweep in id order keys the DP
+    states on those parities (bit q for qubit q, bit 0 for the output) and
+    holds an unnormalised bond x bond density matrix rho per key.  Branches
+    with equal keys merge exactly, because every later weight is linear in
+    rho, and the right-canonical chain makes a state's weight its trace.
+
+    rho is held as a square factor F with rho = F^H F, so measuring maps F
+    to F M and every weight is a sum of squares; a merged stack of factors
+    is squared up again by QR.  A density matrix stored as such would let a
+    zero-weight branch carry rounding noise far above its own trace.
+    """
+    xi = parse_input(x, s.arity) if s.arity else 0
+    flips = [0] * (s.n_qubits + 1)  # key bits that outcome 1 on qubit k toggles
+    for q in s.qubits:
+        for a in q.a_ids:
+            flips[a] |= 1 << q.id
+    for o in s.o_ids:
+        flips[o] |= 1
+    keys = [0]
+    F = np.ones((1, 1, 1), dtype=complex)  # (states, bond, bond)
+    dist = OutputDistribution({0: 0.0, 1: 0.0})
+    dist.peak_states = 1
+    for q, A in zip(sorted(s.qubits, key=lambda q: q.id),
+                    _chain_tensors(s.resource)):
+        l, _, r = A.shape
+        bits = np.fromiter(((k >> q.id) & 1 for k in keys), dtype=np.int64,
+                           count=len(keys))
+        v = np.stack(_measurement_vectors(q, parity(q.p_mask & xi) ^ bits), 1)
+        # M[k, m] = sum_s conj(v[k, m, s]) A[:, s, :]
+        M = (v.conj() @ A.transpose(1, 0, 2).reshape(2, l * r)).reshape(
+            len(keys), 2, l, r)
+        B = F[:, None] @ M
+        w = (B.real ** 2 + B.imag ** 2).sum(axis=(2, 3))
+        total = (F.real ** 2 + F.imag ** 2).sum(axis=(1, 2))
+        dev = float(np.max(np.abs(w.sum(axis=1) - total) / total))
+        if dev > MARGINAL_TOL:
+            raise AssertionError("branch weights do not sum to the state weight")
+        dist.marginal_dev = max(dist.marginal_dev, dev)
+        drop = ~(1 << q.id)
+        groups: dict[int, list[np.ndarray]] = {}
+        for i, k in enumerate(keys):
+            for m, nk in ((0, k & drop), (1, (k ^ flips[q.id]) & drop)):
+                if w[i, m] > 1e-300:
+                    groups.setdefault(nk, []).append(B[i, m])
+        keys = list(groups)
+        rows = l * max(map(len, groups.values()))
+        F = np.zeros((len(keys), max(rows, r), r), dtype=complex)
+        for j, g in enumerate(groups.values()):
+            F[j, :l * len(g)] = np.concatenate(g)
+        if rows > r:
+            F = np.linalg.qr(F, mode="r")
+        dist.peak_states = max(dist.peak_states, len(keys))
+    for k, weight in zip(keys, (F.real ** 2 + F.imag ** 2).sum(axis=(1, 2))):
+        dist[s.c ^ (k & 1)] += float(weight)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +497,9 @@ class SimulationReport:
     records: tuple[InputRecord, ...]
     resources: ResourceReport
     seed: int
+    # exact_peak_states: most DP states over inputs; exact_marginal_dev: the
+    # worst relative marginal-sum gap; both None when no exact work ran
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def min_analytic(self) -> float | None:
@@ -457,6 +534,7 @@ class SimulationReport:
             "min_analytic": self.min_analytic,
             "min_exact": self.min_exact,
             "empirical_rate": self.empirical_rate,
+            "stats": self.stats,
             "inputs": [{"x": r.x, "target": r.target,
                         "analytic": r.analytic_success, "exact": r.exact_success,
                         "shots": r.shots, "correct": r.correct}
@@ -477,10 +555,11 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
                     use_exact: bool | None = None) -> SimulationReport:
     """Score a schedule against its target on every input.
 
-    Runs the analytic effective circuit when the schedule supports it, branch
-    enumeration when the register is small enough, and seeded sampling
-    always.  Sampling is a smoke test; the determinism claims rest on the
-    analytic values.  The sampled rows are input-major (every shot of input
+    Runs the analytic effective circuit when the schedule supports it, the
+    exact DP when ``use_exact`` is set (by default on registers of at most
+    ENUM_CAP qubits, at any size when asked), and seeded sampling always.
+    Sampling is a smoke test; the determinism claims rest on the analytic
+    and exact values.  The sampled rows are input-major (every shot of input
     0, then of input 1, ...) and share one generator seeded with ``seed``,
     swept SAMPLE_CHUNK rows at a time.
     """
@@ -503,18 +582,24 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
             xs = rows[start:start + SAMPLE_CHUNK]
             ys = output_bits(s, chain_sample(s, xs, rng))
             correct += np.bincount(xs[ys == targets[xs]], minlength=len(inputs))
-    records = []
+    records, dists = [], []
     for x in range(len(inputs)):
         target = int(targets[x])
         exact = None
-        if use_exact and s.n_qubits <= ENUM_CAP:
-            exact = exact_distribution(s, x)[target]
+        if use_exact:
+            dists.append(exact_distribution(s, x))
+            exact = dists[-1][target]
         for val in (analytic[x], exact):
             if val is not None and not -1e-12 <= val <= 1 + 1e-12:
                 raise AssertionError(f"success probability {val} out of range")
         records.append(InputRecord(x, target, analytic[x], exact,
                                    shots_per_input, int(correct[x])))
-    return SimulationReport(f.kind, f.n, tuple(records), resources(s), seed)
+    stats = {"exact_peak_states": max((d.peak_states for d in dists),
+                                      default=None),
+             "exact_marginal_dev": max((d.marginal_dev for d in dists),
+                                       default=None)}
+    return SimulationReport(f.kind, f.n, tuple(records), resources(s), seed,
+                            stats)
 
 
 @dataclass(frozen=True)

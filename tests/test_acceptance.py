@@ -141,6 +141,16 @@ def test_criterion_07_or_protocol():
     stamp("07 OR protocol", t0, 300.0)
 
 
+def test_criterion_07_or_protocol_exact():
+    """Counting reduction for OR: exact certificate on 45 and 57 qubits."""
+    t0 = time.perf_counter()
+    for n in (4, 6):
+        report = sim.verify_protocol(mbqc.or_protocol(n), boolean.or_n(n),
+                                     shots_per_input=0, use_exact=True)
+        assert report.min_exact > 1 - 1e-9, (n, report.min_exact)
+    stamp("07b exact OR protocol", t0, 60.0)
+
+
 def test_criterion_08_moore_counter():
     """Increment-mod-p unitary: all-zero readout exactly at multiples of p."""
     t0 = time.perf_counter()

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import l2mbqc
 from l2mbqc import cli, mbqc
 
 
@@ -115,6 +120,50 @@ class TestCompileSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--schedule", str(path),
                              "--all", "--shots", "20", "--fn", "and")
         assert code == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o.update(c=5),
+        lambda o: o["qubits"][0]["basis"].update(theta="NaN"),
+        lambda o: o["qubits"][0]["basis"].update(theta=float("nan")),
+        lambda o: o.pop("qubits"),
+        lambda o: o["qubits"][1].update(p_mask=4),
+    ])
+    def test_malformed_schedule_exits_1(self, capsys, tmp_path, edit):
+        obj = json.loads(mbqc.mod3_protocol(1).to_json())
+        edit(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "simulate", "--schedule", str(path),
+                               "--all")
+        assert code == 1
+        assert err.startswith("error: schedule field")
+
+    @pytest.mark.parametrize("meta", [
+        {"builder": "modp_protocol", "p": [1], "j": 0},
+        {"builder": "modp_protocol", "p": 5},
+    ])
+    def test_malformed_meta_exits_1(self, capsys, tmp_path, meta):
+        obj = json.loads(mbqc.mod3_protocol(1).to_json())
+        obj["meta"] = meta
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "simulate", "--schedule", str(path),
+                               "--all")
+        assert code == 1 and "integer p and j" in err
+
+    def test_missing_schedule_file_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--schedule",
+                               str(tmp_path / "absent.json"))
+        assert code == 1 and err.startswith("error: ")
+
+    def test_malformed_stdin_exits_1_without_traceback(self):
+        src = pathlib.Path(l2mbqc.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "l2mbqc.cli", "simulate", "--all"],
+            input="[]", capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: schedule JSON must be an object, got []\n"
 
     def test_library_equivalence(self, capsys, tmp_path):
         # the CLI is a thin shell: emitted JSON equals the library's output

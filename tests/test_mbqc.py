@@ -3,6 +3,8 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2mbqc import boolean, mbqc, pfd, sim
 from l2mbqc.mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, Resource,
@@ -14,6 +16,45 @@ from l2mbqc.onequbit import (Condition, Gate, OneQubitProgram,
                              build_commuting_program, build_mod3_clifford)
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def random_schedules(draw):
+    """Valid schedules: adaptation on lower ids in strictly earlier rounds."""
+    n = draw(st.integers(0, 7))
+    arity = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["ghz", "cluster1d", "composite"]))
+    if kind == "composite":
+        cut = draw(st.integers(0, n))
+        resource = composite(ghz(cut), cluster1d(n - cut))
+    else:
+        resource = Resource(kind, n)
+    angles = st.floats(-10, 10, allow_nan=False)
+    rounds = [draw(st.integers(1, 4)) for _ in range(n)]
+    qubits = []
+    for qid in range(1, n + 1):
+        if draw(st.booleans()):
+            qubits.append(QubitSpec(qid, rounds[qid - 1], PauliZBasis()))
+            continue
+        earlier = [a for a in range(1, qid) if rounds[a - 1] < rounds[qid - 1]]
+        a_ids = draw(st.sets(st.sampled_from(earlier))) if earlier else set()
+        basis = XYBasis(draw(angles), draw(st.integers(0, 1)), draw(angles),
+                        draw(st.none() | st.text(min_size=1, max_size=6)))
+        qubits.append(QubitSpec(qid, rounds[qid - 1], basis,
+                                draw(st.integers(0, (1 << arity) - 1)),
+                                frozenset(a_ids)))
+    o_ids = draw(st.sets(st.integers(1, n))) if n else set()
+    return MeasurementSchedule(
+        resource, arity, tuple(qubits), frozenset(o_ids), draw(st.integers(0, 1)),
+        draw(st.none() | st.integers(0, 50)), draw(st.booleans()),
+        draw(st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)))
+
 
 
 class TestScheduleModel:
@@ -70,6 +111,78 @@ class TestSerialization:
     def test_malformed_json_position(self):
         with pytest.raises(ValueError, match="position"):
             MeasurementSchedule.from_json("{not json")
+
+    def test_golden_file_loads(self):
+        s = MeasurementSchedule.from_json(
+            (DATA / "mod3_n4_schedule.json").read_text())
+        assert s == mod3_protocol(4)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda o: o.update(c=5), "'c'"),
+        (lambda o: o.update(c=True), "'c'"),
+        (lambda o: o["qubits"][0]["basis"].update(theta="NaN"),
+         r"'qubits\[0\].basis.theta'"),
+        (lambda o: o["qubits"][0]["basis"].update(theta=math.nan),
+         r"'qubits\[0\].basis.theta'"),
+        (lambda o: o["qubits"][1]["basis"].update(offset=math.inf),
+         r"'qubits\[1\].basis.offset'"),
+        (lambda o: o["qubits"][2].update(p_mask=2), r"'qubits\[2\].p_mask'"),
+        (lambda o: o["qubits"][2].update(p_mask=-1), r"'qubits\[2\].p_mask'"),
+        (lambda o: o["qubits"][3].update(id=0), r"'qubits\[3\].id'"),
+        (lambda o: o["qubits"][3].update(a_ids=[1, "2"]), r"'qubits\[3\].a_ids'"),
+        (lambda o: o["qubits"][3]["basis"].update(type="y"),
+         r"'qubits\[3\].basis.type'"),
+        (lambda o: o.pop("qubits"), "'qubits' is missing"),
+        (lambda o: o["resource"].update(n_qubits="9"), "'resource.n_qubits'"),
+        (lambda o: o["resource"].update(type="ring"), "'resource.type'"),
+        (lambda o: o.update(o_ids=7), "'o_ids'"),
+        (lambda o: o.update(meta=[]), "'meta'"),
+    ])
+    def test_rejects_malformed_field(self, edit, field):
+        obj = json.loads(mod3_protocol(1).to_json())
+        edit(obj)
+        with pytest.raises(ValueError, match=field):
+            MeasurementSchedule.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"schedule"'])
+    def test_rejects_non_object(self, text):
+        with pytest.raises(ValueError, match="must be an object"):
+            MeasurementSchedule.from_json(text)
+
+    def test_rejects_deep_nesting(self):
+        with pytest.raises(ValueError):
+            MeasurementSchedule.from_json("[" * 100000 + "]" * 100000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_random_schedules(self, data):
+        s = data.draw(random_schedules())
+        assert MeasurementSchedule.from_json(s.to_json()) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_garbage_fields_raise_only_value_error(self, data):
+        obj = json.loads(data.draw(random_schedules()).to_json())
+        # overwrite one node of the JSON tree with arbitrary JSON
+        node, key = obj, data.draw(st.sampled_from(sorted(obj)))
+        while isinstance(node[key], (dict, list)) and node[key] and \
+                data.draw(st.booleans()):
+            node = node[key]
+            key = data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+        node[key] = data.draw(json_values)
+        try:
+            MeasurementSchedule.from_json(json.dumps(obj))
+        except ValueError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(), json_values.map(json.dumps)))
+    def test_garbage_text_raises_only_value_error(self, text):
+        try:
+            MeasurementSchedule.from_json(text)
+        except ValueError:
+            pass
 
 
 class TestCompileToCluster:

@@ -1,10 +1,12 @@
+import dataclasses
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from l2mbqc import boolean, mbqc, pfd, sim
+from l2mbqc import boolean, mbqc, pfd, qsp, sim
 from l2mbqc.mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, XYBasis,
                          cluster1d, compile_pfd_to_ghz, composite, ghz,
                          lift_ghz_to_cluster, mod3_protocol)
@@ -143,8 +145,75 @@ class TestExactDistribution:
         assert exact_distribution(s, 0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            exact_distribution(mod3_protocol(3), 0)
+        # listing every outcome string stays capped; the DP is not
+        with pytest.raises(ValueError, match="capped"):
+            branch_distribution(mod3_protocol(3), 0)
+
+    def test_mod3_n3_deterministic_beyond_enumeration_cap(self):
+        s = mod3_protocol(3)
+        assert s.n_qubits > sim.ENUM_CAP
+        f = boolean.mod_p(3, 0, 3)
+        for x in range(8):
+            assert exact_distribution(s, x)[f(x)] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("build, peak", [
+        (lambda: mod3_protocol(1), 4),
+        (lambda: mod3_protocol(2), 4),
+        (lambda: mod3_protocol(3), 4),
+        (lambda: mbqc.modp_protocol(5, 0, 3, qsp.reference_angles(5)), 4),
+        (lambda: mbqc.or_protocol(4), 32),
+    ])
+    def test_peak_states(self, build, peak):
+        s = build()
+        dists = [exact_distribution(s, x) for x in range(1 << s.arity)]
+        assert max(d.peak_states for d in dists) == peak
+        assert max(d.marginal_dev for d in dists) < sim.MARGINAL_TOL
+
+    def test_zero_qubit_schedule(self):
+        s = MeasurementSchedule(cluster1d(0), 1, (), frozenset(), 1)
+        assert exact_distribution(s, 1) == {0: 0.0, 1: 1.0}
+
+
+def pauli_z_cut_schedule():
+    """Seven-site chain cut at site 4; the cut outcome feeds later settings."""
+    rng = np.random.default_rng(40)
+    th = rng.uniform(0, 2 * np.pi, 7)
+    qubits = (
+        QubitSpec(1, 1, XYBasis(th[0], 0), 1),
+        QubitSpec(2, 2, XYBasis(th[1], 1), 2, frozenset({1})),
+        QubitSpec(3, 3, XYBasis(th[2], 0, 0.3), 3, frozenset({2})),
+        QubitSpec(4, 1, PauliZBasis()),
+        QubitSpec(5, 2, XYBasis(th[4], 1), 1, frozenset({4})),
+        QubitSpec(6, 3, XYBasis(th[5], 0), 0, frozenset({1, 4, 5})),
+        QubitSpec(7, 4, XYBasis(th[6], 0), 2, frozenset({2, 6})),
+    )
+    return MeasurementSchedule(cluster1d(7), 2, qubits,
+                               frozenset({1, 3, 4, 7}), 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mod3_protocol(1),
+    lambda: mod3_protocol(2),
+    lambda: compile_pfd_to_ghz(pfd.solve_pfd(boolean.and_n(2)), 0),
+    lambda: compile_pfd_to_ghz(pfd.solve_pfd(boolean.or_n(2)), 0),
+    lambda: compile_pfd_to_ghz(pfd.pairwise_and_decomposition(3), 0),
+    lambda: lift_ghz_to_cluster(
+        compile_pfd_to_ghz(pfd.solve_pfd(boolean.and_n(2)), 0)),
+    lambda: lift_ghz_to_cluster(
+        compile_pfd_to_ghz(pfd.pairwise_and_decomposition(3), 0)),
+    lambda: TestComposite().build_xor_schedule(),
+    pauli_z_cut_schedule,
+])
+def test_exact_distribution_matches_dense_branch_walk(build):
+    # the DP runs on chain tensors; the dense walk shares none of its state
+    s = build()
+    for x in range(1 << s.arity):
+        marginal = {0: 0.0, 1: 0.0}
+        for outs, p in branch_distribution(s, x).items():
+            marginal[s.c ^ (sum(outs[o - 1] for o in s.o_ids) & 1)] += p
+        dist = exact_distribution(s, x)
+        for y in (0, 1):
+            assert dist[y] == pytest.approx(marginal[y], abs=1e-12)
 
 
 class TestEffectiveCircuit:
@@ -204,6 +273,32 @@ class TestVerifyProtocol:
         report = verify_protocol(s, f, shots_per_input=10, seed=1)
         assert "empirical_rate" in report.to_json()
         assert report.to_csv().startswith("x,target")
+        stats = json.loads(report.to_json())["stats"]
+        assert stats["exact_peak_states"] == 2
+        assert 0 <= stats["exact_marginal_dev"] < sim.MARGINAL_TOL
+
+    def test_stats_without_exact_work(self):
+        f = boolean.and_n(2)
+        s = compile_pfd_to_ghz(pfd.solve_pfd(f), 0)
+        report = verify_protocol(s, f, shots_per_input=10, use_exact=False)
+        assert report.min_exact is None
+        assert report.stats == {"exact_peak_states": None,
+                                "exact_marginal_dev": None}
+
+    def test_explicit_exact_above_enumeration_cap(self):
+        # use_exact=True is honoured at any size; the default stays capped
+        s = mod3_protocol(8)
+        f = boolean.mod_p(3, 0, 8)
+        report = verify_protocol(s, f, shots_per_input=0, use_exact=True)
+        assert report.min_exact is not None and report.min_exact > 1 - 1e-9
+        assert report.stats["exact_peak_states"] == 4
+        assert verify_protocol(s, f, shots_per_input=0).min_exact is None
+
+    def test_stats_not_compared(self):
+        f = boolean.and_n(2)
+        s = compile_pfd_to_ghz(pfd.solve_pfd(f), 0)
+        report = verify_protocol(s, f, shots_per_input=5, seed=1)
+        assert dataclasses.replace(report, stats={}) == report
 
 
 class TestBellScore:
