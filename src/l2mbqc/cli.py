@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import boolean, mbqc, pfd, qsp, sim
@@ -17,20 +18,33 @@ DEFAULT_SEED_ENV = "L2MBQC_SEED"
 
 
 def parse_function_spec(spec: str, n: int) -> boolean.BooleanFunction:
-    """Parse specs like and, or, c2, parity, const0, mod3:1, mod5:0."""
-    spec = spec.strip().lower()
-    if spec.startswith("mod"):
-        head, _, jtxt = spec.partition(":")
-        p = int(head[3:])
-        j = int(jtxt) if jtxt else 0
-        return boolean.mod_p(p, j, n)
-    if spec == "c2":
+    """Parse --fn specs: and, or, parity, c2, const0, const1, mod<p>[:<j>].
+
+    A malformed spec raises a ValueError that names --fn.
+    """
+    key = spec.strip().lower()
+    mod = re.fullmatch(r"mod([0-9]+)(?::([0-9]+))?", key)
+    if mod:
+        try:
+            return boolean.mod_p(int(mod[1]), int(mod[2] or 0), n)
+        except ValueError as exc:
+            raise ValueError(f"--fn {spec!r}: {exc}") from None
+    if key == "c2":
         return boolean.pairwise_and(n)
-    if spec in ("and", "or", "parity"):
-        return boolean.build(spec, n)
-    if spec in ("const0", "const1"):
-        return boolean.constant(int(spec[-1]), n)
-    raise argparse.ArgumentTypeError(f"unknown function spec {spec!r}")
+    if key in ("and", "or", "parity"):
+        return boolean.build(key, n)
+    if key in ("const0", "const1"):
+        return boolean.constant(int(key[-1]), n)
+    raise ValueError(f"--fn {spec!r} is not one of and, or, parity, c2, "
+                     f"const0, const1, mod<p>[:<j>]")
+
+
+def parse_profile(text: str) -> list[int]:
+    """Parse a --profile bit string f(0)..f(n); f(0) must be 0."""
+    if not re.fullmatch(r"0[01]*", text):
+        raise ValueError(f"--profile {text!r} is not a bit string "
+                         f"f(0)..f(n) with f(0) = 0")
+    return [int(ch) for ch in text]
 
 
 def emit(payload: dict, fmt: str, out) -> None:
@@ -101,8 +115,8 @@ def cmd_pfd(args, out) -> int:
 
 def cmd_qsp(args, out) -> int:
     code = 0
-    if args.profile:
-        profile = [int(ch) for ch in args.profile]
+    if args.profile is not None:
+        profile = parse_profile(args.profile)
         n = len(profile) - 1
         angles = qsp.synthesize_symmetric(profile, n)
         worst = qsp.verify_symmetric(angles, profile)

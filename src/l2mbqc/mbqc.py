@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .boolean import BooleanFunction, dot2
+from .boolean import BooleanFunction
 from .onequbit import (Gate, OneQubitProgram, build_mod3_clifford,
                        build_qsp_program, build_symmetric_program,
                        normalize_sign_form, or_reduction_bank)
@@ -92,13 +92,6 @@ class QubitSpec:
     p_mask: int = 0
     a_ids: frozenset[int] = frozenset()
 
-    def measured_angle(self, x: int, outcome_parity: int) -> float:
-        if isinstance(self.basis, PauliZBasis):
-            raise ValueError("Pauli-Z qubits have no measurement angle")
-        s = dot2(self.p_mask, x) ^ outcome_parity
-        sign = -1.0 if (s ^ self.basis.bias) else 1.0
-        return self.basis.offset + sign * self.basis.theta
-
 
 @dataclass(frozen=True)
 class MeasurementSchedule:
@@ -143,12 +136,6 @@ class MeasurementSchedule:
     @property
     def n_qubits(self) -> int:
         return self.resource.n_qubits
-
-    def qubit(self, qid: int) -> QubitSpec:
-        for q in self.qubits:
-            if q.id == qid:
-                return q
-        raise KeyError(qid)
 
     def to_json(self) -> str:
         def enc_resource(r: Resource):

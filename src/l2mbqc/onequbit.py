@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolean import BooleanFunction, dot2
-from .qsp import QspAngles, rot_x, rot_z, verify_qsp, verify_symmetric, FAILURE_TOL_OWN
+from .boolean import BooleanFunction, dot2, parse_input
+from .qsp import (FAILURE_TOL_OWN, QspAngles, rotation_product, verify_qsp,
+                  verify_symmetric)
 
 DETERMINISM_TOL = 1e-9
 
@@ -99,13 +100,9 @@ class OneQubitProgram:
         return cls(obj["n"], gates, obj.get("flip_output", 0))
 
     def unitary(self, x) -> np.ndarray:
-        from .boolean import parse_input
         xi = parse_input(x, self.n) if self.n else 0
-        U = np.eye(2, dtype=complex)
-        for g in self.gates:
-            theta = g.effective_angle(xi)
-            U = (rot_x(theta) if g.axis == "X" else rot_z(theta)) @ U
-        return U
+        return rotation_product([(g.axis, g.effective_angle(xi))
+                                 for g in self.gates])[0]
 
 
 def evaluate(prog: OneQubitProgram, x) -> EvalResult:

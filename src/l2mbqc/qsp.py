@@ -452,14 +452,26 @@ def _reconstruction_residual(xi, pair: LaurentPair, samples: int = 1024) -> floa
                      np.max(np.abs(B - pair.b_value(phis)))))
 
 
+def rotation_product(gates) -> np.ndarray:
+    """Product of X/Z rotations over a batch, shape (k, 2, 2).
+
+    ``gates`` lists (axis, angle) pairs in the order they act, axis "X" or
+    "Z"; each angle is a scalar or an array of k angles, one per batch
+    entry.  With scalar angles only, k = 1.
+    """
+    U = _I2[None]
+    for axis, angle in gates:
+        R = (rot_x if axis == "X" else rot_z)(np.reshape(angle, (-1, 1, 1)))
+        U = R @ U
+    return np.array(U)
+
+
 def _rotation_product(xi, phis, xi0: float | None = None) -> np.ndarray:
     """Conjugated X-rotation products, shape (k, 2, 2), for k phases."""
-    rx = rot_x(np.reshape(phis, (-1, 1, 1)))
-    U = np.broadcast_to(rot_z(xi0) if xi0 is not None else _I2, rx.shape).copy()
+    gates = [] if xi0 is None else [("Z", xi0)]
     for x in xi:
-        rz = rot_z(x)
-        U = (rz @ rx @ rz.conj().T) @ U
-    return U
+        gates += [("Z", -x), ("X", phis), ("Z", x)]
+    return rotation_product(gates)
 
 
 def reconstruct_unitary(angles: QspAngles, phi, xi0: float | None = None) -> np.ndarray:

@@ -3,14 +3,15 @@
 Every schedule adapts a qubit only on outcomes of lower-id qubits (the
 schedule checks this when it is built), and measurements on different qubits
 commute, so the joint outcome distribution is sampled site by site in id
-order.  Two engines step through that order: a dense state-vector oracle
-(up to 20 qubits) and a bond-2 chain for GHZ states, 1D clusters and
-composites of those.  The chain tensors are right-canonical, so the
+order.  All sampling runs on one bond-2 chain for GHZ states, 1D clusters
+and composites of those.  The chain tensors are right-canonical, so the
 unmeasured sites need no environment: one left vector per batch row
 carries the state, and a batch row is one (input, shot) pair.  Outcomes
 are drawn by inverse CDF on exact marginals from a seeded generator
 (numpy's default PCG64 stream), one uniform per row per site in id order,
-so runs are reproducible bit for bit across platforms.
+so runs are reproducible bit for bit across platforms.  A dense
+state-vector engine (at most ENUM_CAP qubits) steps through the same
+order and serves only as the independent oracle.
 
 Exact output distributions come from one sweep over the same chain at any
 size: the side processor is mod-2 linear, so branches that agree on the
@@ -34,10 +35,9 @@ import numpy as np
 from .boolean import BooleanFunction, nchvm_bound, parse_input
 from .mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, Resource,
                    ResourceReport, resources)
-from .qsp import rot_x, rot_z
+from .qsp import rotation_product
 
-DENSE_CAP = 20
-ENUM_CAP = 14
+ENUM_CAP = 14  # qubits; caps the dense engine and branch enumeration
 MARGINAL_TOL = 1e-12
 SAMPLE_CHUNK = 1024  # rows per chain sweep in verify_protocol; bounds memory
 
@@ -85,12 +85,8 @@ def xy_basis_vectors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _measurement_vectors(q: QubitSpec, setting: np.ndarray):
     if isinstance(q.basis, PauliZBasis):
-        B = setting.shape[0]
-        v0 = np.zeros((B, 2), dtype=complex)
-        v1 = np.zeros((B, 2), dtype=complex)
-        v0[:, 0] = 1.0
-        v1[:, 1] = 1.0
-        return v0, v1
+        z = np.zeros((len(setting), 2), dtype=complex)
+        return z + (1, 0), z + (0, 1)
     return xy_basis_vectors(_angles(q, setting))
 
 
@@ -100,16 +96,17 @@ def _measurement_vectors(q: QubitSpec, setting: np.ndarray):
 
 def dense_state(resource: Resource) -> np.ndarray:
     """State vector with site i on axis i-1 of the reshaped tensor."""
+    N = resource.n_qubits
+    if N > ENUM_CAP:
+        raise ValueError(f"dense engine capped at {ENUM_CAP} qubits, "
+                         f"got {N}")
     if resource.kind == "composite":
         state = np.ones(1, dtype=complex)
         for part in resource.parts:
             state = np.kron(state, dense_state(part))
         return state
-    N = resource.n_qubits
     if N == 0:
         return np.ones(1, dtype=complex)
-    if N > DENSE_CAP:
-        raise ValueError(f"dense engine capped at {DENSE_CAP} qubits")
     if resource.kind == "ghz":
         state = np.zeros(1 << N, dtype=complex)
         state[0] = state[-1] = 1 / math.sqrt(2)
@@ -125,88 +122,68 @@ def dense_state(resource: Resource) -> np.ndarray:
 
 
 class DenseEngine:
-    """Exact statevector with single-site projective measurement."""
+    """Exact state vector, measured one site at a time in id order.
+
+    The state holds the unmeasured sites first..N; ``marginal`` reads any of
+    them, ``project`` only the next.  Vectors are (1, 2) batch rows.
+    """
 
     def __init__(self, resource: Resource, state: np.ndarray | None = None,
-                 live: set[int] | None = None):
+                 first: int = 1):
         self.resource = resource
         self.state = dense_state(resource) if state is None else state
-        self.live = (set(range(1, resource.n_qubits + 1))
-                     if live is None else live)
+        self.first = first
 
     def copy(self) -> "DenseEngine":
-        return DenseEngine(self.resource, self.state.copy(), set(self.live))
+        return DenseEngine(self.resource, self.state.copy(), self.first)
 
     def _amp(self, qid: int, v: np.ndarray) -> np.ndarray:
-        axis = sorted(self.live).index(qid)
-        t = self.state.reshape(1 << axis, 2, -1)
-        return (v.conj() @ t).reshape(-1)
+        t = self.state.reshape(1 << (qid - self.first), 2, -1)
+        return (v[0].conj() @ t).reshape(-1)
 
     def marginal(self, qid: int, v0: np.ndarray, v1: np.ndarray):
-        a0 = self._amp(qid, v0[0] if v0.ndim == 2 else v0)
-        a1 = self._amp(qid, v1[0] if v1.ndim == 2 else v1)
-        p0 = float(np.sum(np.abs(a0) ** 2))
-        p1 = float(np.sum(np.abs(a1) ** 2))
-        return np.array([p0]), np.array([p1])
+        return tuple(np.array([float(np.sum(np.abs(self._amp(qid, v)) ** 2))])
+                     for v in (v0, v1))
 
     def project(self, qid: int, v: np.ndarray, prob: np.ndarray) -> None:
-        amp = self._amp(qid, v[0] if v.ndim == 2 else v)
+        if qid != self.first:
+            raise ValueError(f"dense engine measures qubit {self.first} next, "
+                             f"not {qid}")
         p = float(prob[0])
         if p <= 0:
             raise ZeroDivisionError("projection onto a zero-probability branch")
-        self.live.discard(qid)
-        self.state = amp / math.sqrt(p)
+        self.state = self._amp(qid, v) / math.sqrt(p)
+        self.first += 1
 
 
 # ---------------------------------------------------------------------------
 # chain engine (batched)
 
 
-def _ghz_tensors(N: int) -> list[np.ndarray]:
-    if N == 1:
-        t = np.zeros((1, 2, 1), dtype=complex)
-        t[0, :, 0] = 1 / math.sqrt(2)
-        return [t]
-    first = np.zeros((1, 2, 2), dtype=complex)
-    first[0, 0, 0] = first[0, 1, 1] = 1 / math.sqrt(2)
-    mid = np.zeros((2, 2, 2), dtype=complex)
-    mid[0, 0, 0] = mid[1, 1, 1] = 1.0
-    last = np.zeros((2, 2, 1), dtype=complex)
-    last[0, 0, 0] = last[1, 1, 0] = 1.0
-    return [first] + [mid] * (N - 2) + [last]
-
-
-def _cluster_tensors(N: int) -> list[np.ndarray]:
-    if N == 1:
-        t = np.zeros((1, 2, 1), dtype=complex)
-        t[0, :, 0] = 1 / math.sqrt(2)
-        return [t]
-    first = np.zeros((1, 2, 2), dtype=complex)
-    first[0, 0, 0] = first[0, 1, 1] = 1 / math.sqrt(2)
-    mid = np.zeros((2, 2, 2), dtype=complex)
-    for a in range(2):
-        for s in range(2):
-            mid[a, s, s] = (-1.0) ** (a * s) / math.sqrt(2)
-    last = np.zeros((2, 2, 1), dtype=complex)
-    for a in range(2):
-        for s in range(2):
-            last[a, s, 0] = (-1.0) ** (a * s) / math.sqrt(2)
-    return [first] + [mid] * (N - 2) + [last]
-
-
 def _chain_tensors(resource: Resource) -> list[np.ndarray]:
     """Right-canonical (left, physical, right) tensors of sites 1..N.
 
-    Parts of a composite join at bonds of dimension 1, so their tensors
-    concatenate into one chain.
+    The bond carries the previous site's Z value.  GHZ sites copy it; cluster
+    sites apply the CZ sign (-1)^(a s) and 1/sqrt(2).  The last site sums
+    its right index out.  Parts of a composite join at bonds of dimension 1,
+    so their tensors concatenate into one chain.
     """
     if resource.kind == "composite":
         return [t for part in resource.parts for t in _chain_tensors(part)]
-    if resource.n_qubits == 0:
+    N = resource.n_qubits
+    if N == 0:
         return []
+    first = np.zeros((1, 2, 2), dtype=complex)
+    first[0, 0, 0] = first[0, 1, 1] = 1 / math.sqrt(2)
+    if N == 1:
+        return [first.sum(axis=2, keepdims=True)]
+    mid = np.zeros((2, 2, 2), dtype=complex)
     if resource.kind == "ghz":
-        return _ghz_tensors(resource.n_qubits)
-    return _cluster_tensors(resource.n_qubits)
+        mid[0, 0, 0] = mid[1, 1, 1] = 1.0
+    else:
+        mid[:, 0, 0] = 1 / math.sqrt(2)
+        mid[:, 1, 1] = np.array([1.0, -1.0]) / math.sqrt(2)
+    return [first] + [mid] * (N - 2) + [mid.sum(axis=2, keepdims=True)]
 
 
 class ChainEngine:
@@ -282,37 +259,23 @@ def chain_sample(s: MeasurementSchedule, xs, rng) -> np.ndarray:
     return _drive([ChainEngine(s.resource, len(xs))], s, xs, rng)[0]
 
 
-def run_schedule_batch(s: MeasurementSchedule, x, shots: int, seed: int,
-                       engine: str = "auto"):
-    """Sample shots runs at one input, measuring in id order.
+def run_schedule_batch(s: MeasurementSchedule, x, shots: int, seed: int):
+    """Sample shots runs at one input in one chain sweep.
 
     Returns (outcome arrays keyed by qubit id, output bits), each of shape
-    (shots,).  Identical seeds reproduce identical runs, and the dense and
-    chain engines consume the seed's stream identically.
+    (shots,).  Identical seeds reproduce identical runs.
     """
     xi = parse_input(x, s.arity) if s.arity else 0
-    if engine == "auto":
-        engine = "mps" if (shots > 1 or s.n_qubits > DENSE_CAP) else "dense"
-    if engine == "mps":
-        eng = ChainEngine(s.resource, shots)
-    elif engine == "dense":
-        if shots != 1:
-            raise ValueError("dense runs are single-shot")
-        eng = DenseEngine(s.resource)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    xs = np.full(shots, xi, dtype=np.int64)
-    outcomes, _ = _drive([eng], s, xs, np.random.default_rng(seed))
+    outcomes = chain_sample(s, np.full(shots, xi),
+                            np.random.default_rng(seed))
     return ({qid: outcomes[qid] for qid in range(1, s.n_qubits + 1)},
             output_bits(s, outcomes))
 
 
-def run_shot(s: MeasurementSchedule, x, seed: int,
-             engine: str = "auto") -> tuple[dict[int, int], int]:
+def run_shot(s: MeasurementSchedule, x,
+             seed: int) -> tuple[dict[int, int], int]:
     """Single seeded shot; returns the outcome record and the output bit."""
-    if engine == "auto":
-        engine = "dense" if s.n_qubits <= DENSE_CAP else "mps"
-    outcomes, y = run_schedule_batch(s, x, 1, seed, engine)
+    outcomes, y = run_schedule_batch(s, x, 1, seed)
     return {qid: int(v[0]) for qid, v in outcomes.items()}, int(y[0])
 
 
@@ -341,12 +304,11 @@ def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, result):
 def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], float]:
     """Probability of every full outcome string, by a dense walk in id order.
 
-    It lists up to 2^N strings, so it is capped at ENUM_CAP qubits.  It
-    shares no state representation with the chain, which makes it the
-    independent oracle for ``exact_distribution`` and ``chain_sample``.
+    It lists up to 2^N strings on the dense engine, so it is capped at
+    ENUM_CAP qubits.  It shares no state representation with the chain,
+    which makes it the independent oracle for ``exact_distribution`` and
+    ``chain_sample``.
     """
-    if s.n_qubits > ENUM_CAP:
-        raise ValueError(f"branch enumeration capped at {ENUM_CAP} qubits")
     xs = np.array([parse_input(x, s.arity) if s.arity else 0])
     outcomes = np.zeros((s.n_qubits + 1, 1), dtype=np.uint8)
     result: dict = {}
@@ -439,28 +401,29 @@ class EffectiveCircuit:
     output_distribution: tuple[float, float]  # over y, constant folded in
 
 
+def _has_effective_circuit(s: MeasurementSchedule) -> bool:
+    """Compiled, not composite and free of Pauli-Z cuts."""
+    return s.compiled and s.resource.kind != "composite" and not any(
+        isinstance(q.basis, PauliZBasis) for q in s.qubits)
+
+
 def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
     """Effective-circuit unitaries of a compiled schedule, one per input.
 
     Canonical adaptation makes the sign corrections cancel symbolically, so
     the rotation at each site is offset + (-1)^(P.x xor bias) * theta; on a
     chain, odd sites rotate about X and even sites about Z, and the output
-    parity follows the final state's Z readout.  Returns shape (len(xs), 2, 2).
+    parity follows the final state's Z readout.  Returns shape (len(xs), 2, 2),
+    or (1, 2, 2) for a schedule without qubits.
     """
-    if not s.compiled:
-        raise ValueError("schedule is not tagged as compiler-generated")
-    kind = s.resource.kind
-    if kind == "composite":
-        raise ValueError("no effective circuit for composite schedules")
+    if not _has_effective_circuit(s):
+        raise ValueError("only compiled, non-composite schedules without "
+                         "Pauli-Z cuts have an effective circuit")
     xs = np.asarray(xs, dtype=np.int64)
-    U = np.tile(np.eye(2, dtype=complex), (len(xs), 1, 1))
-    for q in sorted(s.qubits, key=lambda q: q.id):
-        if isinstance(q.basis, PauliZBasis):
-            raise ValueError("no effective circuit with Pauli-Z cuts")
-        delta = _angles(q, parity(q.p_mask & xs))[:, None, None]
-        about_x = kind == "ghz" or q.id % 2 == 1
-        U = (rot_x(delta) if about_x else rot_z(delta)) @ U
-    return U
+    ghz_chain = s.resource.kind == "ghz"
+    return rotation_product([("X" if ghz_chain or q.id % 2 else "Z",
+                              _angles(q, parity(q.p_mask & xs)))
+                             for q in sorted(s.qubits, key=lambda q: q.id)])
 
 
 def effective_circuit(s: MeasurementSchedule, x) -> EffectiveCircuit:
@@ -570,8 +533,7 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
     inputs = np.arange(1 << f.n)
     targets = np.array(f.table, dtype=np.int64)
     analytic = [None] * len(inputs)
-    if s.compiled and s.resource.kind != "composite" and not any(
-            isinstance(q.basis, PauliZBasis) for q in s.qubits):
+    if _has_effective_circuit(s):
         p1 = np.abs(effective_unitaries(s, inputs)[:, 1, 0]) ** 2
         analytic = np.where(targets ^ s.c, p1, 1.0 - p1).tolist()
     correct = np.zeros(len(inputs), dtype=np.int64)

@@ -278,7 +278,7 @@ def test_criterion_11_bell_bounds():
 
 
 def test_criterion_12_cross_engine():
-    """Dense and MPS marginals agree to 1e-12 on every small instance."""
+    """Dense and chain marginals agree to 1e-12 on every small instance."""
     t0 = time.perf_counter()
     instances = [
         mbqc.mod3_protocol(1),

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import l2mbqc
-from l2mbqc import cli, mbqc
+from l2mbqc import boolean, cli, mbqc
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +176,68 @@ class TestCompileSimulate:
         run_cli(capsys, "compile", "--protocol", "mod3", "--n", "3",
                 "--out", str(path))
         assert path.read_text() == mbqc.mod3_protocol(3).to_json() + "\n"
+
+
+def run_main(*argv):
+    """cli.main without pytest capture fixtures, usable under hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code, out, err, flag):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
+VALID_SPEC = re.compile(r"and|or|parity|c2|const[01]|mod[0-9]+(:[0-9]+)?")
+
+
+class TestInputHardening:
+    @pytest.mark.parametrize("spec", ["foo", "mod:1", "modx", "mod3:x",
+                                      "mod4", "mod3:3", "mod", ""])
+    def test_bad_fn_exits_1(self, spec):
+        with pytest.raises(ValueError, match="--fn"):
+            cli.parse_function_spec(spec, 2)
+        assert_one_error_line(*run_main("analyze", f"--fn={spec}", "--n", "2"),
+                              "--fn")
+
+    @pytest.mark.parametrize("profile", ["0201", "", "1", "10", "0 1", "01x"])
+    def test_bad_profile_exits_1(self, profile):
+        with pytest.raises(ValueError, match="--profile"):
+            cli.parse_profile(profile)
+        assert_one_error_line(*run_main("qsp", f"--profile={profile}"),
+                              "--profile")
+
+    def test_spec_case_and_whitespace(self):
+        assert cli.parse_function_spec(" MOD5:2 ", 3) == boolean.mod_p(5, 2, 3)
+        assert cli.parse_profile("0110") == [0, 1, 1, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(max_size=12),
+                     st.text(max_size=6).map("mod".__add__),
+                     st.from_regex(r"\s?MOD[0-9]{0,2}:?[0-9x]{0,2}",
+                                   fullmatch=True)))
+    def test_fn_fuzz(self, spec):
+        # exit 0 only on a well-formed spec, else one error line naming --fn
+        code, out, err = run_main("analyze", f"--fn={spec}", "--n", "2")
+        if VALID_SPEC.fullmatch(spec.strip().lower()) and code == 0:
+            assert err == ""
+        else:
+            assert_one_error_line(code, out, err, "--fn")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(max_size=8),
+                     st.from_regex(r"[0-2 ]{0,6}", fullmatch=True)))
+    def test_profile_fuzz(self, profile):
+        # a malformed profile fails in parsing, before any synthesis
+        if re.fullmatch(r"0[01]*", profile):
+            assert cli.parse_profile(profile) == [int(c) for c in profile]
+            return
+        assert_one_error_line(*run_main("qsp", f"--profile={profile}"),
+                              "--profile")
 
 
 class TestTables:

@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,9 +83,14 @@ class TestScheduleModel:
             MeasurementSchedule(cluster1d(1), 1, qs, frozenset(), 0)
 
     def test_measured_angle(self):
-        q = QubitSpec(1, 1, XYBasis(0.5, bias=1, offset=0.5), p_mask=1)
-        assert q.measured_angle(1, 0) == pytest.approx(1.0)
-        assert q.measured_angle(0, 0) == pytest.approx(0.0)
+        # offset + (-1)^(s xor bias) * theta with s = P.x xor A.m, per row;
+        # rows: (x=1, m1=0), (x=0, m1=0), (x=1, m1=1)
+        q = QubitSpec(2, 2, XYBasis(0.5, bias=1, offset=0.5), p_mask=1,
+                      a_ids=frozenset({1}))
+        outcomes = np.array([[0, 0, 0], [0, 0, 1]], dtype=np.uint8)
+        setting = sim.setting_bits(q, [1, 0, 1], outcomes)
+        assert setting.tolist() == [1, 0, 0]
+        assert sim._angles(q, setting) == pytest.approx([1.0, 0.0, 0.0])
 
 
 class TestSerialization:
@@ -221,7 +227,6 @@ class TestCompileToCluster:
     def test_effective_circuit_matches_program_unitary(self):
         # compiler soundness: the schedule's branch-independent circuit is the
         # program's unitary up to a global phase (trace criterion)
-        import numpy as np
         for prog in (build_mod3_clifford(2),
                      build_commuting_program(pfd.solve_pfd(boolean.or_n(2)))):
             s = compile_to_cluster(prog)

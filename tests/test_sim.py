@@ -46,6 +46,23 @@ class TestEngines:
         z1 = np.array([[0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="next"):
             ChainEngine(cluster1d(5)).marginal(3, z0, z1)
+        dense = DenseEngine(cluster1d(5))
+        with pytest.raises(ValueError, match="qubit 1 next, not 3"):
+            dense.project(3, z0, np.array([0.5]))
+        dense.project(1, z0, np.array([0.5]))
+        with pytest.raises(ValueError, match="qubit 2 next, not 1"):
+            dense.project(1, z0, np.array([0.5]))
+        p0, _ = dense.marginal(2, z0, z1)
+        assert p0[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_dense_engine_capped_on_whole_register(self):
+        # each part is under the cap; the joint register is not
+        r = composite(cluster1d(8), cluster1d(8))
+        with pytest.raises(ValueError, match=f"capped at {sim.ENUM_CAP}"):
+            sim.dense_state(r)
+        s = fixed_angle_schedule(r, [0.0] * 16)
+        with pytest.raises(ValueError, match=f"capped at {sim.ENUM_CAP}"):
+            compare_engines(s, 0)
 
     def test_ghz_all_x_even_parity(self):
         # perfect X correlation on the three-party cat state
@@ -54,7 +71,7 @@ class TestEngines:
         assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cluster_marginals_any_order(self):
-        # measuring mid-chain first must agree across engines
+        # rounds put mid-chain sites first; both engines step in id order
         rng = np.random.default_rng(5)
         thetas = rng.uniform(0, 2 * np.pi, 5)
         qubits = tuple(QubitSpec(i + 1, r, XYBasis(float(t)))
@@ -86,7 +103,7 @@ class TestRunShot:
         s = mod3_protocol(4)
         f = boolean.mod_p(3, 0, 4)
         for k in range(20):
-            _, y = run_shot(s, "1110", seed=k, engine="mps")
+            _, y = run_shot(s, "1110", seed=k)
             assert y == f("1110") == 0
 
     def test_empty_schedule_returns_constant(self):
@@ -94,11 +111,14 @@ class TestRunShot:
         _, y = run_shot(s, 0, seed=0)
         assert y == 1
 
-    def test_dense_and_mps_same_seed_same_outcomes(self):
+    def test_dense_and_chain_same_seed_same_outcomes(self):
+        # a dense-engine run draws from the seed's stream as run_shot does
         s = mod3_protocol(1)
-        a = run_shot(s, 1, seed=7, engine="dense")
-        b = run_shot(s, 1, seed=7, engine="mps")
-        assert a == b
+        for seed in range(7, 12):
+            outcomes, _ = sim._drive([DenseEngine(s.resource)], s,
+                                     np.array([1]), np.random.default_rng(seed))
+            dense = {q: int(outcomes[q, 0]) for q in range(1, s.n_qubits + 1)}
+            assert dense == run_shot(s, 1, seed=seed)[0]
 
 
 def assert_chain_sample_matches_branches(s, inputs, rows_per_input, seed):

@@ -1,0 +1,52 @@
+"""The benchmark tracer's view of the library.
+
+``perfbench/tracing.py`` wraps library callables by name at run time, so a
+rename or a deleted function would only show when ``--trace 1`` runs.
+These tests read the tracer's tables and fail at once instead.
+"""
+import importlib.util
+import inspect
+import pathlib
+
+import pytest
+
+from l2mbqc import mbqc, sim
+from l2mbqc.mbqc import mod3_protocol
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_target_exists(tracing):
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing._SPANS
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+
+
+def test_replaced_methods_exist():
+    for cls, attr in ((sim.DenseEngine, "copy"),
+                      (mbqc.MeasurementSchedule, "to_json"),
+                      (mbqc.MeasurementSchedule, "from_json")):
+        assert attr in vars(cls), f"{cls.__name__}.{attr}"
+
+
+def test_shots_is_third_positional():
+    # the sim.shots counter reads args[2] of run_schedule_batch
+    params = list(inspect.signature(sim.run_schedule_batch).parameters)
+    assert params[2] == "shots"
+
+
+def test_tracer_installs_and_restores(tracing):
+    original, s = sim.run_schedule_batch, mod3_protocol(1)
+    with tracing.Tracer() as tr:
+        sim.run_schedule_batch(s, 1, 3, 0)
+    assert sim.run_schedule_batch is original
+    assert [span[0] for span in tr.spans] == ["sim.sample"]
+    assert tr.counts["sim.shots"] == 3
