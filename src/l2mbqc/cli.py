@@ -231,9 +231,9 @@ def cmd_simulate(args, out) -> int:
                   "resources": json.dumps(payload["resources"]),
                   "all_correct": report.all_shots_correct},
                  args.format, out)
-        ok = report.all_shots_correct and (
-            report.min_analytic is None or report.min_analytic > 1 - 1e-9)
-        return 0 if ok else 1
+        if report.failure:
+            raise ValueError(report.failure)
+        return 0
     x = args.x or "0" * s.arity
     outcomes, y = sim.run_shot(s, x, seed)
     emit({"x": x, "y": int(y),

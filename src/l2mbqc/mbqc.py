@@ -8,12 +8,11 @@ s = P.x xor A.m is X(offset + (-1)^(s xor bias) * theta); Pauli-Z qubits
 carry no conditioning.  The computational output is the parity of the
 outcomes selected by ``o_ids`` plus the constant ``c``.
 
-All compilers here emit canonical adaptation rows (every earlier
-opposite-parity site of the chain), which is what lets the simulator resolve
-the adapted signs symbolically into a branch-independent effective circuit.
-Sites whose base angle is an integer multiple of pi are exempt: the sign
-flip only changes a global phase, so their rows are dropped and they can be
-measured in the first round.
+Canonical adaptation (``canonical_a_ids``) cancels every byproduct, which
+leaves a branch-independent single-qubit circuit; a schedule derives its
+``compiled`` flag from that structure, and no input can set it.  Sites whose
+base angle is an integer multiple of pi are exempt: the sign flip only
+changes a global phase, so compilers drop their rows and measure them first.
 """
 from __future__ import annotations
 
@@ -84,6 +83,12 @@ def is_pi_multiple(theta: float, offset: float = 0.0) -> bool:
     return abs(r) < PI_MULTIPLE_TOL
 
 
+def canonical_a_ids(qid: int, first: int = 1) -> range:
+    """Chain sites down to ``first`` whose byproducts flip site qid's sign:
+    the lower sites of opposite parity (one-way byproduct propagation)."""
+    return range(qid - 1, first - 1, -2)
+
+
 @dataclass(frozen=True)
 class QubitSpec:
     id: int
@@ -101,7 +106,7 @@ class MeasurementSchedule:
     o_ids: frozenset[int]
     c: int
     declared_l_c: int | None = None
-    compiled: bool = False
+    compiled: bool = field(init=False, compare=False)  # see _canonical
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -132,6 +137,27 @@ class MeasurementSchedule:
                                  f"which is not lower in id order")
         if not self.o_ids <= set(ids):
             raise ValueError("output mask references unknown qubits")
+        object.__setattr__(self, "compiled", self._canonical())
+
+    def _canonical(self) -> bool:
+        """Whether canonical adaptation leaves a branch-independent circuit:
+        a GHZ chain read out on every site, or an odd-length cluster chain
+        read out on its odd sites without offsets; no Pauli-Z site; and the
+        canonical a_ids (none on GHZ) on every site but pi multiples."""
+        kind, N = self.resource.kind, self.n_qubits
+        on_ghz = kind == "ghz"
+        if kind == "composite" or (not on_ghz and N % 2 == 0 and N > 0) or \
+                self.o_ids != frozenset(range(1, N + 1, 1 if on_ghz else 2)):
+            return False
+        for q in self.qubits:  # O(sum |a_ids|): `in` on a range is O(1)
+            b, want = q.basis, (range(0) if on_ghz else canonical_a_ids(q.id))
+            if isinstance(b, PauliZBasis) or (b.offset and not on_ghz):
+                return False
+            if not (is_pi_multiple(b.theta, b.offset)
+                    or (len(q.a_ids) == len(want)
+                        and all(a in want for a in q.a_ids))):
+                return False
+        return True
 
     @property
     def n_qubits(self) -> int:
@@ -198,7 +224,6 @@ class MeasurementSchedule:
                    _field(obj, "c", "0 or 1"),
                    _field(obj, "l_c", "a non-negative integer or null",
                           default=None),
-                   _field(obj, "compiled", "true or false", default=False),
                    _field(obj, "meta", "an object", default={}))
 
 
@@ -216,7 +241,6 @@ _CHECKS = {
     "a positive integer": lambda v: type(v) is int and v >= 1,
     "0 or 1": lambda v: type(v) is int and v in (0, 1),
     "a finite number": _is_finite,
-    "true or false": lambda v: type(v) is bool,
     "a string or null": lambda v: v is None or isinstance(v, str),
     "a non-negative integer or null":
         lambda v: v is None or (type(v) is int and v >= 0),
@@ -326,8 +350,7 @@ def _angle_tag(angle: float) -> str | None:
     return None
 
 
-def compile_to_cluster(prog: OneQubitProgram,
-                       exempt_pi_multiples: bool = True) -> MeasurementSchedule:
+def compile_to_cluster(prog: OneQubitProgram) -> MeasurementSchedule:
     """Lay a sign-form program onto a 1D chain with canonical adaptation.
 
     Odd sites carry the X rotations and even sites the Z rotations; filler
@@ -342,8 +365,7 @@ def compile_to_cluster(prog: OneQubitProgram,
         gates.pop()
     if not gates:
         return MeasurementSchedule(cluster1d(0), prog.n, (), frozenset(),
-                                   prog.flip_output, compiled=True,
-                                   meta={"source": prog.meta})
+                                   prog.flip_output, meta={"source": prog.meta})
 
     slots: list[Gate] = []
     for g in gates:
@@ -356,26 +378,17 @@ def compile_to_cluster(prog: OneQubitProgram,
 
     qubits: list[QubitSpec] = []
     rounds: dict[int, int] = {}
-    for idx, g in enumerate(slots):
-        qid = idx + 1
-        exempt = exempt_pi_multiples and is_pi_multiple(g.angle) and \
-            g.cond.kind != "select"
-        if exempt:
-            basis = XYBasis(g.angle, 0, exact=_angle_tag(g.angle))
-            a_ids: frozenset[int] = frozenset()
-            p_mask = 0
-        else:
-            bias = g.cond.bias if g.cond.kind == "sign" else 0
-            p_mask = g.cond.mask if g.cond.kind == "sign" else 0
-            basis = XYBasis(g.angle, bias, exact=_angle_tag(g.angle))
-            a_ids = frozenset(a for a in range(1, qid) if (a - qid) % 2)
-        rnd = 1 + max((rounds[a] for a in a_ids), default=0)
-        rounds[qid] = rnd
-        qubits.append(QubitSpec(qid, rnd, basis, p_mask, a_ids))
+    for qid, g in enumerate(slots, 1):
+        exempt = is_pi_multiple(g.angle)
+        bias, mask = (0, 0) if exempt else (g.cond.bias, g.cond.mask)
+        a_ids = frozenset(() if exempt else canonical_a_ids(qid))
+        rounds[qid] = 1 + max((rounds[a] for a in a_ids), default=0)
+        basis = XYBasis(g.angle, bias, exact=_angle_tag(g.angle))
+        qubits.append(QubitSpec(qid, rounds[qid], basis, mask, a_ids))
 
     o_ids = frozenset(q.id for q in qubits if q.id % 2 == 1)
     return MeasurementSchedule(cluster1d(len(slots)), prog.n, tuple(qubits),
-                               o_ids, prog.flip_output, compiled=True,
+                               o_ids, prog.flip_output,
                                meta={"source": prog.meta.get("builder")})
 
 
@@ -395,25 +408,24 @@ def compile_pfd_to_ghz(d: PeriodicDecomposition, f0: int) -> MeasurementSchedule
                                               exact=tag), mask, frozenset()))
     return MeasurementSchedule(ghz(len(masks)), d.n, tuple(qubits),
                                frozenset(range(1, len(masks) + 1)), f0 & 1,
-                               declared_l_c=len(masks), compiled=True,
+                               declared_l_c=len(masks),
                                meta={"builder": "pfd_ghz"})
 
 
 def lift_ghz_to_cluster(s: MeasurementSchedule) -> MeasurementSchedule:
-    """Two-round cluster realization of a nonadaptive GHZ schedule.
+    """Two-round cluster realization of a compiled GHZ schedule.
 
     Even sites are measured in the Pauli-X basis first; odd site t then
     carries half of GHZ qubit t's full angle with sign adaptation on the
     even outcomes, and the final site absorbs the summed halves.
     """
-    if s.resource.kind != "ghz":
-        raise ValueError("input must be a GHZ schedule")
-    if any(q.a_ids or q.round != 1 for q in s.qubits):
-        raise ValueError("input schedule must be nonadaptive")
+    if s.resource.kind != "ghz" or not s.compiled:
+        raise ValueError("input must be a compiled GHZ schedule: every site "
+                         "read out, adaptation only on pi-multiple sites")
     N = s.n_qubits
     if N == 0:
         return MeasurementSchedule(cluster1d(0), s.arity, (), frozenset(), s.c,
-                                   declared_l_c=0, compiled=True)
+                                   declared_l_c=0)
     src = sorted(s.qubits, key=lambda q: q.id)
     # GHZ qubit t measures mid + (-1)^(s+1) * halfdiff; the odd cluster site
     # carries the signed half and the final site absorbs the accumulated mids
@@ -424,16 +436,15 @@ def lift_ghz_to_cluster(s: MeasurementSchedule) -> MeasurementSchedule:
     qubits: list[QubitSpec] = []
     for t, q in enumerate(src):
         odd_id = 2 * t + 1
-        evens = frozenset(range(2, odd_id, 2))
         qubits.append(QubitSpec(odd_id, 2, XYBasis(halves[t], bias=1),
-                                q.p_mask, evens))
+                                q.p_mask, frozenset(canonical_a_ids(odd_id))))
         qubits.append(QubitSpec(2 * t + 2, 1, XYBasis(0.0)))
     last = 2 * N + 1
     qubits.append(QubitSpec(last, 2, XYBasis(sum(mids), bias=0), 0,
-                            frozenset(range(2, last, 2))))
+                            frozenset(canonical_a_ids(last))))
     o_ids = frozenset(range(1, last + 1, 2))
     return MeasurementSchedule(cluster1d(last), s.arity, tuple(qubits), o_ids,
-                               s.c, declared_l_c=N, compiled=True,
+                               s.c, declared_l_c=N,
                                meta={"builder": "ghz_lift"})
 
 
@@ -521,8 +532,7 @@ def or_protocol(n: int) -> MeasurementSchedule:
     stage2: list[QubitSpec] = []
     for t, mask in enumerate(masks):
         odd_id = stage2_base + 2 * t + 1
-        evens = frozenset(range(stage2_base + 2, odd_id, 2))
-        wired = set(evens)
+        wired = set(canonical_a_ids(odd_id, stage2_base + 1))
         for b in range(kappa):
             if (mask >> b) & 1:
                 wired ^= block_outputs[b]
@@ -534,7 +544,7 @@ def or_protocol(n: int) -> MeasurementSchedule:
     last = stage2_base + 2 * K + 1
     total_half = math.pi * float(sum(strategy.angles.values())) / 2
     stage2.append(QubitSpec(last, 2, XYBasis(total_half, bias=0), 0,
-                            frozenset(range(stage2_base + 2, last, 2))))
+                            frozenset(canonical_a_ids(last, stage2_base + 1))))
     qubits.extend(stage2)
 
     # the last cut flips stage-2's first outcome, which feeds the output parity
@@ -544,7 +554,7 @@ def or_protocol(n: int) -> MeasurementSchedule:
     assert total == 2 * kappa * (n + 1) + (1 << (kappa + 1)) - 1
     return MeasurementSchedule(
         cluster1d(total), n, tuple(qubits), frozenset(o_ids), 0,
-        declared_l_c=(n + 2) * kappa + (1 << kappa), compiled=False,
+        declared_l_c=(n + 2) * kappa + (1 << kappa),
         meta={"builder": "or_protocol", "n": n, "kappa": kappa,
               "block_outputs": [sorted(b) for b in block_outputs],
               "cut_ids": cut_ids})

@@ -19,10 +19,9 @@ parities the rest of the run still reads merge exactly into one bond x bond
 density matrix.  Enumerating every outcome string stays a dense walk,
 capped at 14 qubits, and serves as the independent oracle for both sweeps.
 
-The analytic path resolves the canonical adaptation symbolically: a compiled
-schedule simulates a branch-independent single-qubit circuit whose rotation
-angles depend only on the input, so success probabilities come from a
-product of 2x2 matrices rather than from sampling.
+The analytic path resolves the canonical adaptation symbolically: on a
+schedule that ``mbqc`` derives as compiled, a branch-independent 2x2 circuit
+with input-dependent angles gives the success probabilities, not sampling.
 """
 from __future__ import annotations
 
@@ -401,12 +400,6 @@ class EffectiveCircuit:
     output_distribution: tuple[float, float]  # over y, constant folded in
 
 
-def _has_effective_circuit(s: MeasurementSchedule) -> bool:
-    """Compiled, not composite and free of Pauli-Z cuts."""
-    return s.compiled and s.resource.kind != "composite" and not any(
-        isinstance(q.basis, PauliZBasis) for q in s.qubits)
-
-
 def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
     """Effective-circuit unitaries of a compiled schedule, one per input.
 
@@ -416,9 +409,9 @@ def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
     parity follows the final state's Z readout.  Returns shape (len(xs), 2, 2),
     or (1, 2, 2) for a schedule without qubits.
     """
-    if not _has_effective_circuit(s):
-        raise ValueError("only compiled, non-composite schedules without "
-                         "Pauli-Z cuts have an effective circuit")
+    if not s.compiled:
+        raise ValueError("only compiled schedules (canonical adaptation on a "
+                         "GHZ or odd cluster chain) have an effective circuit")
     xs = np.asarray(xs, dtype=np.int64)
     ghz_chain = s.resource.kind == "ghz"
     return rotation_product([("X" if ghz_chain or q.id % 2 else "Z",
@@ -477,14 +470,29 @@ class SimulationReport:
         return min(vals) if vals else None
 
     @property
-    def empirical_rate(self) -> float:
+    def empirical_rate(self) -> float | None:
         total = sum(r.shots for r in self.records)
         good = sum(r.correct for r in self.records)
-        return good / total if total else 1.0
+        return good / total if total else None
 
     @property
     def all_shots_correct(self) -> bool:
         return all(r.correct == r.shots for r in self.records)
+
+    @property
+    def failure(self) -> str | None:
+        """Why the run is no determinism certificate, or None: one must have
+        run (zero shots is none), and each that ran must agree: analytic and
+        exact success above 1 - 1e-9 on every input, every shot correct."""
+        if (self.min_analytic is None and self.min_exact is None
+                and self.empirical_rate is None):
+            return "no certificate: no analytic or exact result and no shots"
+        bad = [f"{k} {v}" for k, v in (("min_analytic", self.min_analytic),
+                                       ("min_exact", self.min_exact))
+               if v is not None and not v > 1 - 1e-9]
+        if not self.all_shots_correct:
+            bad.append(f"empirical_rate {self.empirical_rate}")
+        return "not deterministic: " + ", ".join(bad) if bad else None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -533,7 +541,7 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
     inputs = np.arange(1 << f.n)
     targets = np.array(f.table, dtype=np.int64)
     analytic = [None] * len(inputs)
-    if _has_effective_circuit(s):
+    if s.compiled:
         p1 = np.abs(effective_unitaries(s, inputs)[:, 1, 0]) ** 2
         analytic = np.where(targets ^ s.c, p1, 1.0 - p1).tolist()
     correct = np.zeros(len(inputs), dtype=np.int64)
@@ -568,7 +576,6 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
 class BellScore:
     quantum_success: float
     classical_bound: float
-    best_linear_success: float
 
     @property
     def violates(self) -> bool:
@@ -581,17 +588,15 @@ def bell_score(s: MeasurementSchedule, f: BooleanFunction,
 
     The classical side is computed from the Fourier spectrum, never sampled:
     the best mod-2 linear strategy succeeds on exactly (1 + max |coeff|)/2
-    of the inputs.
+    of the inputs.  The quantum side is the first certificate that ran:
+    analytic, exact, then sampled; with none a ValueError is raised.
     """
-    beta = nchvm_bound(f)
     report = verify_protocol(s, f, shots_per_input, seed)
-    if report.min_analytic is not None:
-        quantum = report.min_analytic
-    elif report.min_exact is not None:
-        quantum = report.min_exact
-    else:
-        quantum = report.empirical_rate
-    return BellScore(quantum, beta, beta)
+    quantum = next((v for v in (report.min_analytic, report.min_exact,
+                                report.empirical_rate) if v is not None), None)
+    if quantum is None:
+        raise ValueError(report.failure)
+    return BellScore(quantum, nchvm_bound(f))
 
 
 def compare_engines(s: MeasurementSchedule, x, seed: int = 11) -> float:

@@ -126,6 +126,31 @@ class TestCompileSimulate:
                              "--all", "--shots", "20", "--fn", "and")
         assert code == 1
 
+    @pytest.mark.parametrize("shots", ["0", "100"])
+    def test_forged_compiled_flag_exits_1(self, capsys, tmp_path, shots):
+        # the stored flag claims an effective circuit the adaptation lacks
+        obj = json.loads(mbqc.mod3_protocol(2).to_json())
+        for q in obj["qubits"]:
+            q["a_ids"] = []
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "simulate", "--schedule", str(path),
+                                 "--all", "--shots", shots)
+        assert code == 1 and re.search(r"min_analytic\s+None\n", out)
+        assert err.startswith("error: not deterministic: min_exact 0.44")
+        assert err.count("\n") == 1
+
+    def test_no_certificate_exits_1(self, capsys, tmp_path):
+        # 57 qubits: no analytic path, no exact run by default, no shots
+        path = tmp_path / "or6.json"
+        run_cli(capsys, "compile", "--protocol", "or", "--n", "6",
+                "--out", str(path))
+        code, _, err = run_cli(capsys, "simulate", "--schedule", str(path),
+                               "--all", "--shots", "0")
+        assert code == 1
+        assert err == ("error: no certificate: no analytic or exact result "
+                       "and no shots\n")
+
     @pytest.mark.parametrize("edit", [
         lambda o: o.update(c=5),
         lambda o: o["qubits"][0]["basis"].update(theta="NaN"),

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from l2mbqc import boolean, mbqc, pfd, sim
 from l2mbqc.mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, Resource,
-                         XYBasis, cluster1d, compile_pfd_to_ghz,
-                         compile_to_cluster, composite, ghz,
+                         XYBasis, canonical_a_ids, cluster1d,
+                         compile_pfd_to_ghz, compile_to_cluster, composite, ghz,
                          lift_ghz_to_cluster, mod3_protocol, modp_protocol,
                          or_protocol, qsp_symmetric_protocol, resources)
 from l2mbqc.onequbit import (Condition, Gate, OneQubitProgram,
@@ -53,9 +54,60 @@ def random_schedules(draw):
     o_ids = draw(st.sets(st.integers(1, n))) if n else set()
     return MeasurementSchedule(
         resource, arity, tuple(qubits), frozenset(o_ids), draw(st.integers(0, 1)),
-        draw(st.none() | st.integers(0, 50)), draw(st.booleans()),
+        draw(st.none() | st.integers(0, 50)),
         draw(st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)))
 
+
+def chain_schedule(on_ghz, specs, arity=0, c=0, o_ids=None):
+    """Schedule on a GHZ or cluster chain from one (basis, p_mask, a_ids) per
+    site; each site's round follows its a_ids, and the readout defaults to
+    every site on GHZ and the odd sites on a cluster."""
+    rounds, qubits = {}, []
+    for qid, (basis, p_mask, a_ids) in enumerate(specs, 1):
+        rounds[qid] = 1 + max((rounds[a] for a in a_ids), default=0)
+        qubits.append(QubitSpec(qid, rounds[qid], basis, p_mask,
+                                frozenset(a_ids)))
+    n = len(specs)
+    if o_ids is None:
+        o_ids = range(1, n + 1, 1 if on_ghz else 2)
+    return MeasurementSchedule((ghz if on_ghz else cluster1d)(n), arity,
+                               tuple(qubits), frozenset(o_ids), c)
+
+
+@st.composite
+def canonical_schedules(draw):
+    """Schedules the canonical rule marks compiled.
+
+    GHZ chains of any length with any offsets, and cluster chains of odd
+    length or 0 without offsets, with canonical a_ids; pi-multiple sites
+    carry any lower a_ids instead.
+    """
+    on_ghz = draw(st.booleans())
+    n = draw(st.integers(0, 7) if on_ghz else st.sampled_from([0, 1, 3, 5, 7]))
+    arity = draw(st.integers(0, 3))
+    angles = st.floats(-10, 10, allow_nan=False)
+    specs = []
+    for qid in range(1, n + 1):
+        if draw(st.booleans()):
+            basis = XYBasis(math.pi * draw(st.integers(-3, 3)),
+                            draw(st.integers(0, 1)))
+            a_ids = draw(st.sets(st.integers(1, qid - 1))) if qid > 1 else ()
+        else:
+            basis = XYBasis(draw(angles), draw(st.integers(0, 1)),
+                            draw(angles) if on_ghz else 0.0)
+            a_ids = () if on_ghz else canonical_a_ids(qid)
+        specs.append((basis, draw(st.integers(0, (1 << arity) - 1)), a_ids))
+    return chain_schedule(on_ghz, specs, arity, draw(st.integers(0, 1)))
+
+
+def generic_specs(n, on_ghz=False):
+    """Canonical specs with angles far from multiples of pi."""
+    return [(XYBasis(0.3 + 0.4 * q, q % 2, 0.2 if on_ghz else 0.0), q % 2,
+             () if on_ghz else canonical_a_ids(q)) for q in range(1, n + 1)]
+
+
+def with_site(specs, qid, spec):
+    return [spec if i == qid else s for i, s in enumerate(specs, 1)]
 
 
 class TestScheduleModel:
@@ -91,6 +143,60 @@ class TestScheduleModel:
         setting = sim.setting_bits(q, [1, 0, 1], outcomes)
         assert setting.tolist() == [1, 0, 0]
         assert sim._angles(q, setting) == pytest.approx([1.0, 0.0, 0.0])
+
+
+class TestCompiled:
+    @settings(max_examples=80, deadline=None)
+    @given(canonical_schedules())
+    def test_canonical_schedules_have_exact_effective_circuit(self, s):
+        assert s.compiled
+        for x in range(1 << s.arity):
+            analytic = sim.effective_circuit(s, x).output_distribution
+            exact = sim.exact_distribution(s, x)
+            assert exact[0] == pytest.approx(analytic[0], abs=1e-12)
+            assert exact[1] == pytest.approx(analytic[1], abs=1e-12)
+
+    def test_generic_bases_are_compiled(self):
+        assert chain_schedule(False, generic_specs(5), 1).compiled
+        assert chain_schedule(True, generic_specs(3, True), 1).compiled
+
+    @pytest.mark.parametrize("build", [
+        lambda: replace(chain_schedule(False, generic_specs(5), 1),
+                        resource=composite(cluster1d(5))),
+        lambda: chain_schedule(False, with_site(generic_specs(5), 3,
+                                                (PauliZBasis(), 0, ())), 1),
+        lambda: chain_schedule(False, generic_specs(5), 1, o_ids={1, 3}),
+        lambda: chain_schedule(False, generic_specs(5), 1, o_ids={1, 2, 3, 5}),
+        lambda: chain_schedule(True, generic_specs(3, True), 1, o_ids={1, 2}),
+        lambda: chain_schedule(False, generic_specs(6), 1),
+        lambda: chain_schedule(False, with_site(
+            generic_specs(5), 3, (XYBasis(1.5, 1, 0.2), 1, {2})), 1),
+        lambda: chain_schedule(False, with_site(
+            generic_specs(5), 5, (XYBasis(2.3), 1, {4})), 1),
+        lambda: chain_schedule(False, with_site(
+            generic_specs(5), 5, (XYBasis(2.3), 1, {2, 3, 4})), 1),
+        lambda: chain_schedule(True, with_site(
+            generic_specs(3, True), 2, (XYBasis(1.1, 0, 0.2), 0, {1})), 1),
+    ], ids=["composite", "pauli_z", "cluster_o_ids_short",
+            "cluster_o_ids_even_site", "ghz_o_ids", "even_cluster",
+            "cluster_offset", "a_ids_missing", "a_ids_extra", "ghz_adapted"])
+    def test_single_violation_is_not_compiled(self, build):
+        s = build()
+        assert not s.compiled
+        with pytest.raises(ValueError, match="only compiled"):
+            sim.effective_circuit(s, 0)
+
+    def test_forged_flag_is_ignored(self):
+        obj = json.loads(mod3_protocol(2).to_json())
+        for q in obj["qubits"]:
+            q["a_ids"] = []
+        assert obj["compiled"] is True
+        s = MeasurementSchedule.from_json(json.dumps(obj))
+        assert s.compiled is False
+        report = sim.verify_protocol(s, boolean.mod_p(3, 0, 2),
+                                     shots_per_input=0)
+        assert report.min_analytic is None and report.min_exact < 0.5
+        assert report.failure.startswith("not deterministic: min_exact")
 
 
 class TestSerialization:
@@ -215,15 +321,6 @@ class TestCompileToCluster:
         assert s.n_qubits == 9
         assert s.o_ids == frozenset(range(1, 10, 2))
 
-    def test_pi_multiple_exemption_preserves_distribution(self):
-        for n in (1, 2):
-            a = compile_to_cluster(build_mod3_clifford(n), exempt_pi_multiples=True)
-            b = compile_to_cluster(build_mod3_clifford(n), exempt_pi_multiples=False)
-            for x in range(1 << n):
-                da = sim.exact_distribution(a, x)
-                db = sim.exact_distribution(b, x)
-                assert da[0] == pytest.approx(db[0], abs=1e-10)
-
     def test_effective_circuit_matches_program_unitary(self):
         # compiler soundness: the schedule's branch-independent circuit is the
         # program's unitary up to a global phase (trace criterion)
@@ -320,6 +417,15 @@ class TestLift:
     def test_adaptive_input_rejected(self):
         with pytest.raises(ValueError):
             lift_ghz_to_cluster(mod3_protocol(1))
+
+    def test_partial_readout_rejected(self):
+        # without its last site in o_ids the GHZ output is uniform; a lift
+        # that ignored o_ids would certify another function
+        g = compile_pfd_to_ghz(pfd.solve_pfd(boolean.pairwise_and(3)), 0)
+        partial = replace(g, o_ids=g.o_ids - {g.n_qubits})
+        assert sim.exact_distribution(partial, 0)[0] == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="compiled GHZ"):
+            lift_ghz_to_cluster(partial)
 
 
 class TestNamedProtocols:

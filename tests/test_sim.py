@@ -240,8 +240,6 @@ class TestEffectiveCircuit:
     def test_identity_chain(self):
         s = fixed_angle_schedule(cluster1d(3), [0.0, 0.0, 0.0],
                                  o_ids={1, 3})
-        s = MeasurementSchedule(s.resource, 0, s.qubits, s.o_ids, 0,
-                                compiled=True)
         eff = effective_circuit(s, 0)
         assert np.allclose(eff.unitary, np.eye(2), atol=1e-12)
         assert eff.output_distribution[0] == pytest.approx(1.0, abs=1e-12)
@@ -343,6 +341,13 @@ class TestBellScore:
         score = bell_score(s, f)
         assert score.classical_bound == pytest.approx(1.0, abs=1e-12)
         assert not score.violates
+
+    def test_no_certificate_raises(self):
+        # no analytic path, above the exact default and no shots: nothing
+        # certifies the NOT-OR schedule, so no quantum success is reported
+        s = dataclasses.replace(mbqc.or_protocol(6), c=1)
+        with pytest.raises(ValueError, match="no certificate"):
+            bell_score(s, boolean.or_n(6))
 
     def test_classical_bound_matches_enumeration(self):
         # oracle: agreement count of every affine predictor

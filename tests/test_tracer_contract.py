@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from l2mbqc import mbqc, sim
+from l2mbqc import mbqc, qsp, sim
 from l2mbqc.mbqc import mod3_protocol
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -50,3 +50,10 @@ def test_tracer_installs_and_restores(tracing):
     assert sim.run_schedule_batch is original
     assert [span[0] for span in tr.spans] == ["sim.sample"]
     assert tr.counts["sim.shots"] == 3
+
+
+def test_compiled_flag_read_by_sample_workload():
+    # workloads.Sample demands min_analytic exactly where s.compiled holds
+    modp = mbqc.modp_protocol(5, 0, 3, qsp.reference_angles(5))
+    assert modp.compiled is True
+    assert mbqc.or_protocol(6).compiled is False
