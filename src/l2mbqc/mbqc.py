@@ -30,6 +30,7 @@ from .pfd import PeriodicDecomposition, or_decomposition
 from .qsp import QspAngles
 
 PI_MULTIPLE_TOL = 1e-12
+MAX_ARITY = 63  # inputs and masks are packed into int64
 PREP_DEPTH = 3  # Hadamard layer plus two interleaved entangling layers
 
 
@@ -110,6 +111,9 @@ class MeasurementSchedule:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        if self.arity > MAX_ARITY:
+            raise ValueError(f"schedule field 'arity' must be at most "
+                             f"{MAX_ARITY}, got {self.arity}")
         ids = [q.id for q in self.qubits]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate qubit ids")

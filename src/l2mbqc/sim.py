@@ -3,21 +3,23 @@
 Every schedule adapts a qubit only on outcomes of lower-id qubits (the
 schedule checks this when it is built), and measurements on different qubits
 commute, so the joint outcome distribution is sampled site by site in id
-order.  All sampling runs on one bond-2 chain for GHZ states, 1D clusters
-and composites of those.  The chain tensors are right-canonical, so the
-unmeasured sites need no environment: one left vector per batch row
-carries the state, and a batch row is one (input, shot) pair.  Outcomes
-are drawn by inverse CDF on exact marginals from a seeded generator
-(numpy's default PCG64 stream), one uniform per row per site in id order,
-so runs are reproducible bit for bit across platforms.  A dense
-state-vector engine (at most ENUM_CAP qubits) steps through the same
-order and serves only as the independent oracle.
+order.  The sampler and the exact DP run on one bond-2 chain for GHZ
+states, 1D clusters and composites of those, whose right-canonical tensors
+need no environment.  One step (``_branches``) measures a site on a stack
+of bond factors, returning both outcome branches and their weights and
+checking that those weights sum to the state's weight:
 
-Exact output distributions come from one sweep over the same chain at any
-size: the side processor is mod-2 linear, so branches that agree on the
-parities the rest of the run still reads merge exactly into one bond x bond
-density matrix.  Enumerating every outcome string stays a dense walk,
-capped at 14 qubits, and serves as the independent oracle for both sweeps.
+- sampling keeps one normalised factor per batch row, a row being one
+  (input, shot) pair, and draws its branch by inverse CDF from a seeded
+  generator (numpy's default PCG64 stream), one uniform per row per site
+  in id order, so runs are reproducible bit for bit across platforms;
+- exact output distributions, at any size, keep one factor per key: the
+  side processor is mod-2 linear, so branches that agree on the parities
+  the rest of the run still reads merge exactly.
+
+A dense state-vector engine (at most ENUM_CAP qubits) steps through the
+same order, checks its own marginals and serves only as the independent
+oracle; enumerating every outcome string is a dense walk on it.
 
 The analytic path resolves the canonical adaptation symbolically: on a
 schedule that ``mbqc`` derives as compiled, a branch-independent 2x2 circuit
@@ -49,23 +51,24 @@ def parity(v) -> np.ndarray:
     return v & 1
 
 
-def _ids(qids) -> np.ndarray:
-    return np.fromiter(qids, dtype=np.intp, count=len(qids))
+def _row_parity(outcomes: np.ndarray, qids) -> np.ndarray:
+    """XOR of the outcome rows of qids (see ``chain_sample``), per batch row."""
+    rows = np.fromiter(qids, dtype=np.intp, count=len(qids))
+    return np.bitwise_xor.reduce(outcomes[rows], axis=0)
 
 
-def setting_bits(q: QubitSpec, xs, outcomes: np.ndarray) -> np.ndarray:
+def setting_bits(q: QubitSpec, xs, adapt) -> np.ndarray:
     """Setting bit P.x xor A.m of qubit q for every batch row.
 
-    ``xs`` holds one input per row; row k of the uint8 array ``outcomes``
-    holds qubit k's outcomes (row 0 is unused, so ids index rows).
+    ``xs`` holds one packed input per row and ``adapt`` the parity A.m of
+    the row's outcomes on ``q.a_ids``.
     """
-    return parity(q.p_mask & np.asarray(xs)) ^ np.bitwise_xor.reduce(
-        outcomes[_ids(q.a_ids)], axis=0)
+    return parity(q.p_mask & np.asarray(xs)) ^ adapt
 
 
 def output_bits(s: MeasurementSchedule, outcomes: np.ndarray) -> np.ndarray:
     """Output parity c xor O.m for every batch row."""
-    return s.c ^ np.bitwise_xor.reduce(outcomes[_ids(s.o_ids)], axis=0)
+    return s.c ^ _row_parity(outcomes, s.o_ids)
 
 
 def _angles(q: QubitSpec, setting: np.ndarray) -> np.ndarray:
@@ -124,7 +127,8 @@ class DenseEngine:
     """Exact state vector, measured one site at a time in id order.
 
     The state holds the unmeasured sites first..N; ``marginal`` reads any of
-    them, ``project`` only the next.  Vectors are (1, 2) batch rows.
+    them, ``project`` only the next.  Vectors are (1, 2) batch rows, and
+    ``marginal`` checks that its two probabilities sum to 1.
     """
 
     def __init__(self, resource: Resource, state: np.ndarray | None = None,
@@ -141,8 +145,11 @@ class DenseEngine:
         return (v[0].conj() @ t).reshape(-1)
 
     def marginal(self, qid: int, v0: np.ndarray, v1: np.ndarray):
-        return tuple(np.array([float(np.sum(np.abs(self._amp(qid, v)) ** 2))])
-                     for v in (v0, v1))
+        p0, p1 = (np.array([float(np.sum(np.abs(self._amp(qid, v)) ** 2))])
+                  for v in (v0, v1))
+        if abs(float(p0[0] + p1[0]) - 1.0) > MARGINAL_TOL:
+            raise AssertionError("dense marginals do not sum to 1")
+        return p0, p1
 
     def project(self, qid: int, v: np.ndarray, prob: np.ndarray) -> None:
         if qid != self.first:
@@ -156,7 +163,7 @@ class DenseEngine:
 
 
 # ---------------------------------------------------------------------------
-# chain engine (batched)
+# chain
 
 
 def _chain_tensors(resource: Resource) -> list[np.ndarray]:
@@ -185,65 +192,65 @@ def _chain_tensors(resource: Resource) -> list[np.ndarray]:
     return [first] + [mid] * (N - 2) + [mid.sum(axis=2, keepdims=True)]
 
 
-class ChainEngine:
-    """Bond-2 chain measured site by site in id order, batched over rows.
+def _sq_norms(T: np.ndarray) -> np.ndarray:
+    """Squared norm over the last two axes; a matrix product, because
+    numpy's sums over short axes are slow."""
+    size = T.shape[-2] * T.shape[-1]
+    return (np.abs(T) ** 2).reshape(*T.shape[:-2], size) @ np.ones(size)
 
-    Right-canonical tensors make the identity the right environment of
-    every site, so the (rows, bond) left vector is the whole state and a
-    branch's probability is the squared norm of its next left vector.
+
+def _branches(F: np.ndarray, A: np.ndarray, v0: np.ndarray, v1: np.ndarray):
+    """Both outcomes of measuring the next site, on a stack of states.
+
+    State i is the (k, l) factor F[i] of the bond matrix F^H F; its weight
+    is the squared norm of F[i], as the tensors are right-canonical.  A is
+    the site's (l, 2, r) tensor and v0, v1 the (states, 2) vectors.  Returns
+    the (2, states, k, r) branches, their (2, states) weights and the worst
+    gap between a state's weight and its branches' sum, relative to it,
+    which must stay within MARGINAL_TOL.
     """
-
-    def __init__(self, resource: Resource, batch: int = 1):
-        self.tensors = _chain_tensors(resource)
-        self.left = np.ones((batch, 1), dtype=complex)
-        self.next = 1
-
-    def _branch(self, qid: int, v: np.ndarray) -> np.ndarray:
-        if qid != self.next:
-            raise ValueError(f"chain measures qubit {self.next} next, not {qid}")
-        A = self.tensors[qid - 1]
-        l, _, r = A.shape
-        t = self.left @ A.reshape(l, 2 * r)  # [:, :r] is s = 0, [:, r:] is s = 1
-        v = v.conj()
-        return v[:, :1] * t[:, :r] + v[:, 1:] * t[:, r:]
-
-    def marginal(self, qid: int, v0: np.ndarray, v1: np.ndarray):
-        # a matrix product, because numpy's sums over a length-2 axis are slow
-        return tuple((np.abs(m) ** 2) @ np.ones(m.shape[1])
-                     for m in (self._branch(qid, v0), self._branch(qid, v1)))
-
-    def project(self, qid: int, v: np.ndarray, prob: np.ndarray) -> None:
-        self.left = self._branch(qid, v) / np.sqrt(prob)[:, None]
-        self.next += 1
+    n, k, l = F.shape
+    r = A.shape[2]
+    t = (F.reshape(n * k, l) @ A.reshape(l, 2 * r)).reshape(n, k, 2 * r)
+    v = np.array([v0, v1]).conj()[:, :, None]  # (outcome, state, 1, s)
+    B = v[..., :1] * t[:, :, :r] + v[..., 1:] * t[:, :, r:]
+    w = _sq_norms(B)
+    total = _sq_norms(F)
+    gap = float(np.max(np.abs(w[0] + w[1] - total) / total, initial=0.0))
+    if gap > MARGINAL_TOL:
+        raise AssertionError("branch weights do not sum to the state weight")
+    return B, w, gap
 
 
 # ---------------------------------------------------------------------------
 # running schedules
 
 
-def _drive(engines, s: MeasurementSchedule, xs: np.ndarray, rng):
-    """Measure every qubit in id order on each engine, one row per input in xs.
+def _drive(s: MeasurementSchedule, xs: np.ndarray, rng,
+           dense: DenseEngine | None = None):
+    """Sample one run per input in xs by one chain sweep in id order.
 
-    Outcomes are drawn from the first engine's marginals, one uniform per
-    row per site, and forced on the others.  Returns the uint8 outcome rows
-    (see ``setting_bits``) and the largest marginal disagreement between
-    the first engine and the others.
+    Each row keeps a normalised (1, bond) factor and one uniform per site
+    picks its branch.  Given a dense engine, outcomes are drawn from its
+    marginals and forced on both.  Returns the outcome rows (see
+    ``chain_sample``) and the largest dense-chain marginal gap.
     """
     outcomes = np.zeros((s.n_qubits + 1, len(xs)), dtype=np.uint8)
+    F = np.ones((len(xs), 1, 1), dtype=complex)
     gap = 0.0
-    for q in sorted(s.qubits, key=lambda q: q.id):
-        v0, v1 = _measurement_vectors(q, setting_bits(q, xs, outcomes))
-        marginals = [eng.marginal(q.id, v0, v1) for eng in engines]
-        p0, p1 = marginals[0]
-        if np.max(np.abs(p0 + p1 - 1.0)) > MARGINAL_TOL:
-            raise AssertionError("per-measurement marginals do not sum to 1")
-        for m0, m1 in marginals[1:]:
-            gap = max(gap, float(np.max(np.abs(m0 - p0))),
-                      float(np.max(np.abs(m1 - p1))))
-        out = rng.random(len(xs)) >= p0
-        v = np.where(out[:, None], v1, v0)
-        for eng, (m0, m1) in zip(engines, marginals):
-            eng.project(q.id, v, np.where(out, m1, m0))
+    for q, A in zip(sorted(s.qubits, key=lambda q: q.id),
+                    _chain_tensors(s.resource)):
+        v0, v1 = _measurement_vectors(
+            q, setting_bits(q, xs, _row_parity(outcomes, q.a_ids)))
+        B, w, _ = _branches(F, A, v0, v1)
+        p = w if dense is None else np.array(dense.marginal(q.id, v0, v1))
+        out = rng.random(len(xs)) >= p[0]
+        if dense is not None:
+            gap = max(gap, float(np.max(np.abs(w - p))))
+            dense.project(q.id, np.where(out[:, None], v1, v0),
+                          np.where(out, p[1], p[0]))
+        F = (np.where(out[:, None, None], B[1], B[0])
+             / np.sqrt(np.where(out, w[1], w[0]))[:, None, None])
         outcomes[q.id] = out
     return outcomes, gap
 
@@ -252,10 +259,9 @@ def chain_sample(s: MeasurementSchedule, xs, rng) -> np.ndarray:
     """Sample one run per entry of xs (packed inputs) in a single chain sweep.
 
     Returns uint8 outcome rows: row k holds qubit k's outcomes, row 0 is
-    unused.
+    unused, so qubit ids index rows.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    return _drive([ChainEngine(s.resource, len(xs))], s, xs, rng)[0]
+    return _drive(s, np.asarray(xs, dtype=np.int64), rng)[0]
 
 
 def run_schedule_batch(s: MeasurementSchedule, x, shots: int, seed: int):
@@ -287,10 +293,9 @@ def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, result):
         result[k] = result.get(k, 0.0) + weight
         return
     q = order[0]
-    v0, v1 = _measurement_vectors(q, setting_bits(q, xs, outcomes))
+    v0, v1 = _measurement_vectors(
+        q, setting_bits(q, xs, _row_parity(outcomes, q.a_ids)))
     p0, p1 = eng.marginal(q.id, v0, v1)
-    if abs(float(p0[0] + p1[0]) - 1.0) > MARGINAL_TOL:
-        raise AssertionError("branch marginals do not sum to 1")
     for out, v, p in ((0, v0, p0), (1, v1, p1)):
         if p[0] <= 1e-300:
             continue
@@ -339,10 +344,11 @@ def exact_distribution(s: MeasurementSchedule, x) -> OutputDistribution:
     with equal keys merge exactly, because every later weight is linear in
     rho, and the right-canonical chain makes a state's weight its trace.
 
-    rho is held as a square factor F with rho = F^H F, so measuring maps F
-    to F M and every weight is a sum of squares; a merged stack of factors
-    is squared up again by QR.  A density matrix stored as such would let a
-    zero-weight branch carry rounding noise far above its own trace.
+    rho is held as a square factor F with rho = F^H F, so ``_branches``
+    measures it as it does a sampled row and every weight is a sum of
+    squares; a merged stack of factors is squared up again by QR.  A
+    density matrix stored as such would let a zero-weight branch carry
+    rounding noise far above its own trace.
     """
     xi = parse_input(x, s.arity) if s.arity else 0
     flips = [0] * (s.n_qubits + 1)  # key bits that outcome 1 on qubit k toggles
@@ -360,23 +366,15 @@ def exact_distribution(s: MeasurementSchedule, x) -> OutputDistribution:
         l, _, r = A.shape
         bits = np.fromiter(((k >> q.id) & 1 for k in keys), dtype=np.int64,
                            count=len(keys))
-        v = np.stack(_measurement_vectors(q, parity(q.p_mask & xi) ^ bits), 1)
-        # M[k, m] = sum_s conj(v[k, m, s]) A[:, s, :]
-        M = (v.conj() @ A.transpose(1, 0, 2).reshape(2, l * r)).reshape(
-            len(keys), 2, l, r)
-        B = F[:, None] @ M
-        w = (B.real ** 2 + B.imag ** 2).sum(axis=(2, 3))
-        total = (F.real ** 2 + F.imag ** 2).sum(axis=(1, 2))
-        dev = float(np.max(np.abs(w.sum(axis=1) - total) / total))
-        if dev > MARGINAL_TOL:
-            raise AssertionError("branch weights do not sum to the state weight")
+        B, w, dev = _branches(F, A, *_measurement_vectors(
+            q, setting_bits(q, xi, bits)))
         dist.marginal_dev = max(dist.marginal_dev, dev)
         drop = ~(1 << q.id)
         groups: dict[int, list[np.ndarray]] = {}
         for i, k in enumerate(keys):
             for m, nk in ((0, k & drop), (1, (k ^ flips[q.id]) & drop)):
-                if w[i, m] > 1e-300:
-                    groups.setdefault(nk, []).append(B[i, m])
+                if w[m, i] > 1e-300:
+                    groups.setdefault(nk, []).append(B[m, i])
         keys = list(groups)
         rows = l * max(map(len, groups.values()))
         F = np.zeros((len(keys), max(rows, r), r), dtype=complex)
@@ -385,7 +383,7 @@ def exact_distribution(s: MeasurementSchedule, x) -> OutputDistribution:
         if rows > r:
             F = np.linalg.qr(F, mode="r")
         dist.peak_states = max(dist.peak_states, len(keys))
-    for k, weight in zip(keys, (F.real ** 2 + F.imag ** 2).sum(axis=(1, 2))):
+    for k, weight in zip(keys, _sq_norms(F)):
         dist[s.c ^ (k & 1)] += float(weight)
     return dist
 
@@ -415,7 +413,7 @@ def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     ghz_chain = s.resource.kind == "ghz"
     return rotation_product([("X" if ghz_chain or q.id % 2 else "Z",
-                              _angles(q, parity(q.p_mask & xs)))
+                              _angles(q, setting_bits(q, xs, 0)))
                              for q in sorted(s.qubits, key=lambda q: q.id)])
 
 
@@ -606,5 +604,5 @@ def compare_engines(s: MeasurementSchedule, x, seed: int = 11) -> float:
     Returns the largest per-measurement marginal disagreement.
     """
     xs = np.array([parse_input(x, s.arity) if s.arity else 0])
-    engines = [DenseEngine(s.resource), ChainEngine(s.resource)]
-    return _drive(engines, s, xs, np.random.default_rng(seed))[1]
+    return _drive(s, xs, np.random.default_rng(seed),
+                  DenseEngine(s.resource))[1]

@@ -181,6 +181,17 @@ class TestCompileSimulate:
                                "--all")
         assert code == 1 and "integer p and j" in err
 
+    def test_oversized_arity_exits_1(self, capsys, tmp_path):
+        # inputs are packed into int64, so a 70-bit input cannot be run
+        obj = json.loads(mbqc.mod3_protocol(1).to_json())
+        obj["arity"] = 70
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "simulate", "--schedule", str(path),
+                               "--x", "1" * 70)
+        assert code == 1
+        assert err == "error: schedule field 'arity' must be at most 63, got 70\n"
+
     def test_missing_schedule_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--schedule",
                                str(tmp_path / "absent.json"))

@@ -11,7 +11,7 @@ from l2mbqc.mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, XYBasis,
                          cluster1d, compile_pfd_to_ghz, composite, ghz,
                          lift_ghz_to_cluster, mod3_protocol)
 from l2mbqc.qsp import rot_x, rot_z
-from l2mbqc.sim import (ChainEngine, DenseEngine, bell_score,
+from l2mbqc.sim import (DenseEngine, bell_score,
                         branch_distribution, chain_sample, compare_engines,
                         effective_circuit, exact_distribution,
                         run_schedule_batch, run_shot, verify_protocol,
@@ -37,15 +37,18 @@ class TestEngines:
     def test_ghz_site1_pauli_z_marginal(self):
         z0 = np.array([[1, 0]], dtype=complex)
         z1 = np.array([[0, 1]], dtype=complex)
-        for eng in (DenseEngine(ghz(4)), ChainEngine(ghz(4))):
-            p0, _ = eng.marginal(1, z0, z1)
-            assert p0[0] == pytest.approx(0.5, abs=1e-12)
+        p0, _ = DenseEngine(ghz(4)).marginal(1, z0, z1)
+        assert p0[0] == pytest.approx(0.5, abs=1e-12)
+        A = sim._chain_tensors(ghz(4))[0]
+        B, w, gap = sim._branches(np.ones((1, 1, 1), dtype=complex), A, z0, z1)
+        assert w[:, 0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert B.shape == (2, 1, 1, 2) and gap < 1e-12
 
     def test_chain_steps_in_id_order_only(self):
+        # the chain steps through the id-sorted qubits zipped with its tensors,
+        # so only the dense engine, which reads any site, checks the order
         z0 = np.array([[1, 0]], dtype=complex)
         z1 = np.array([[0, 1]], dtype=complex)
-        with pytest.raises(ValueError, match="next"):
-            ChainEngine(cluster1d(5)).marginal(3, z0, z1)
         dense = DenseEngine(cluster1d(5))
         with pytest.raises(ValueError, match="qubit 1 next, not 3"):
             dense.project(3, z0, np.array([0.5]))
@@ -82,7 +85,7 @@ class TestEngines:
     def test_mps_bond_dimension_assertion_holds(self):
         s = mod3_protocol(2)
         assert all(max(A.shape[0], A.shape[2]) <= 2
-                   for A in ChainEngine(s.resource).tensors)
+                   for A in sim._chain_tensors(s.resource))
         _, ys = run_schedule_batch(s, 2, 8, seed=0)
         assert (ys == boolean.mod_p(3, 0, 2)(2)).all()
 
@@ -106,6 +109,45 @@ class TestRunShot:
             _, y = run_shot(s, "1110", seed=k)
             assert y == f("1110") == 0
 
+    @pytest.mark.parametrize("build, f, xs, pinned", [
+        (lambda: mbqc.or_protocol(4), boolean.or_n(4), [0, 5, 15], {
+            0: ["101110001011001100000100001001110111001001101",
+                "011101010101110011000011110110111010111100010",
+                "011011011100100110010101011110011001101010011"],
+            1: ["111000001111001101010101101010100110101010001",
+                "100110001101110110000110011100001111000110000",
+                "001100111111011111111010111011000010010010010"]}),
+        (lambda: mbqc.modp_protocol(5, 0, 3, qsp.reference_angles(5)),
+         boolean.mod_p(5, 0, 3), [0, 3, 7], {
+            0: ["1011100011110011000101000010011101110010011010110101100"
+                "0111111011110100",
+                "0111010101011100110000111101101110101111000111011000001"
+                "0101101100011100",
+                "0110110111001001100001010111110110011010100101100101101"
+                "1001100111100111"],
+            1: ["1110000010110011010101011010101001101010100011101111011"
+                "0000011110000101",
+                "1001100010011101100101100111000011110001100011101100001"
+                "0111100011001111",
+                "0011001111110111111010101110100000100100100111000001011"
+                "1100000110011101"]}),
+    ])
+    def test_seeded_multi_row_outcomes(self, build, f, xs, pinned):
+        # one uniform per row per site in id order, rows side by side
+        s = build()
+        for seed, rows in pinned.items():
+            outcomes = chain_sample(s, xs, np.random.default_rng(seed))
+            assert ["".join(map(str, col)) for col in outcomes[1:].T] == rows
+            assert sim.output_bits(s, outcomes).tolist() == [f(x) for x in xs]
+
+    def test_zero_rows(self):
+        s = mod3_protocol(1)
+        assert chain_sample(s, [], np.random.default_rng(0)).shape == (10, 0)
+        outcomes, ys = run_schedule_batch(s, 0, 0, 0)
+        assert ys.shape == (0,)
+        assert sorted(outcomes) == list(range(1, 10))
+        assert all(v.shape == (0,) for v in outcomes.values())
+
     def test_empty_schedule_returns_constant(self):
         s = MeasurementSchedule(cluster1d(0), 1, (), frozenset(), 1)
         _, y = run_shot(s, 0, seed=0)
@@ -115,8 +157,9 @@ class TestRunShot:
         # a dense-engine run draws from the seed's stream as run_shot does
         s = mod3_protocol(1)
         for seed in range(7, 12):
-            outcomes, _ = sim._drive([DenseEngine(s.resource)], s,
-                                     np.array([1]), np.random.default_rng(seed))
+            outcomes, _ = sim._drive(s, np.array([1]),
+                                     np.random.default_rng(seed),
+                                     dense=DenseEngine(s.resource))
             dense = {q: int(outcomes[q, 0]) for q in range(1, s.n_qubits + 1)}
             assert dense == run_shot(s, 1, seed=seed)[0]
 
@@ -144,6 +187,36 @@ def assert_chain_sample_matches_branches(s, inputs, rows_per_input, seed):
 class TestChainSample:
     def test_mod3_n1_matches_branch_distribution(self):
         assert_chain_sample_matches_branches(mod3_protocol(1), [0, 1], 40000, 17)
+
+
+class TestMarginalChecks:
+    """Each state representation checks its own marginal sums."""
+
+    @staticmethod
+    def scaled_first(build):
+        def scaled(resource):
+            out = build(resource)
+            out[0] = out[0] * 1.01
+            return out
+        return scaled
+
+    def test_chain_check_fires(self, monkeypatch):
+        s = mod3_protocol(1)
+        monkeypatch.setattr(sim, "_chain_tensors",
+                            self.scaled_first(sim._chain_tensors))
+        with pytest.raises(AssertionError, match="state weight"):
+            chain_sample(s, [0, 1], np.random.default_rng(0))
+        with pytest.raises(AssertionError, match="state weight"):
+            exact_distribution(s, 1)
+
+    def test_dense_check_fires(self, monkeypatch):
+        s = mod3_protocol(1)
+        build = sim.dense_state
+        monkeypatch.setattr(sim, "dense_state", lambda r: build(r) * 1.01)
+        with pytest.raises(AssertionError, match="sum to 1"):
+            branch_distribution(s, 1)
+        with pytest.raises(AssertionError, match="sum to 1"):
+            compare_engines(s, 1)
 
 
 class TestExactDistribution:
