@@ -27,6 +27,6 @@ from .qsp import (LaurentPair, QspAngles, complete_and_extract_angles,
                   synthesize_symmetric, verify_qsp)
 from .sim import (SimulationReport, bell_score, branch_distribution,
                   compare_engines, effective_circuit, exact_distribution,
-                  run_shot, verify_protocol)
+                  exact_distributions, run_shot, verify_protocol)
 
 __version__ = "0.1.0"

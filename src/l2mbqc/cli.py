@@ -218,7 +218,8 @@ def cmd_simulate(args, out) -> int:
     seed = args.seed
     if args.all:
         f = _target_function(s, args.fn)
-        report = sim.verify_protocol(s, f, args.shots, seed)
+        report = sim.verify_protocol(s, f, args.shots, seed,
+                                     use_exact=True if args.exact else None)
         payload = json.loads(report.to_json())
         if args.format == "csv":
             out.write(report.to_csv())
@@ -336,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a schedule from JSON")
     p.add_argument("--schedule", help="path; stdin when omitted")
     p.add_argument("--all", action="store_true")
+    p.add_argument("--exact", action="store_true",
+                   help="with --all, run the exact DP at any register size")
     p.add_argument("--shots", type=int, default=100)
     p.add_argument("--x")
     p.add_argument("--fn")

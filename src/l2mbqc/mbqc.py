@@ -121,7 +121,11 @@ class MeasurementSchedule:
                 or set(ids) != set(range(1, len(ids) + 1))):
             raise ValueError("qubit ids must cover 1..n_qubits")
         rounds = {q.id: q.round for q in self.qubits}
-        for q in self.qubits:
+        for i, q in enumerate(self.qubits):
+            if not 0 <= q.p_mask < 1 << self.arity:
+                raise ValueError(f"schedule field 'qubits[{i}].p_mask' must be "
+                                 f"in [0, 2**arity = 2**{self.arity}), got "
+                                 f"{q.p_mask}")
             if q.round < 1:
                 raise ValueError("rounds start at 1")
             for a in q.a_ids:
@@ -202,9 +206,9 @@ class MeasurementSchedule:
     def from_json(cls, text: str) -> "MeasurementSchedule":
         """Decode schedule JSON; any malformed input raises ValueError.
 
-        Field types, ``c``, the width of ``p_mask`` and the finiteness of
-        angles are checked here, and the message names the offending field;
-        the structural rules are the constructor's.
+        Field types, ``c`` and the finiteness of angles are checked here,
+        and the message names the offending field; the structural rules and
+        the width of ``p_mask`` are the constructor's.
         """
         try:
             return cls._decode(json.loads(text))
@@ -219,7 +223,7 @@ class MeasurementSchedule:
         if not isinstance(obj, dict):
             raise ValueError(f"schedule JSON must be an object, got {obj!r:.60}")
         arity = _field(obj, "arity", "a non-negative integer")
-        qubits = tuple(_decode_qubit(q, f"qubits[{i}]", arity) for i, q in
+        qubits = tuple(_decode_qubit(q, f"qubits[{i}]") for i, q in
                        enumerate(_field(obj, "qubits", "a list")))
         return cls(_decode_resource(_field(obj, "resource", "an object"),
                                     "resource"),
@@ -283,7 +287,7 @@ def _decode_resource(o: dict, path: str) -> Resource:
                     _field(o, "n_qubits", "a non-negative integer", path), parts)
 
 
-def _decode_qubit(o, path: str, arity: int) -> QubitSpec:
+def _decode_qubit(o, path: str) -> QubitSpec:
     _check(o, "an object", path)
     b = _field(o, "basis", "an object", path)
     bpath = f"{path}.basis"
@@ -294,15 +298,11 @@ def _decode_qubit(o, path: str, arity: int) -> QubitSpec:
                         _field(b, "bias", "0 or 1", bpath, 0),
                         float(_field(b, "offset", "a finite number", bpath, 0.0)),
                         _field(b, "exact", "a string or null", bpath, None))
-    p_mask = _field(o, "p_mask", "a non-negative integer", path, 0)
-    if p_mask.bit_length() > arity:
-        raise ValueError(f"schedule field '{path}.p_mask' must be below "
-                         f"2**arity = 2**{arity}, got {p_mask}")
     return QubitSpec(_field(o, "id", "a positive integer", path),
                      _field(o, "round", "a positive integer", path), basis,
-                     p_mask, frozenset(_field(o, "a_ids",
-                                              "a list of positive integers",
-                                              path, [])))
+                     _field(o, "p_mask", "a non-negative integer", path, 0),
+                     frozenset(_field(o, "a_ids", "a list of positive integers",
+                                      path, [])))
 
 
 @dataclass(frozen=True)

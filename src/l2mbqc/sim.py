@@ -13,9 +13,11 @@ checking that those weights sum to the state's weight:
   (input, shot) pair, and draws its branch by inverse CDF from a seeded
   generator (numpy's default PCG64 stream), one uniform per row per site
   in id order, so runs are reproducible bit for bit across platforms;
-- exact output distributions, at any size, keep one factor per key: the
-  side processor is mod-2 linear, so branches that agree on the parities
-  the rest of the run still reads merge exactly.
+- exact output distributions, at any size, keep one factor per (input,
+  key): the side processor is mod-2 linear, so branches that agree on the
+  parities the rest of the run still reads merge exactly, and which key a
+  branch leads to is the same on every input, so one sweep with one key
+  list serves a whole batch of inputs.
 
 A dense state-vector engine (at most ENUM_CAP qubits) steps through the
 same order, checks its own marginals and serves only as the independent
@@ -216,7 +218,9 @@ def _branches(F: np.ndarray, A: np.ndarray, v0: np.ndarray, v1: np.ndarray):
     B = v[..., :1] * t[:, :, :r] + v[..., 1:] * t[:, :, r:]
     w = _sq_norms(B)
     total = _sq_norms(F)
-    gap = float(np.max(np.abs(w[0] + w[1] - total) / total, initial=0.0))
+    live = total > 0  # an exact DP row zeroed on its input has no marginal
+    gap = float(np.max(np.abs(w[0] + w[1] - total)[live] / total[live],
+                       initial=0.0))
     if gap > MARGINAL_TOL:
         raise AssertionError("branch weights do not sum to the state weight")
     return B, w, gap
@@ -324,33 +328,39 @@ def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], floa
 class OutputDistribution(dict):
     """{y: probability} of the output bit, with the counters of the DP.
 
-    ``peak_states`` is the largest number of DP states held at once, and
-    ``marginal_dev`` the worst gap between a state's weight and the sum of
-    its two outcome weights, relative to that weight.
+    ``peak_states`` is the largest number of DP keys held at once (one key
+    list serves every input of a sweep), and ``marginal_dev`` the worst gap
+    between a state's weight and the sum of its two outcome weights,
+    relative to that weight.
     """
     peak_states: int = 0
     marginal_dev: float = 0.0
 
 
-def exact_distribution(s: MeasurementSchedule, x) -> OutputDistribution:
-    """Output distribution by a parity-keyed DP over the bond-2 chain.
+def exact_distributions(s: MeasurementSchedule, xs) -> list[OutputDistribution]:
+    """Output distributions of the packed inputs xs by one parity-keyed DP.
 
     The side processor only adds outcomes mod 2, so the rest of a run sees
     the past outcomes only through a few parities: for each unmeasured
     qubit, the parity of its measured ``a_ids``, and for the output, the
     parity of its measured ``o_ids``.  One sweep in id order keys the DP
     states on those parities (bit q for qubit q, bit 0 for the output) and
-    holds an unnormalised bond x bond density matrix rho per key.  Branches
-    with equal keys merge exactly, because every later weight is linear in
-    rho, and the right-canonical chain makes a state's weight its trace.
+    holds an unnormalised bond x bond density matrix rho per (input, key).
+    Branches with equal keys merge exactly, because every later weight is
+    linear in rho, and the right-canonical chain makes a state's weight its
+    trace.  Which key an outcome leads to does not depend on the input, so
+    all inputs share one key list; only the setting bit P.x xor key bit
+    does.  A branch of weight at most 1e-300 on an input is zeroed on that
+    input, and a key is dropped once it is dead on every input.
 
     rho is held as a square factor F with rho = F^H F, so ``_branches``
     measures it as it does a sampled row and every weight is a sum of
     squares; a merged stack of factors is squared up again by QR.  A
     density matrix stored as such would let a zero-weight branch carry
-    rounding noise far above its own trace.
+    rounding noise far above its own trace.  Each distribution carries the
+    whole sweep's counters.
     """
-    xi = parse_input(x, s.arity) if s.arity else 0
+    xs = np.asarray(xs, dtype=np.int64)
     flips = [0] * (s.n_qubits + 1)  # key bits that outcome 1 on qubit k toggles
     for q in s.qubits:
         for a in q.a_ids:
@@ -358,34 +368,44 @@ def exact_distribution(s: MeasurementSchedule, x) -> OutputDistribution:
     for o in s.o_ids:
         flips[o] |= 1
     keys = [0]
-    F = np.ones((1, 1, 1), dtype=complex)  # (states, bond, bond)
-    dist = OutputDistribution({0: 0.0, 1: 0.0})
-    dist.peak_states = 1
+    F = np.ones((len(xs), 1, 1, 1), dtype=complex)  # (inputs, keys, bond, bond)
+    peak, dev = 1, 0.0
     for q, A in zip(sorted(s.qubits, key=lambda q: q.id),
                     _chain_tensors(s.resource)):
-        l, _, r = A.shape
-        bits = np.fromiter(((k >> q.id) & 1 for k in keys), dtype=np.int64,
-                           count=len(keys))
-        B, w, dev = _branches(F, A, *_measurement_vectors(
-            q, setting_bits(q, xi, bits)))
-        dist.marginal_dev = max(dist.marginal_dev, dev)
+        n, K, k, l = F.shape
+        r = A.shape[2]
+        bits = np.array([(key >> q.id) & 1 for key in keys], dtype=np.int64)
+        B, w, gap = _branches(F.reshape(n * K, k, l), A, *_measurement_vectors(
+            q, setting_bits(q, xs[:, None], bits).reshape(-1)))
+        dev = max(dev, gap)
+        alive = w.reshape(2, n, K) > 1e-300
+        B = np.where(alive[..., None, None], B.reshape(2, n, K, k, r), 0)
         drop = ~(1 << q.id)
         groups: dict[int, list[np.ndarray]] = {}
-        for i, k in enumerate(keys):
-            for m, nk in ((0, k & drop), (1, (k ^ flips[q.id]) & drop)):
-                if w[m, i] > 1e-300:
-                    groups.setdefault(nk, []).append(B[m, i])
+        for i, key in enumerate(keys):
+            for m, nk in ((0, key & drop), (1, (key ^ flips[q.id]) & drop)):
+                if alive[m, :, i].any():
+                    groups.setdefault(nk, []).append(B[m, :, i])
         keys = list(groups)
-        rows = l * max(map(len, groups.values()))
-        F = np.zeros((len(keys), max(rows, r), r), dtype=complex)
+        rows = k * max(map(len, groups.values()), default=0)
+        F = np.zeros((n, len(keys), max(rows, r), r), dtype=complex)
         for j, g in enumerate(groups.values()):
-            F[j, :l * len(g)] = np.concatenate(g)
+            F[:, j, :k * len(g)] = np.concatenate(g, axis=1)
         if rows > r:
             F = np.linalg.qr(F, mode="r")
-        dist.peak_states = max(dist.peak_states, len(keys))
-    for k, weight in zip(keys, _sq_norms(F)):
-        dist[s.c ^ (k & 1)] += float(weight)
-    return dist
+        peak = max(peak, len(keys))
+    y1 = np.array([s.c ^ (key & 1) for key in keys], dtype=bool)
+    weights = _sq_norms(F)  # (inputs, keys)
+    dists = []
+    for p0, p1 in zip(weights[:, ~y1].sum(axis=1), weights[:, y1].sum(axis=1)):
+        dists.append(OutputDistribution({0: float(p0), 1: float(p1)}))
+        dists[-1].peak_states, dists[-1].marginal_dev = peak, dev
+    return dists
+
+
+def exact_distribution(s: MeasurementSchedule, x) -> OutputDistribution:
+    """Output distribution at one input, by ``exact_distributions``."""
+    return exact_distributions(s, [parse_input(x, s.arity) if s.arity else 0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +471,9 @@ class SimulationReport:
     records: tuple[InputRecord, ...]
     resources: ResourceReport
     seed: int
-    # exact_peak_states: most DP states over inputs; exact_marginal_dev: the
-    # worst relative marginal-sum gap; both None when no exact work ran
+    # exact_peak_states: most DP states (keys shared by a sweep's inputs);
+    # exact_marginal_dev: the worst relative marginal-sum gap; both None
+    # when no exact work ran
     stats: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -526,7 +547,8 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
 
     Runs the analytic effective circuit when the schedule supports it, the
     exact DP when ``use_exact`` is set (by default on registers of at most
-    ENUM_CAP qubits, at any size when asked), and seeded sampling always.
+    ENUM_CAP qubits, at any size when asked; one sweep per SAMPLE_CHUNK
+    inputs), and seeded sampling always.
     Sampling is a smoke test; the determinism claims rest on the analytic
     and exact values.  The sampled rows are input-major (every shot of input
     0, then of input 1, ...) and share one generator seeded with ``seed``,
@@ -550,13 +572,14 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
             xs = rows[start:start + SAMPLE_CHUNK]
             ys = output_bits(s, chain_sample(s, xs, rng))
             correct += np.bincount(xs[ys == targets[xs]], minlength=len(inputs))
-    records, dists = [], []
+    dists = []
+    if use_exact:
+        for start in range(0, len(inputs), SAMPLE_CHUNK):
+            dists += exact_distributions(s, inputs[start:start + SAMPLE_CHUNK])
+    records = []
     for x in range(len(inputs)):
         target = int(targets[x])
-        exact = None
-        if use_exact:
-            dists.append(exact_distribution(s, x))
-            exact = dists[-1][target]
+        exact = dists[x][target] if use_exact else None
         for val in (analytic[x], exact):
             if val is not None and not -1e-12 <= val <= 1 + 1e-12:
                 raise AssertionError(f"success probability {val} out of range")

@@ -58,6 +58,8 @@ def test_criterion_03_mod3_protocol():
         assert rep.as_tuple() == (4 * n + 5, n + 2, 5, 3)
         for x in range(1 << n):
             assert sim.analytic_success(s, f, x) >= 1 - 1e-9
+        exact = sim.verify_protocol(s, f, shots_per_input=0, use_exact=True)
+        assert exact.min_exact > 1 - 1e-9, (n, exact.min_exact)
     assert mbqc.mod3_protocol(4).n_qubits == 21
     s1 = mbqc.mod3_protocol(1)
     f1 = boolean.mod_p(3, 0, 1)
@@ -83,6 +85,9 @@ def test_criterion_04_modp_protocol(modp_angles):
                                          seed=1000 + 10 * p + n,
                                          use_exact=False)
             assert report.all_shots_correct
+            exact = sim.verify_protocol(s, f, shots_per_input=0,
+                                        use_exact=True)
+            assert exact.min_exact > 1 - 1e-9, (p, n, exact.min_exact)
     stamp("04 mod-p protocol", t0, 300.0)
 
 
@@ -98,6 +103,8 @@ def test_criterion_05_symmetric_protocol(symmetric_angles):
         assert rep.as_tuple() == (8 * n * n + 10 * n + 1, n, 8 * n + 2, 3)
         for x in range(1 << n):
             assert sim.analytic_success(s, f, x) >= 1 - 1e-9
+        exact = sim.verify_protocol(s, f, shots_per_input=0, use_exact=True)
+        assert exact.min_exact > 1 - 1e-9, (prof, exact.min_exact)
     stamp("05 symmetric protocol", t0, 60.0)
 
 

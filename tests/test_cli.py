@@ -151,6 +151,24 @@ class TestCompileSimulate:
         assert err == ("error: no certificate: no analytic or exact result "
                        "and no shots\n")
 
+    def test_exact_flag_certifies_or_pipe(self):
+        # or_protocol has no analytic path; --exact runs the DP at 57 qubits
+        src = pathlib.Path(l2mbqc.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = [sys.executable, "-m", "l2mbqc.cli"]
+        schedule = subprocess.run(
+            run + ["compile", "--protocol", "or", "--n", "6"],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        proc = subprocess.run(
+            run + ["simulate", "--all", "--shots", "0", "--exact",
+                   "--format", "json"],
+            input=schedule.stdout, capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["min_exact"] > 1 - 1e-9
+        assert out["min_analytic"] is None and out["empirical_rate"] is None
+
     @pytest.mark.parametrize("edit", [
         lambda o: o.update(c=5),
         lambda o: o["qubits"][0]["basis"].update(theta="NaN"),

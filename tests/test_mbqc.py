@@ -129,6 +129,15 @@ class TestScheduleModel:
         with pytest.raises(ValueError, match="qubit 1 adapts on qubit 2"):
             MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
 
+    @pytest.mark.parametrize("p_mask", [1 << 70, 4, -1])
+    def test_p_mask_width_checked(self, p_mask):
+        # inputs are packed into int64: a mask wider than the arity (or
+        # negative) would fail only later, inside the simulator
+        qs = (QubitSpec(1, 1, XYBasis(0.3), p_mask=3),
+              QubitSpec(2, 2, XYBasis(0.3), p_mask=p_mask))
+        with pytest.raises(ValueError, match=r"'qubits\[1\]\.p_mask'"):
+            MeasurementSchedule(cluster1d(2), 2, qs, frozenset({1}), 0)
+
     def test_pauli_z_carries_no_conditioning(self):
         qs = (QubitSpec(1, 1, PauliZBasis(), p_mask=1),)
         with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ from l2mbqc.qsp import rot_x, rot_z
 from l2mbqc.sim import (DenseEngine, bell_score,
                         branch_distribution, chain_sample, compare_engines,
                         effective_circuit, exact_distribution,
-                        run_schedule_batch, run_shot, verify_protocol,
-                        xy_basis_vectors)
+                        exact_distributions, run_schedule_batch, run_shot,
+                        verify_protocol, xy_basis_vectors)
 
 
 def fixed_angle_schedule(resource, thetas, o_ids=None, rounds=None):
@@ -208,6 +208,8 @@ class TestMarginalChecks:
             chain_sample(s, [0, 1], np.random.default_rng(0))
         with pytest.raises(AssertionError, match="state weight"):
             exact_distribution(s, 1)
+        with pytest.raises(AssertionError, match="state weight"):
+            exact_distributions(s, [0, 1])
 
     def test_dense_check_fires(self, monkeypatch):
         s = mod3_protocol(1)
@@ -284,7 +286,20 @@ def pauli_z_cut_schedule():
                                frozenset({1, 3, 4, 7}), 1)
 
 
-@pytest.mark.parametrize("build", [
+def dead_on_one_input_schedule():
+    """Two unentangled |+> sites; site 2 adapts on site 1's outcome.
+
+    Input 1 reads site 1 in X, so outcome 1 has weight exactly 0; input 0
+    reads it in Y, where both outcomes are alive.  So the DP key of outcome
+    1 lives on input 0 only, and site 2 meets it as a zero row on input 1.
+    """
+    qubits = (QubitSpec(1, 1, XYBasis(math.pi / 4, 0, math.pi / 4), 1),
+              QubitSpec(2, 2, XYBasis(0.7), 0, frozenset({1})))
+    return MeasurementSchedule(composite(cluster1d(1), cluster1d(1)), 1,
+                               qubits, frozenset({1, 2}), 0)
+
+
+CROSS_ORACLE_BUILDS = [
     lambda: mod3_protocol(1),
     lambda: mod3_protocol(2),
     lambda: compile_pfd_to_ghz(pfd.solve_pfd(boolean.and_n(2)), 0),
@@ -296,7 +311,10 @@ def pauli_z_cut_schedule():
         compile_pfd_to_ghz(pfd.pairwise_and_decomposition(3), 0)),
     lambda: TestComposite().build_xor_schedule(),
     pauli_z_cut_schedule,
-])
+]
+
+
+@pytest.mark.parametrize("build", CROSS_ORACLE_BUILDS)
 def test_exact_distribution_matches_dense_branch_walk(build):
     # the DP runs on chain tensors; the dense walk shares none of its state
     s = build()
@@ -307,6 +325,68 @@ def test_exact_distribution_matches_dense_branch_walk(build):
         dist = exact_distribution(s, x)
         for y in (0, 1):
             assert dist[y] == pytest.approx(marginal[y], abs=1e-12)
+
+
+class TestExactSweep:
+    """One sweep over many inputs against one sweep per input."""
+
+    @pytest.mark.parametrize("build", CROSS_ORACLE_BUILDS + [
+        lambda: mbqc.or_protocol(4), dead_on_one_input_schedule])
+    def test_matches_one_input_sweeps(self, build):
+        s = build()
+        xs = range(1 << s.arity)
+        dists = exact_distributions(s, xs)
+        assert len(dists) == len(xs)
+        for x, dist in zip(xs, dists):
+            one = exact_distribution(s, x)
+            for y in (0, 1):
+                assert dist[y] == pytest.approx(one[y], abs=1e-12)
+
+    def test_branch_dead_on_one_input_only(self, monkeypatch):
+        s = dead_on_one_input_schedule()
+        seen = []
+        branches = sim._branches
+
+        def spy(F, A, v0, v1):
+            B, w, gap = branches(F, A, v0, v1)
+            seen.append((sim._sq_norms(F), w, gap))
+            return B, w, gap
+
+        monkeypatch.setattr(sim, "_branches", spy)
+        dists = exact_distributions(s, [0, 1])
+        # site 1 has one key, so its rows are the inputs 0 and 1
+        assert seen[0][1][1].tolist() == [pytest.approx(0.5), 0.0]
+        # site 2 holds (input, key) rows; the key of outcome 1 is zero on
+        # input 1, and the marginal check skips it instead of reading 0/0,
+        # which would pass every comparison with MARGINAL_TOL
+        assert seen[1][0].tolist() == [pytest.approx(0.5), pytest.approx(0.5),
+                                       pytest.approx(1.0), 0.0]
+        assert all(0 <= gap < sim.MARGINAL_TOL for *_, gap in seen)
+        for d in dists:
+            assert math.isfinite(d.marginal_dev)
+            assert 0 <= d.marginal_dev < sim.MARGINAL_TOL
+            assert d.peak_states == 2
+        for x, d in zip((0, 1), dists):
+            walk = {0: 0.0, 1: 0.0}
+            for outs, p in branch_distribution(s, x).items():
+                walk[outs[0] ^ outs[1]] += p
+            for y in (0, 1):
+                assert d[y] == pytest.approx(walk[y], abs=1e-12)
+
+    def test_no_inputs(self):
+        assert exact_distributions(mod3_protocol(1), []) == []
+
+    def test_verify_protocol_sweeps_every_input_at_once(self, monkeypatch):
+        # one _branches call per site for all 16 inputs, not one per input
+        calls = []
+        branches = sim._branches
+        monkeypatch.setattr(sim, "_branches",
+                            lambda *a: calls.append(1) or branches(*a))
+        s = mod3_protocol(4)
+        report = verify_protocol(s, boolean.mod_p(3, 0, 4),
+                                 shots_per_input=0, use_exact=True)
+        assert len(report.records) == 16 and report.min_exact > 1 - 1e-9
+        assert len(calls) == s.n_qubits
 
 
 class TestEffectiveCircuit:
