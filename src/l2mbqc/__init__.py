@@ -17,10 +17,10 @@ from .onequbit import (OneQubitProgram, build_commuting_program,
                        build_mod3_clifford, build_qsp_program,
                        build_symmetric_program, evaluate, moore_counter,
                        normalize_sign_form, or_reduction_bank)
-from .pfd import (PeriodicDecomposition, SierpinskiSystem, ghz_strategy,
-                  or_decomposition, or_decomposition_published,
-                  pairwise_and_decomposition, sierpinski_matrix, solve_pfd,
-                  sparsity_certificate, verify_pfd)
+from .pfd import (PeriodicDecomposition, SierpinskiSystem, or_decomposition,
+                  or_decomposition_published, pairwise_and_decomposition,
+                  sierpinski_matrix, solve_pfd, sparsity_certificate,
+                  verify_pfd)
 from .qsp import (LaurentPair, QspAngles, complete_and_extract_angles,
                   reconstruct_unitary, reference_angles, solve_mod_p_coeffs,
                   solve_symmetric_coeffs, synthesize_mod_p,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -122,7 +122,15 @@ class MeasurementSchedule:
             raise ValueError("qubit ids must cover 1..n_qubits")
         rounds = {q.id: q.round for q in self.qubits}
         for i, q in enumerate(self.qubits):
-            if not 0 <= q.p_mask < 1 << self.arity:
+            # the simulator packs these into numpy arrays, which would take a
+            # float mask or bias silently (bias 2 would act as bias 0)
+            _check(q.p_mask, "a non-negative integer", f"qubits[{i}].p_mask")
+            if isinstance(q.basis, XYBasis):
+                _check(q.basis.bias, "0 or 1", f"qubits[{i}].basis.bias")
+                for name in ("theta", "offset"):
+                    _check(getattr(q.basis, name), "a finite number",
+                           f"qubits[{i}].basis.{name}")
+            if not q.p_mask < 1 << self.arity:
                 raise ValueError(f"schedule field 'qubits[{i}].p_mask' must be "
                                  f"in [0, 2**arity = 2**{self.arity}), got "
                                  f"{q.p_mask}")
@@ -207,8 +215,9 @@ class MeasurementSchedule:
         """Decode schedule JSON; any malformed input raises ValueError.
 
         Field types, ``c`` and the finiteness of angles are checked here,
-        and the message names the offending field; the structural rules and
-        the width of ``p_mask`` are the constructor's.
+        and the message names the offending field; the structural rules,
+        the width of ``p_mask`` and the types of the masks, biases and
+        angles that the simulator packs into arrays are the constructor's.
         """
         try:
             return cls._decode(json.loads(text))
@@ -236,9 +245,12 @@ class MeasurementSchedule:
 
 
 def _is_finite(v) -> bool:
-    if type(v) is int:
-        return abs(v) <= sys.float_info.max
-    return type(v) is float and math.isfinite(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 # what a schedule JSON field must be -> the test; bool is not an integer here

@@ -218,22 +218,3 @@ def pairwise_and_decomposition(n: int) -> PeriodicDecomposition:
     angles = {1 << i: Fraction(1, 2) for i in range(n)}
     angles[(1 << n) - 1] = Fraction(-1, 2)
     return PeriodicDecomposition(n, angles)
-
-
-@dataclass(frozen=True)
-class GhzStrategy:
-    """Nonadaptive strategy data: one qubit per mask in the support.
-
-    Setting bit s_j = p_j . x selects between measuring at angle 0 and at the
-    full angle pi*phi_j; the output is the parity of all outcomes plus f(0).
-    """
-
-    n: int
-    masks: tuple[int, ...]
-    angles_in_pi: tuple[Fraction, ...]
-    constant: int
-
-
-def ghz_strategy(d: PeriodicDecomposition, f0: int) -> GhzStrategy:
-    masks = tuple(d.support)
-    return GhzStrategy(d.n, masks, tuple(d.angles[m] for m in masks), f0 & 1)

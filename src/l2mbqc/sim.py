@@ -5,9 +5,12 @@ schedule checks this when it is built), and measurements on different qubits
 commute, so the joint outcome distribution is sampled site by site in id
 order.  The sampler and the exact DP run on one bond-2 chain for GHZ
 states, 1D clusters and composites of those, whose right-canonical tensors
-need no environment.  One step (``_branches``) measures a site on a stack
-of bond factors, returning both outcome branches and their weights and
-checking that those weights sum to the state's weight:
+need no environment.  The side processor sends each qubit one setting bit,
+so a sweep first tabulates each site's four (setting, outcome) projections
+of its tensor.  One step (``_branches``) measures a site on a stack of bond
+factors by one matrix product with its table entry and a gather on (state,
+setting), returning both outcome branches and their weights and checking
+that those weights sum to the state's weight:
 
 - sampling keeps one normalised factor per batch row, a row being one
   (input, shot) pair, and draws its branch by inverse CDF from a seeded
@@ -37,7 +40,7 @@ import numpy as np
 
 from .boolean import BooleanFunction, nchvm_bound, parse_input
 from .mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, Resource,
-                   ResourceReport, resources)
+                   ResourceReport, XYBasis, resources)
 from .qsp import rotation_product
 
 ENUM_CAP = 14  # qubits; caps the dense engine and branch enumeration
@@ -73,11 +76,6 @@ def output_bits(s: MeasurementSchedule, outcomes: np.ndarray) -> np.ndarray:
     return s.c ^ _row_parity(outcomes, s.o_ids)
 
 
-def _angles(q: QubitSpec, setting: np.ndarray) -> np.ndarray:
-    sign = 1.0 - 2.0 * ((setting ^ q.basis.bias) & 1)
-    return q.basis.offset + sign * q.basis.theta
-
-
 def xy_basis_vectors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors of cos(t)X + sin(t)Y for outcomes 0 and 1, batched."""
     e_minus = np.exp(-0.5j * angles)
@@ -85,13 +83,6 @@ def xy_basis_vectors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v0 = np.stack([e_minus, e_plus], axis=-1) / math.sqrt(2)
     v1 = np.stack([e_minus, -e_plus], axis=-1) / math.sqrt(2)
     return v0, v1
-
-
-def _measurement_vectors(q: QubitSpec, setting: np.ndarray):
-    if isinstance(q.basis, PauliZBasis):
-        z = np.zeros((len(setting), 2), dtype=complex)
-        return z + (1, 0), z + (0, 1)
-    return xy_basis_vectors(_angles(q, setting))
 
 
 # ---------------------------------------------------------------------------
@@ -194,32 +185,55 @@ def _chain_tensors(resource: Resource) -> list[np.ndarray]:
     return [first] + [mid] * (N - 2) + [mid.sum(axis=2, keepdims=True)]
 
 
+def _site_table(s: MeasurementSchedule):
+    """One sweep's data, sites in id order: the qubits, the (N, setting)
+    angles offset + (-1)^(setting xor bias) * theta, their (N, setting,
+    outcome, 2) eigenvectors (the Z basis on Pauli-Z sites) and the kernels
+    v^H A, each an (l, setting * outcome * r) matrix, bonds padded to 2."""
+    qubits = sorted(s.qubits, key=lambda q: q.id)
+    z = np.array([isinstance(q.basis, PauliZBasis) for q in qubits], bool)
+    xy = [XYBasis(0.0) if zq else q.basis for zq, q in zip(z, qubits)]
+    bias = np.array([b.bias for b in xy], dtype=np.int64)[:, None]
+    sign = 1.0 - 2.0 * ((np.arange(2) ^ bias) & 1)
+    angles = (np.array([b.offset for b in xy], dtype=float)[:, None]
+              + sign * np.array([b.theta for b in xy], dtype=float)[:, None])
+    vectors = np.stack(xy_basis_vectors(angles), axis=2)
+    vectors[z] = np.eye(2)
+    A = np.zeros((len(qubits), 2, 2, 2), dtype=complex)
+    for a, T in zip(A, _chain_tensors(s.resource)):
+        a[:T.shape[0], :, :T.shape[2]] = T
+    # einsum, not a BLAS product, keeps exactly cancelling branches at 0
+    kernels = np.einsum("isoc,ilcr->ilsor", vectors.conj(), A)
+    return qubits, angles, vectors, kernels.reshape(-1, 2, 8)
+
+
 def _sq_norms(T: np.ndarray) -> np.ndarray:
-    """Squared norm over the last two axes; a matrix product, because
-    numpy's sums over short axes are slow."""
+    """Squared norm over the last two axes, summed over the float64 view by
+    a matrix product, because numpy's sums over short axes are slow."""
     size = T.shape[-2] * T.shape[-1]
-    return (np.abs(T) ** 2).reshape(*T.shape[:-2], size) @ np.ones(size)
+    f = T.reshape(-1, size).view(np.float64)
+    return ((f * f) @ np.ones(2 * size)).reshape(T.shape[:-2])
 
 
-def _branches(F: np.ndarray, A: np.ndarray, v0: np.ndarray, v1: np.ndarray):
+def _branches(F: np.ndarray, K: np.ndarray, setting: np.ndarray):
     """Both outcomes of measuring the next site, on a stack of states.
 
     State i is the (k, l) factor F[i] of the bond matrix F^H F; its weight
-    is the squared norm of F[i], as the tensors are right-canonical.  A is
-    the site's (l, 2, r) tensor and v0, v1 the (states, 2) vectors.  Returns
-    the (2, states, k, r) branches, their (2, states) weights and the worst
-    gap between a state's weight and its branches' sum, relative to it,
-    which must stay within MARGINAL_TOL.
+    is the squared norm of F[i], as the tensors are right-canonical.  K is
+    the site's kernel (``_site_table``), setting the states' setting bits.
+    Returns the (states, 2, k, r) branches, their (states, 2) weights and
+    the worst gap between a state's weight and its branches' sum, relative
+    to it, which must stay within MARGINAL_TOL.
     """
     n, k, l = F.shape
-    r = A.shape[2]
-    t = (F.reshape(n * k, l) @ A.reshape(l, 2 * r)).reshape(n, k, 2 * r)
-    v = np.array([v0, v1]).conj()[:, :, None]  # (outcome, state, 1, s)
-    B = v[..., :1] * t[:, :, :r] + v[..., 1:] * t[:, :, r:]
+    r = K.shape[1] // 4
+    t = (F.reshape(n * k, l) @ K).reshape(2 * n * k, 2 * r)  # row, setting
+    B = t.take(2 * np.arange(n * k) + np.repeat(setting, k), axis=0)
+    B = B.reshape(n, k, 2, r).swapaxes(1, 2)
     w = _sq_norms(B)
     total = _sq_norms(F)
     live = total > 0  # an exact DP row zeroed on its input has no marginal
-    gap = float(np.max(np.abs(w[0] + w[1] - total)[live] / total[live],
+    gap = float(np.max(np.abs(w[:, 0] + w[:, 1] - total)[live] / total[live],
                        initial=0.0))
     if gap > MARGINAL_TOL:
         raise AssertionError("branch weights do not sum to the state weight")
@@ -239,22 +253,21 @@ def _drive(s: MeasurementSchedule, xs: np.ndarray, rng,
     marginals and forced on both.  Returns the outcome rows (see
     ``chain_sample``) and the largest dense-chain marginal gap.
     """
+    qubits, _, vectors, kernels = _site_table(s)
+    rows = np.arange(len(xs))
     outcomes = np.zeros((s.n_qubits + 1, len(xs)), dtype=np.uint8)
-    F = np.ones((len(xs), 1, 1), dtype=complex)
+    F = np.zeros((len(xs), 1, 2), dtype=complex) + (1, 0)
     gap = 0.0
-    for q, A in zip(sorted(s.qubits, key=lambda q: q.id),
-                    _chain_tensors(s.resource)):
-        v0, v1 = _measurement_vectors(
-            q, setting_bits(q, xs, _row_parity(outcomes, q.a_ids)))
-        B, w, _ = _branches(F, A, v0, v1)
-        p = w if dense is None else np.array(dense.marginal(q.id, v0, v1))
-        out = rng.random(len(xs)) >= p[0]
+    for q, K, V in zip(qubits, kernels, vectors):
+        setting = setting_bits(q, xs, _row_parity(outcomes, q.a_ids))
+        B, w, _ = _branches(F, K, setting)
+        p = w if dense is None else np.column_stack(
+            dense.marginal(q.id, V[setting, 0], V[setting, 1]))
+        out = (rng.random(len(xs)) >= p[:, 0]).view(np.uint8)
         if dense is not None:
             gap = max(gap, float(np.max(np.abs(w - p))))
-            dense.project(q.id, np.where(out[:, None], v1, v0),
-                          np.where(out, p[1], p[0]))
-        F = (np.where(out[:, None, None], B[1], B[0])
-             / np.sqrt(np.where(out, w[1], w[0]))[:, None, None])
+            dense.project(q.id, V[setting, out], p[rows, out])
+        F = B[rows, out] / np.sqrt(w[rows, out])[:, None, None]
         outcomes[q.id] = out
     return outcomes, gap
 
@@ -289,22 +302,21 @@ def run_shot(s: MeasurementSchedule, x,
 
 
 def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, result):
-    """Depth-first over outcome branches; adds leaf weights to result."""
+    """Depth-first over outcome branches; adds leaf weights to result.
+    ``order`` pairs the unmeasured qubits with their site-table vectors."""
     if weight <= 1e-300:
         return
     if not order:
         k = tuple(outcomes[1:, 0].tolist())
         result[k] = result.get(k, 0.0) + weight
         return
-    q = order[0]
-    v0, v1 = _measurement_vectors(
-        q, setting_bits(q, xs, _row_parity(outcomes, q.a_ids)))
-    p0, p1 = eng.marginal(q.id, v0, v1)
-    for out, v, p in ((0, v0, p0), (1, v1, p1)):
+    q, V = order[0]
+    v = V[setting_bits(q, xs, _row_parity(outcomes, q.a_ids))]
+    for out, p in enumerate(eng.marginal(q.id, v[:, 0], v[:, 1])):
         if p[0] <= 1e-300:
             continue
         sub = eng.copy()
-        sub.project(q.id, v, p)
+        sub.project(q.id, v[:, out], p)
         outcomes[q.id] = out
         _walk(sub, order[1:], xs, outcomes, weight * float(p[0]), result)
 
@@ -320,8 +332,9 @@ def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], floa
     xs = np.array([parse_input(x, s.arity) if s.arity else 0])
     outcomes = np.zeros((s.n_qubits + 1, 1), dtype=np.uint8)
     result: dict = {}
-    _walk(DenseEngine(s.resource), sorted(s.qubits, key=lambda q: q.id), xs,
-          outcomes, 1.0, result)
+    qubits, _, vectors, _ = _site_table(s)
+    _walk(DenseEngine(s.resource), list(zip(qubits, vectors)), xs, outcomes,
+          1.0, result)
     return result
 
 
@@ -368,24 +381,25 @@ def exact_distributions(s: MeasurementSchedule, xs) -> list[OutputDistribution]:
     for o in s.o_ids:
         flips[o] |= 1
     keys = [0]
-    F = np.ones((len(xs), 1, 1, 1), dtype=complex)  # (inputs, keys, bond, bond)
+    # (inputs, keys, bond, bond), bonds padded to 2 as in the kernels
+    F = np.zeros((len(xs), 1, 1, 2), dtype=complex) + (1, 0)
     peak, dev = 1, 0.0
-    for q, A in zip(sorted(s.qubits, key=lambda q: q.id),
-                    _chain_tensors(s.resource)):
+    qubits, _, _, kernels = _site_table(s)
+    for q, kernel in zip(qubits, kernels):
         n, K, k, l = F.shape
-        r = A.shape[2]
         bits = np.array([(key >> q.id) & 1 for key in keys], dtype=np.int64)
-        B, w, gap = _branches(F.reshape(n * K, k, l), A, *_measurement_vectors(
-            q, setting_bits(q, xs[:, None], bits).reshape(-1)))
+        B, w, gap = _branches(F.reshape(n * K, k, l), kernel,
+                              setting_bits(q, xs[:, None], bits).reshape(-1))
         dev = max(dev, gap)
-        alive = w.reshape(2, n, K) > 1e-300
-        B = np.where(alive[..., None, None], B.reshape(2, n, K, k, r), 0)
+        r = B.shape[-1]
+        alive = w.reshape(n, K, 2) > 1e-300
+        B = np.where(alive[..., None, None], B.reshape(n, K, 2, k, r), 0)
         drop = ~(1 << q.id)
         groups: dict[int, list[np.ndarray]] = {}
         for i, key in enumerate(keys):
             for m, nk in ((0, key & drop), (1, (key ^ flips[q.id]) & drop)):
-                if alive[m, :, i].any():
-                    groups.setdefault(nk, []).append(B[m, :, i])
+                if alive[:, i, m].any():
+                    groups.setdefault(nk, []).append(B[:, i, m])
         keys = list(groups)
         rows = k * max(map(len, groups.values()), default=0)
         F = np.zeros((n, len(keys), max(rows, r), r), dtype=complex)
@@ -432,9 +446,10 @@ def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
                          "GHZ or odd cluster chain) have an effective circuit")
     xs = np.asarray(xs, dtype=np.int64)
     ghz_chain = s.resource.kind == "ghz"
+    qubits, angles, _, _ = _site_table(s)
     return rotation_product([("X" if ghz_chain or q.id % 2 else "Z",
-                              _angles(q, setting_bits(q, xs, 0)))
-                             for q in sorted(s.qubits, key=lambda q: q.id)])
+                              a[setting_bits(q, xs, 0)])
+                             for q, a in zip(qubits, angles)])
 
 
 def effective_circuit(s: MeasurementSchedule, x) -> EffectiveCircuit:

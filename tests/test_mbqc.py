@@ -138,6 +138,33 @@ class TestScheduleModel:
         with pytest.raises(ValueError, match=r"'qubits\[1\]\.p_mask'"):
             MeasurementSchedule(cluster1d(2), 2, qs, frozenset({1}), 0)
 
+    @pytest.mark.parametrize("edit, field", [
+        (dict(p_mask=1.0), r"'qubits\[1\]\.p_mask'"),
+        (dict(p_mask=True), r"'qubits\[1\]\.p_mask'"),
+        (dict(basis=XYBasis(0.3, bias=1.0)), r"'qubits\[1\]\.basis\.bias'"),
+        (dict(basis=XYBasis(0.3, bias=2)), r"'qubits\[1\]\.basis\.bias'"),
+        (dict(basis=XYBasis(0.3, bias=True)), r"'qubits\[1\]\.basis\.bias'"),
+        (dict(basis=XYBasis(math.nan)), r"'qubits\[1\]\.basis\.theta'"),
+        (dict(basis=XYBasis(0.3j)), r"'qubits\[1\]\.basis\.theta'"),
+        (dict(basis=XYBasis("0.3")), r"'qubits\[1\]\.basis\.theta'"),
+        (dict(basis=XYBasis(0.3, offset=-math.inf)),
+         r"'qubits\[1\]\.basis\.offset'"),
+    ])
+    def test_field_types_checked(self, edit, field):
+        # the simulator packs masks, biases and angles into numpy arrays,
+        # which would coerce these silently (a float mask, bias 2 as bias 0)
+        qs = (QubitSpec(1, 1, XYBasis(0.3), p_mask=1),
+              replace(QubitSpec(2, 2, XYBasis(0.3), p_mask=1), **edit))
+        with pytest.raises(ValueError, match=field):
+            MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
+
+    def test_real_angles_of_any_type_accepted(self):
+        qs = (QubitSpec(1, 1, XYBasis(np.float64(0.3), 1, 2)),
+              QubitSpec(2, 2, XYBasis(np.float32(0.5), offset=np.int64(1))))
+        dist = sim.exact_distribution(
+            MeasurementSchedule(cluster1d(2), 0, qs, frozenset({1}), 0), 0)
+        assert dist[0] + dist[1] == pytest.approx(1.0, abs=1e-12)
+
     def test_pauli_z_carries_no_conditioning(self):
         qs = (QubitSpec(1, 1, PauliZBasis(), p_mask=1),)
         with pytest.raises(ValueError):
@@ -151,7 +178,11 @@ class TestScheduleModel:
         outcomes = np.array([[0, 0, 0], [0, 0, 1]], dtype=np.uint8)
         setting = sim.setting_bits(q, [1, 0, 1], outcomes[1])
         assert setting.tolist() == [1, 0, 0]
-        assert sim._angles(q, setting) == pytest.approx([1.0, 0.0, 0.0])
+        s = MeasurementSchedule(cluster1d(2), 1,
+                                (QubitSpec(1, 1, XYBasis(0.2)), q),
+                                frozenset({1}), 0)
+        angles = sim._site_table(s)[1]  # (qubit, setting)
+        assert angles[1, setting] == pytest.approx([1.0, 0.0, 0.0])
 
 
 class TestCompiled:

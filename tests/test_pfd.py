@@ -6,11 +6,11 @@ import pytest
 
 from l2mbqc import boolean, pfd
 from l2mbqc.boolean import and_n, constant, from_table, or_n, pairwise_and, parity_n
+from l2mbqc.mbqc import compile_pfd_to_ghz
 from l2mbqc.pfd import (PeriodicDecomposition, brute_force_matrix_entry,
-                        ghz_strategy, or_decomposition,
-                        or_decomposition_published, pairwise_and_decomposition,
-                        sierpinski_matrix, solve_pfd, sparsity_certificate,
-                        verify_pfd)
+                        or_decomposition, or_decomposition_published,
+                        pairwise_and_decomposition, sierpinski_matrix,
+                        solve_pfd, sparsity_certificate, verify_pfd)
 
 
 class TestSierpinski:
@@ -149,17 +149,21 @@ class TestSparsityCertificate:
 
 
 class TestGhzStrategy:
+    """The nonadaptive GHZ strategy: one qubit per mask in the support."""
+
     def test_pairwise_and_3_needs_four_qubits(self):
-        strat = ghz_strategy(pairwise_and_decomposition(3), 0)
-        assert len(strat.masks) == 4
+        d = pairwise_and_decomposition(3)
+        s = compile_pfd_to_ghz(d, 0)
+        assert s.n_qubits == 4
+        assert [q.p_mask for q in sorted(s.qubits, key=lambda q: q.id)] == \
+            d.support
 
     def test_or2_needs_three(self):
-        strat = ghz_strategy(solve_pfd(or_n(2)), 0)
-        assert len(strat.masks) == 3
+        assert compile_pfd_to_ghz(solve_pfd(or_n(2)), 0).n_qubits == 3
 
     def test_constant_is_empty(self):
-        strat = ghz_strategy(solve_pfd(constant(1, 2)), 1)
-        assert strat.masks == () and strat.constant == 1
+        s = compile_pfd_to_ghz(solve_pfd(constant(1, 2)), 1)
+        assert s.qubits == () and s.c == 1
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from collections import Counter
@@ -39,10 +40,17 @@ class TestEngines:
         z1 = np.array([[0, 1]], dtype=complex)
         p0, _ = DenseEngine(ghz(4)).marginal(1, z0, z1)
         assert p0[0] == pytest.approx(0.5, abs=1e-12)
-        A = sim._chain_tensors(ghz(4))[0]
-        B, w, gap = sim._branches(np.ones((1, 1, 1), dtype=complex), A, z0, z1)
-        assert w[:, 0] == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert B.shape == (2, 1, 1, 2) and gap < 1e-12
+        qubits = (QubitSpec(1, 1, PauliZBasis()),) + tuple(
+            QubitSpec(i, 1, XYBasis(0.0)) for i in (2, 3, 4))
+        _, _, vectors, kernels = sim._site_table(
+            MeasurementSchedule(ghz(4), 0, qubits, frozenset({2, 3, 4}), 0))
+        # a Pauli-Z site reads the Z basis under either setting
+        assert (vectors[0] == np.eye(2)).all()
+        start = np.array([[[1, 0]]], dtype=complex)  # bond padded to 2
+        for setting in (0, 1):
+            B, w, gap = sim._branches(start, kernels[0], np.array([setting]))
+            assert w[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+            assert B.shape == (1, 2, 1, 2) and gap < 1e-12
 
     def test_chain_steps_in_id_order_only(self):
         # the chain steps through the id-sorted qubits zipped with its tensors,
@@ -139,6 +147,31 @@ class TestRunShot:
             outcomes = chain_sample(s, xs, np.random.default_rng(seed))
             assert ["".join(map(str, col)) for col in outcomes[1:].T] == rows
             assert sim.output_bits(s, outcomes).tolist() == [f(x) for x in xs]
+
+    @pytest.mark.parametrize("build, rows, seed, digest", [
+        (lambda: mod3_protocol(8), 1024, 1,
+         "0646f53ffe7337d7657cf38ec12612b33c14c1807c5dc7b825b9d6d7e84c8fd1"),
+        (lambda: mbqc.or_protocol(6), 1024, 2,  # Pauli-Z cuts
+         "22173b44f842199881b134d6782aeedda497f458886cc2899dbeb506a4610ee5"),
+        (lambda: mbqc.modp_protocol(7, 0, 5, qsp.reference_angles(7)), 320, 3,
+         "4e493fdd0ae28c530bd0fe45aef7c021dbbb2de501d671ff1d9ff63edb944b71"),
+        # bond-1 chain ends and joints
+        (lambda: compile_pfd_to_ghz(pfd.pairwise_and_decomposition(3), 0),
+         1024, 4,
+         "ab39d389eed71836981cf48c9555a84e2d9b63b5f2ec4cde27bf667746f65ee0"),
+        (lambda: lift_ghz_to_cluster(
+            compile_pfd_to_ghz(pfd.solve_pfd(boolean.and_n(2)), 0)), 1024, 5,
+         "20ed279c6b7fa33ebece6daea45781c1c25ade81b1f7905a2d835b690140dc8a"),
+        (lambda: TestComposite().build_xor_schedule(), 1024, 6,
+         "39bb406c49a72ea4a686650e08677dfcebdc0be6a49096f505f2ef53d3c49854"),
+    ])
+    def test_pinned_sample_digests(self, build, rows, seed, digest):
+        # the sampled bytes are part of the seeded-reproducibility contract
+        s = build()
+        xs = np.arange(rows) % (1 << s.arity)
+        outcomes = chain_sample(s, xs, np.random.default_rng(seed))
+        assert outcomes.shape == (s.n_qubits + 1, rows)
+        assert hashlib.sha256(outcomes.tobytes()).hexdigest() == digest
 
     def test_zero_rows(self):
         s = mod3_protocol(1)
@@ -347,15 +380,15 @@ class TestExactSweep:
         seen = []
         branches = sim._branches
 
-        def spy(F, A, v0, v1):
-            B, w, gap = branches(F, A, v0, v1)
+        def spy(F, K, setting):
+            B, w, gap = branches(F, K, setting)
             seen.append((sim._sq_norms(F), w, gap))
             return B, w, gap
 
         monkeypatch.setattr(sim, "_branches", spy)
         dists = exact_distributions(s, [0, 1])
         # site 1 has one key, so its rows are the inputs 0 and 1
-        assert seen[0][1][1].tolist() == [pytest.approx(0.5), 0.0]
+        assert seen[0][1][:, 1].tolist() == [pytest.approx(0.5), 0.0]
         # site 2 holds (input, key) rows; the key of outcome 1 is zero on
         # input 1, and the marginal check skips it instead of reading 0/0,
         # which would pass every comparison with MARGINAL_TOL
@@ -608,6 +641,27 @@ class TestComposite:
         _, ys = run_schedule_batch(s, 7, 50, seed=3)
         target = boolean.and_n(2)(3) ^ boolean.or_n(2)(1)
         assert all(int(y) == target for y in ys)
+
+
+class TestSiteTable:
+    @pytest.mark.parametrize("build, sweep", [
+        (lambda: mbqc.modp_protocol(7, 0, 5, qsp.reference_angles(7)),
+         lambda s: chain_sample(s, np.arange(320) % 32,
+                                np.random.default_rng(0))),
+        (lambda: mod3_protocol(4),
+         lambda s: exact_distributions(s, range(16))),
+        (lambda: mod3_protocol(2), lambda s: compare_engines(s, 3)),
+    ])
+    def test_basis_vectors_built_once_per_sweep(self, monkeypatch, build,
+                                                sweep):
+        # every site's vectors come from one call, not one call per site
+        s = build()
+        shapes = []
+        vectors = sim.xy_basis_vectors
+        monkeypatch.setattr(sim, "xy_basis_vectors",
+                            lambda a: shapes.append(a.shape) or vectors(a))
+        sweep(s)
+        assert shapes == [(s.n_qubits, 2)]
 
 
 class TestBasisVectors:
