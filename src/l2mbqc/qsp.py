@@ -17,6 +17,10 @@ The grid is phi_w = 4*pi*w/q with an odd period q: q = p for the
 weight-counting functions (L = 2p-1) and q = 2n+1 for a general symmetric
 profile (L = 4n+1).  Both the truth table and the series have period q in
 the weight, which is what makes the reduced system square.
+
+mpmath is imported inside the synthesis functions, so that loading the
+package (and the simulator, which needs only the float rotation helpers)
+does not pay for it.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
-import mpmath as mp
 import numpy as np
 
 SYNTHESIS_DPS = 50
@@ -95,7 +98,8 @@ class QspAngles:
     ``stats`` is the synthesis certificate (empty for loaded tables):
     ``interp_residual``, ``grid_zeros`` (circle zeros divided out, 2q),
     ``quotient_degree`` (degree handed to the root finder),
-    ``division_remainder`` (relative) and ``reconstruction_residual``.
+    ``division_remainder`` (relative), ``root_seed_dev`` (largest distance
+    from a root to its float starting point) and ``reconstruction_residual``.
     """
 
     length: int
@@ -143,6 +147,8 @@ def _interp_system(q: int, avals, bvals):
     Value rows pin A at w = 0..(q-1)/2 and B at w = 1..(q-1)/2; derivative
     rows force stationarity so the completion remainder has double zeros.
     """
+    import mpmath as mp
+
     half = (q - 1) // 2
     harms = [2 * j + 1 for j in range(q)]
     grids = [4 * mp.pi * w / q for w in range(half + 1)]
@@ -173,6 +179,8 @@ def _interp_system(q: int, avals, bvals):
 
 
 def _make_pair(q: int, values: list[int], target_desc: tuple[int, ...]) -> LaurentPair:
+    import mpmath as mp
+
     with mp.workdps(SYNTHESIS_DPS):
         avals = [1 - v for v in values]
         bvals = list(values)
@@ -236,6 +244,8 @@ def solve_symmetric_coeffs(profile, n: int) -> LaurentPair:
 
 def _laurent_square_remainder(pair: LaurentPair):
     """R = 1 - A^2 - B^2 as an exact even Laurent series in z."""
+    import mpmath as mp
+
     a, b = pair.a_exact, pair.b_exact
     Az: dict[int, mp.mpf] = {}
     for h, c in a.items():
@@ -262,6 +272,8 @@ def _divide_grid_zeros(poly, q: int):
     quotient in the same order and the 2q low coefficients left over, which
     vanish when every q-th root of unity is a double zero of ``poly``.
     """
+    import mpmath as mp
+
     rest = list(poly)
     quot = [mp.mpf(0)] * max(len(rest) - 2 * q, 0)
     for k in range(len(rest) - 1, 2 * q - 1, -1):
@@ -270,6 +282,28 @@ def _divide_grid_zeros(poly, q: int):
         rest[k - q] += 2 * c
         rest[k - 2 * q] -= c
     return quot, rest[:2 * q]
+
+
+def _seed_roots(coeffs) -> np.ndarray:
+    """Float starting points for ``mp.polyroots`` on ``coeffs`` (highest
+    degree first): a Weierstrass (Jacobi Durand-Kerner) iteration in
+    complex128, started on the unit circle off the real axis.  mpmath's own
+    start spirals in from 1 and needs tens of sweeps at 400 extra bits; from
+    these it needs a few.
+    """
+    c = np.array([complex(x) for x in coeffs])
+    c /= c[0]
+    d = len(c) - 1
+    z = np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.4))
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            diff = z[:, None] - z
+            np.fill_diagonal(diff, 1)
+            step = np.polyval(c, z) / np.prod(diff, axis=1)
+            z = z - step
+            if np.all(np.abs(step) <= 1e-14 * (1 + np.abs(z))):
+                break
+    return z
 
 
 def _complete(pair: LaurentPair):
@@ -281,8 +315,12 @@ def _complete(pair: LaurentPair):
     the circle; the factor takes its roots strictly inside the unit circle
     plus one copy of each grid point.  Conjugation symmetry of that set keeps
     the factor real, and the double grid zeros make the readout
-    deterministic.  Returns (c, d, stats) with the division certificate.
+    deterministic.  Returns (c, d, stats) with the division certificate and
+    ``root_seed_dev``, the largest distance from a polished root to its
+    nearest float seed (``_seed_roots``).
     """
+    import mpmath as mp
+
     L = pair.degree
     q = pair.grid_period
     R = _laurent_square_remainder(pair)
@@ -296,7 +334,7 @@ def _complete(pair: LaurentPair):
         # exactly unitary pair: nothing to complete
         zeros = {j: mp.mpf(0) for j in range(1, L + 1, 2)}
         return zeros, zeros, {"grid_zeros": 0, "quotient_degree": 0,
-                              "division_remainder": 0.0}
+                              "division_remainder": 0.0, "root_seed_dev": 0.0}
     # the remainder may deflate below the full degree budget (for instance a
     # pure-cosine interpolant leaves sin^2 of a single harmonic)
     deg = max(abs(e) for e, c in rho.items() if abs(c) > tiny)
@@ -307,7 +345,14 @@ def _complete(pair: LaurentPair):
         raise SynthesisError(f"remainder lacks its double grid zeros "
                              f"(division remainder {leftover:.1e})")
     qdeg = len(quot) - 1
-    roots = mp.polyroots(quot[::-1], maxsteps=600, extraprec=400) if qdeg else []
+    # the seeds move only where the polish starts, not what it converges
+    # to; mpmath starts the roots of dropped non-finite seeds at its defaults
+    seeds = _seed_roots(quot[::-1])
+    seeds = seeds[np.isfinite(seeds)]
+    roots = mp.polyroots(quot[::-1], maxsteps=600, extraprec=400,
+                         roots_init=[mp.mpc(s) for s in seeds]) if qdeg else []
+    gaps = np.abs(np.array(roots, dtype=complex)[:, None] - seeds)
+    seed_dev = float(np.max(np.min(gaps, axis=1, initial=np.inf), initial=0.0))
     if any(abs(abs(r) - 1) < mp.mpf("1e-15") for r in roots):
         raise SynthesisError("remainder has a zero on the circle off the grid")
     selected = [r for r in roots if abs(r) < 1]
@@ -347,11 +392,13 @@ def _complete(pair: LaurentPair):
     d = {jj: mp.re(G.get(jj, 0) + G.get(-jj, 0)) for jj in range(1, L + 1, 2)}
     c = {jj: mp.re(G.get(jj, 0) - G.get(-jj, 0)) for jj in range(1, L + 1, 2)}
     return c, d, {"grid_zeros": 2 * q, "quotient_degree": qdeg,
-                  "division_remainder": leftover}
+                  "division_remainder": leftover, "root_seed_dev": seed_dev}
 
 
 def _peel_angles(pair: LaurentPair, c, d):
     """Factor the matrix Laurent polynomial into XY-plane rotation layers."""
+    import mpmath as mp
+
     L = pair.degree
     a, b = pair.a_exact, pair.b_exact
     E: dict[int, list[list[mp.mpc]]] = {}
@@ -428,6 +475,8 @@ def _peel_angles(pair: LaurentPair, c, d):
 
 def complete_and_extract_angles(pair: LaurentPair) -> QspAngles:
     """Unitary completion plus angle extraction, verified on a dense circle grid."""
+    import mpmath as mp
+
     with mp.workdps(SYNTHESIS_DPS):
         feas = pair.min_remainder()
         if feas < -1e-12:

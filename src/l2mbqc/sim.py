@@ -7,7 +7,8 @@ order.  The sampler and the exact DP run on one bond-2 chain for GHZ
 states, 1D clusters and composites of those, whose right-canonical tensors
 need no environment.  The side processor sends each qubit one setting bit,
 so a sweep first tabulates each site's four (setting, outcome) projections
-of its tensor.  One step (``_branches``) measures a site on a stack of bond
+of its tensor, and the input parities P.x of each distinct input mask, which
+many sites share.  One step (``_branches``) measures a site on a stack of bond
 factors by one matrix product with its table entry and a gather on (state,
 setting), returning both outcome branches and their weights and checking
 that those weights sum to the state's weight:
@@ -62,13 +63,21 @@ def _row_parity(outcomes: np.ndarray, qids) -> np.ndarray:
     return np.bitwise_xor.reduce(outcomes[rows], axis=0)
 
 
-def setting_bits(q: QubitSpec, xs, adapt) -> np.ndarray:
+def input_parities(qubits, xs) -> dict[int, np.ndarray]:
+    """The input parities P.x of each distinct ``p_mask`` among qubits, for
+    the packed inputs xs.  They depend only on the mask and the inputs, so a
+    sweep computes them once, not once per site."""
+    xs = np.asarray(xs, dtype=np.int64)
+    return {m: parity(m & xs) for m in {q.p_mask for q in qubits}}
+
+
+def setting_bits(q: QubitSpec, px: dict[int, np.ndarray], adapt) -> np.ndarray:
     """Setting bit P.x xor A.m of qubit q for every batch row.
 
-    ``xs`` holds one packed input per row and ``adapt`` the parity A.m of
-    the row's outcomes on ``q.a_ids``.
+    ``px`` holds the rows' input parities by mask (``input_parities``) and
+    ``adapt`` the parity A.m of the row's outcomes on ``q.a_ids``.
     """
-    return parity(q.p_mask & np.asarray(xs)) ^ adapt
+    return px[q.p_mask] ^ adapt
 
 
 def output_bits(s: MeasurementSchedule, outcomes: np.ndarray) -> np.ndarray:
@@ -254,12 +263,13 @@ def _drive(s: MeasurementSchedule, xs: np.ndarray, rng,
     ``chain_sample``) and the largest dense-chain marginal gap.
     """
     qubits, _, vectors, kernels = _site_table(s)
+    px = input_parities(qubits, xs)
     rows = np.arange(len(xs))
     outcomes = np.zeros((s.n_qubits + 1, len(xs)), dtype=np.uint8)
     F = np.zeros((len(xs), 1, 2), dtype=complex) + (1, 0)
     gap = 0.0
     for q, K, V in zip(qubits, kernels, vectors):
-        setting = setting_bits(q, xs, _row_parity(outcomes, q.a_ids))
+        setting = setting_bits(q, px, _row_parity(outcomes, q.a_ids))
         B, w, _ = _branches(F, K, setting)
         p = w if dense is None else np.column_stack(
             dense.marginal(q.id, V[setting, 0], V[setting, 1]))
@@ -301,9 +311,10 @@ def run_shot(s: MeasurementSchedule, x,
     return {qid: int(v[0]) for qid, v in outcomes.items()}, int(y[0])
 
 
-def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, result):
+def _walk(eng: DenseEngine, order, px, outcomes, weight: float, result):
     """Depth-first over outcome branches; adds leaf weights to result.
-    ``order`` pairs the unmeasured qubits with their site-table vectors."""
+    ``order`` pairs the unmeasured qubits with their site-table vectors and
+    ``px`` holds the input parities (``input_parities``)."""
     if weight <= 1e-300:
         return
     if not order:
@@ -311,14 +322,14 @@ def _walk(eng: DenseEngine, order, xs, outcomes, weight: float, result):
         result[k] = result.get(k, 0.0) + weight
         return
     q, V = order[0]
-    v = V[setting_bits(q, xs, _row_parity(outcomes, q.a_ids))]
+    v = V[setting_bits(q, px, _row_parity(outcomes, q.a_ids))]
     for out, p in enumerate(eng.marginal(q.id, v[:, 0], v[:, 1])):
         if p[0] <= 1e-300:
             continue
         sub = eng.copy()
         sub.project(q.id, v[:, out], p)
         outcomes[q.id] = out
-        _walk(sub, order[1:], xs, outcomes, weight * float(p[0]), result)
+        _walk(sub, order[1:], px, outcomes, weight * float(p[0]), result)
 
 
 def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], float]:
@@ -333,8 +344,8 @@ def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], floa
     outcomes = np.zeros((s.n_qubits + 1, 1), dtype=np.uint8)
     result: dict = {}
     qubits, _, vectors, _ = _site_table(s)
-    _walk(DenseEngine(s.resource), list(zip(qubits, vectors)), xs, outcomes,
-          1.0, result)
+    _walk(DenseEngine(s.resource), list(zip(qubits, vectors)),
+          input_parities(qubits, xs), outcomes, 1.0, result)
     return result
 
 
@@ -385,11 +396,12 @@ def exact_distributions(s: MeasurementSchedule, xs) -> list[OutputDistribution]:
     F = np.zeros((len(xs), 1, 1, 2), dtype=complex) + (1, 0)
     peak, dev = 1, 0.0
     qubits, _, _, kernels = _site_table(s)
+    px = input_parities(qubits, xs[:, None])
     for q, kernel in zip(qubits, kernels):
         n, K, k, l = F.shape
         bits = np.array([(key >> q.id) & 1 for key in keys], dtype=np.int64)
         B, w, gap = _branches(F.reshape(n * K, k, l), kernel,
-                              setting_bits(q, xs[:, None], bits).reshape(-1))
+                              setting_bits(q, px, bits).reshape(-1))
         dev = max(dev, gap)
         r = B.shape[-1]
         alive = w.reshape(n, K, 2) > 1e-300
@@ -447,8 +459,9 @@ def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     ghz_chain = s.resource.kind == "ghz"
     qubits, angles, _, _ = _site_table(s)
+    px = input_parities(qubits, xs)
     return rotation_product([("X" if ghz_chain or q.id % 2 else "Z",
-                              a[setting_bits(q, xs, 0)])
+                              a[setting_bits(q, px, 0)])
                              for q, a in zip(qubits, angles)])
 
 

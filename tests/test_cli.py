@@ -83,6 +83,7 @@ class TestQsp:
         assert float(payload["worst_failure"]) < 1e-9
         assert payload["stats"]["grid_zeros"] == 6
         assert payload["stats"]["quotient_degree"] == 4
+        assert payload["stats"]["root_seed_dev"] < 1e-8
 
     def test_phase_report_identity(self, capsys):
         code, out, _ = run_cli(capsys, "qsp", "--p", "3", "--phi", "0",
@@ -223,6 +224,28 @@ class TestCompileSimulate:
             input="[]", capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr == "error: schedule JSON must be an object, got []\n"
+
+    def test_schedule_commands_never_load_mpmath(self):
+        # only angle synthesis needs mpmath; importing the CLI and a
+        # compile | simulate round on a fixed-angle protocol must not load it
+        src = pathlib.Path(l2mbqc.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import l2mbqc.cli as cli",
+            "assert 'mpmath' not in sys.modules, 'loaded by import'",
+            "out = io.StringIO()",
+            "with contextlib.redirect_stdout(out):",
+            "    assert cli.main(['compile', '--protocol', 'mod3',",
+            "                     '--n', '3']) == 0",
+            "sys.stdin = io.StringIO(out.getvalue())",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['simulate', '--all']) == 0",
+            "assert 'mpmath' not in sys.modules, 'loaded by the round'",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_library_equivalence(self, capsys, tmp_path):
         # the CLI is a thin shell: emitted JSON equals the library's output

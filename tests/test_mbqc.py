@@ -176,7 +176,8 @@ class TestScheduleModel:
         q = QubitSpec(2, 2, XYBasis(0.5, bias=1, offset=0.5), p_mask=1,
                       a_ids=frozenset({1}))
         outcomes = np.array([[0, 0, 0], [0, 0, 1]], dtype=np.uint8)
-        setting = sim.setting_bits(q, [1, 0, 1], outcomes[1])
+        px = sim.input_parities([q], [1, 0, 1])
+        setting = sim.setting_bits(q, px, outcomes[1])
         assert setting.tolist() == [1, 0, 0]
         s = MeasurementSchedule(cluster1d(2), 1,
                                 (QubitSpec(1, 1, XYBasis(0.2)), q),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -110,13 +111,17 @@ def _remainder_degree(pair):
 
 
 class TestGridZeroDivision:
-    @pytest.mark.parametrize("p", [3, 5, 7, 9])
+    @pytest.mark.parametrize("p", [3, 5, 7, 9, 11, 13])
     def test_mod_p_certificate(self, p, modp_angles):
-        stats = modp_angles[p].stats
+        angles = (modp_angles[p] if p in modp_angles
+                  else qsp.synthesize_mod_p(p, 0))
+        stats = angles.stats
         deg = _remainder_degree(solve_mod_p_coeffs(p, 0))
         assert stats["division_remainder"] < qsp.COMPLETION_TOL
         assert stats["grid_zeros"] == 2 * p
         assert stats["quotient_degree"] == 2 * deg - 2 * p
+        # the float seeds land next to every polished root
+        assert stats["root_seed_dev"] < 1e-8
         if p == 7:
             assert stats["quotient_degree"] == 12
 
@@ -148,6 +153,22 @@ class TestGridZeroDivision:
         qsp.synthesize_symmetric([0, 0, 0], 2)
         assert degrees == []
 
+    @pytest.mark.parametrize("bad_seeds", [
+        lambda coeffs: np.full(len(coeffs) - 1, np.nan + 0j),
+        lambda coeffs: np.full(len(coeffs) - 1, 0.3 + 0.2j),
+    ], ids=["nan", "all-equal"])
+    def test_root_seeds_change_speed_only(self, monkeypatch, bad_seeds):
+        # useless starting points cost polish steps, never a different root
+        builds = [lambda: qsp.synthesize_mod_p(5, 2),
+                  lambda: qsp.synthesize_symmetric([0, 1, 0], 2)]
+        seeded = [build() for build in builds]
+        monkeypatch.setattr(qsp, "_seed_roots", bad_seeds)
+        for build, good in zip(builds, seeded):
+            angles = build()
+            assert [x.hex() for x in angles.xi] == [x.hex() for x in good.xi]
+            assert angles.residual == good.residual
+            assert angles.stats["root_seed_dev"] > 1e-3
+
     def test_angles_match_pinned_values(self, modp_angles, symmetric_angles):
         # values from before the grid zeros were divided out
         np.testing.assert_allclose(modp_angles[5].xi, [
@@ -168,6 +189,42 @@ class TestGridZeroDivision:
         assert pair.min_remainder() > 0
         with pytest.raises(SynthesisError, match="grid zeros"):
             complete_and_extract_angles(pair)
+
+
+def _angle_digest(angles_list):
+    """sha256 of the hex angles and certificate residuals, one line a set."""
+    keys = ("interp_residual", "division_remainder", "reconstruction_residual")
+    h = hashlib.sha256()
+    for a in angles_list:
+        words = [x.hex() for x in a.xi] + [float(a.stats[k]).hex() for k in keys]
+        h.update(" ".join(words).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _profiles(n):
+    return [[0, *bits] for bits in itertools.product((0, 1), repeat=n)]
+
+
+class TestPinnedAngles:
+    # the synthesized angles are part of the reproducibility contract: a
+    # faster root finder or solver must give the same floats bit for bit
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: [qsp.synthesize_mod_p(3, j) for j in range(3)],
+         "f4c4d2e2dbd86bef2558a91541f66d5c9c4430b6bc3af9e9f5cde734b484f96b"),
+        (lambda: [qsp.synthesize_mod_p(5, j) for j in range(5)],
+         "658f4515b6a391712e8e8bcb85408e89a6fdaf5e9b32a9532534b5c5ef68fcaf"),
+        (lambda: [qsp.synthesize_mod_p(7, j) for j in range(7)],
+         "46e444ac26adb3ffe70938203432f3ce3acb768adc087deb7717afa785011954"),
+        (lambda: [qsp.synthesize_mod_p(p, 0) for p in (9, 11, 13)],
+         "3197e011891da807a20074a99791a1cd41e25b4fd7c00eae44211c0b86ebb706"),
+        (lambda: [qsp.synthesize_symmetric(f, 2) for f in _profiles(2)],
+         "281ed477395f355e9e467f436dfd85f653481dd7313cb0544f0f3d48e18a3311"),
+        (lambda: [qsp.synthesize_symmetric(f, 3) for f in _profiles(3)],
+         "abafc123d3b82449942664ce0ad87260318a3825b9484c1910841a06506b25af"),
+    ], ids=["p3-all-j", "p5-all-j", "p7-all-j", "p9-11-13", "profiles-n2",
+            "profiles-n3"])
+    def test_pinned_angle_digests(self, build, digest):
+        assert _angle_digest(build()) == digest
 
 
 class TestCompletion:

@@ -663,6 +663,24 @@ class TestSiteTable:
         sweep(s)
         assert shapes == [(s.n_qubits, 2)]
 
+    @pytest.mark.parametrize("sweep", [
+        lambda s: chain_sample(s, np.arange(320) % 32,
+                               np.random.default_rng(0)),
+        lambda s: exact_distributions(s, range(32)),
+        lambda s: sim.effective_unitaries(s, range(32)),
+    ])
+    def test_input_parities_once_per_mask(self, monkeypatch, sweep):
+        # P.x depends only on the mask and the inputs: one parity pass per
+        # distinct mask, however many sites share it
+        s = mbqc.modp_protocol(7, 0, 5, qsp.reference_angles(7))
+        masks = []
+        parity = sim.parity
+        monkeypatch.setattr(sim, "parity",
+                            lambda v: masks.append(v) or parity(v))
+        sweep(s)
+        distinct = {q.p_mask for q in s.qubits}
+        assert len(masks) == len(distinct) < s.n_qubits
+
 
 class TestBasisVectors:
     def test_eigenvector_convention(self):
