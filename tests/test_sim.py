@@ -673,13 +673,13 @@ class TestSiteTable:
         # P.x depends only on the mask and the inputs: one parity pass per
         # distinct mask, however many sites share it
         s = mbqc.modp_protocol(7, 0, 5, qsp.reference_angles(7))
-        masks = []
+        calls = []
         parity = sim.parity
         monkeypatch.setattr(sim, "parity",
-                            lambda v: masks.append(v) or parity(v))
+                            lambda v: calls.append(v) or parity(v))
         sweep(s)
         distinct = {q.p_mask for q in s.qubits}
-        assert len(masks) == len(distinct) < s.n_qubits
+        assert len(calls) == len(distinct) < s.n_qubits
 
 
 class TestBasisVectors:
