@@ -207,6 +207,14 @@ def _target_function(s: mbqc.MeasurementSchedule, spec: str | None):
             raise ValueError("schedule meta of a modp_protocol needs integer "
                              "p and j; pass --fn")
         return boolean.mod_p(p, j, s.arity)
+    if builder == "qsp_symmetric_protocol":
+        profile = meta.get("profile")
+        if not (isinstance(profile, str) and len(profile) == s.arity + 1
+                and re.fullmatch(r"[01]*", profile)):
+            raise ValueError(f"schedule meta.profile of a qsp_symmetric_protocol "
+                             f"must be a string of arity + 1 = {s.arity + 1} "
+                             f"bits, got {profile!r:.60}; pass --fn")
+        return boolean.from_profile([int(ch) for ch in profile], s.arity)
     if builder == "or_protocol":
         return boolean.or_n(s.arity)
     raise ValueError("cannot infer the target function; pass --fn")

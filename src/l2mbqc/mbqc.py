@@ -478,29 +478,38 @@ def mod3_protocol(n: int) -> MeasurementSchedule:
                    meta={"builder": "mod3_protocol", "n": n})
 
 
-def modp_protocol(p: int, j: int, n: int, angles: QspAngles) -> MeasurementSchedule:
-    """Constant-round cluster protocol for the weight-mod-p functions.
+def _weight_protocol(prog: OneQubitProgram, q: int, l_c: int,
+                     meta: dict) -> MeasurementSchedule:
+    """Cluster schedule of a QSP weight program on the grid of period q.
 
     One global round of Pauli-X spacers, then alternating block rounds:
-    (4p-2)(n+1) - 1 qubits and 4p-2 rounds for any input size.
+    (4q-2)(n+1) - 1 qubits and at most 4q-2 rounds.  A block whose angle is
+    a multiple of pi (a residue rotation of 2*pi, the 0/pi padding of a
+    deflated target) is measured in round 1, which can leave fewer rounds.
     """
-    s = compile_to_cluster(build_qsp_program(p, j, n, angles))
-    assert s.n_qubits == (4 * p - 2) * (n + 1) - 1
+    s = compile_to_cluster(prog)
+    assert s.n_qubits == (4 * q - 2) * (prog.n + 1) - 1
     rep = resources(s)
-    assert rep.t_c == 4 * p - 2, rep
-    return replace(s, declared_l_c=n + 2,
-                   meta={"builder": "modp_protocol", "p": p, "j": j, "n": n})
+    assert rep.t_c <= 4 * q - 2, rep
+    return replace(s, declared_l_c=l_c, meta=meta)
+
+
+def modp_protocol(p: int, j: int, n: int, angles: QspAngles) -> MeasurementSchedule:
+    """Constant-round cluster protocol for the weight-mod-p functions:
+    (4p-2)(n+1) - 1 qubits and at most 4p-2 rounds for any input size."""
+    return _weight_protocol(build_qsp_program(p, j, n, angles), p, n + 2,
+                            {"builder": "modp_protocol", "p": p, "j": j, "n": n})
 
 
 def qsp_symmetric_protocol(f: BooleanFunction, n: int,
                            angles: QspAngles) -> MeasurementSchedule:
-    """Cluster protocol for an arbitrary symmetric function, 8n+2 rounds."""
-    s = compile_to_cluster(build_symmetric_program(f, n, angles))
-    assert s.n_qubits == 8 * n * n + 10 * n + 1
-    rep = resources(s)
-    assert rep.t_c == 8 * n + 2, rep
-    return replace(s, declared_l_c=n,
-                   meta={"builder": "qsp_symmetric_protocol", "n": n})
+    """Cluster protocol for an arbitrary symmetric function, at most 8n+2
+    rounds.  The meta records the weight profile f(0)..f(n) as a bit string."""
+    prog = build_symmetric_program(f, n, angles)
+    profile = "".join(str(v) for v in f.symmetric_profile)
+    return _weight_protocol(prog, 2 * n + 1, n,
+                            {"builder": "qsp_symmetric_protocol", "n": n,
+                             "profile": profile})
 
 
 def or_protocol(n: int) -> MeasurementSchedule:

@@ -166,33 +166,43 @@ def build_mod3_clifford(n: int) -> OneQubitProgram:
                                  "builder": "mod3_clifford"})
 
 
+def _weight_program(n: int, angles: QspAngles, shift: int, flip: int,
+                    meta: dict) -> OneQubitProgram:
+    """QSP weight program: 2q-1 blocks rotating by 4*pi*(|x| - shift)/q about
+    X between the axis changes, q = ``angles.grid_period``.
+
+    Each block is n conditioned gates plus, for a nonzero shift, one
+    unconditioned offset rotation.
+    """
+    step = 4 * math.pi / angles.grid_period
+    L = angles.length
+    gates: list[Gate] = [Gate("Z", angles.xi[0])]
+    for mu in range(L):
+        if shift:
+            gates.append(Gate("X", -step * shift))
+        gates += [Gate("X", step, Condition("select", 1 << k)) for k in range(n)]
+        if mu < L - 1:
+            gates.append(Gate("Z", angles.xi[mu + 1] - angles.xi[mu]))
+    gates.append(Gate("Z", -angles.xi[L - 1]))
+    return OneQubitProgram(n, tuple(gates), flip_output=flip, meta=meta)
+
+
 def build_qsp_program(p: int, j: int, n: int, angles: QspAngles) -> OneQubitProgram:
     """Phase-processed weight-counting program from verified angles.
 
-    Blocks rotate by 4*pi*(|x| - j)/p about X between axis changes; for
-    j = 0 the gate count is exactly (2p-1)n + 2p, and a nonzero residue adds
-    one unconditioned offset rotation per block.
+    The weight program at q = p shifted by the residue j: for j = 0 the gate
+    count is exactly (2p-1)n + 2p, and a nonzero residue adds one
+    unconditioned offset rotation per block.
     """
+    if n < 1:
+        raise ValueError("n >= 1")
     if angles.grid_period != p or angles.length != 2 * p - 1:
         raise ValueError("angles do not match the requested modulus")
     worst = verify_qsp(angles, p, j, max(n, p))
     if worst > FAILURE_TOL_OWN:
         raise ValueError(f"angles fail verification ({worst:.2e})")
-    step = 4 * math.pi / p
-    L = angles.length
-    gates: list[Gate] = [Gate("Z", angles.xi[0])]
-    for mu in range(L):
-        if j:
-            gates.append(Gate("X", -step * j))
-        gates += [Gate("X", step, Condition("select", 1 << k)) for k in range(n)]
-        if mu < L - 1:
-            gates.append(Gate("Z", angles.xi[mu + 1] - angles.xi[mu]))
-    gates.append(Gate("Z", -angles.xi[L - 1]))
-    expected = (2 * p - 1) * n + 2 * p + (L if j else 0)
-    prog = OneQubitProgram(n, tuple(gates),
-                           meta={"builder": "qsp_mod_p", "p": p, "j": j})
-    assert prog.gate_count == expected
-    return prog
+    return _weight_program(n, angles, j, 0,
+                           {"builder": "qsp_mod_p", "p": p, "j": j})
 
 
 def build_symmetric_program(f: BooleanFunction, n: int,
@@ -205,26 +215,15 @@ def build_symmetric_program(f: BooleanFunction, n: int,
     """
     if not f.is_symmetric or f.n != n:
         raise ValueError("need a symmetric function of matching arity")
-    q = 2 * n + 1
-    if angles.grid_period != q or angles.length != 4 * n + 1:
+    if angles.grid_period != 2 * n + 1 or angles.length != 4 * n + 1:
         raise ValueError("angles do not match this arity")
     profile, f0 = f.zero_anchored_profile()
     worst = verify_symmetric(angles, profile)
     if worst > FAILURE_TOL_OWN:
         raise ValueError(f"angles fail verification ({worst:.2e})")
-    step = 4 * math.pi / q
-    L = angles.length
-    gates: list[Gate] = [Gate("Z", angles.xi[0])]
-    for mu in range(L):
-        gates += [Gate("X", step, Condition("select", 1 << k)) for k in range(n)]
-        if mu < L - 1:
-            gates.append(Gate("Z", angles.xi[mu + 1] - angles.xi[mu]))
-    gates.append(Gate("Z", -angles.xi[L - 1]))
-    prog = OneQubitProgram(n, tuple(gates), flip_output=f0,
-                           meta={"builder": "qsp_symmetric",
-                                 "profile": list(f.symmetric_profile)})
-    assert prog.gate_count == 4 * n * n + 5 * n + 2
-    return prog
+    return _weight_program(n, angles, 0, f0,
+                           {"builder": "qsp_symmetric",
+                            "profile": list(f.symmetric_profile)})
 
 
 def build_commuting_program(d) -> OneQubitProgram:

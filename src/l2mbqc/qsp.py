@@ -13,10 +13,10 @@ three exact stages, all in extended precision:
 3. extract the rotation angles by peeling rank-one projector factors off
    the matrix Laurent polynomial.
 
-The grid is phi_w = 4*pi*w/q with an odd period q: q = p for the
-weight-counting functions (L = 2p-1) and q = 2n+1 for a general symmetric
-profile (L = 4n+1).  Both the truth table and the series have period q in
-the weight, which is what makes the reduced system square.
+The grid is phi_w = 4*pi*w/q with an odd period q and L = 2q-1: q = 2n+1
+for a symmetric profile on n bits, and the weight-counting functions are
+the profile 0 1 ... 1 at q = p.  Both the truth table and the series have
+period q in the weight, which is what makes the reduced system square.
 
 mpmath is imported inside the synthesis functions, so that loading the
 package (and the simulator, which needs only the float rotation helpers)
@@ -153,28 +153,20 @@ def _interp_system(q: int, avals, bvals):
     harms = [2 * j + 1 for j in range(q)]
     grids = [4 * mp.pi * w / q for w in range(half + 1)]
 
-    rows, rhs = [], []
-    for w in range(half + 1):
-        rows.append([mp.cos(h * grids[w] / 2) for h in harms])
-        rhs.append(avals[w])
-    for w in range(1, half + 1):
-        rows.append([h * mp.sin(h * grids[w] / 2) for h in harms])
-        rhs.append(0)
-    a_sol = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-    res_a = mp.norm(mp.matrix(rows) * a_sol - mp.matrix(rhs))
+    def solve(value, slope, values, first):
+        # value rows on w = first..half, zero-slope rows on the other grid
+        rows = [[value(h * grids[w] / 2) for h in harms]
+                for w in range(first, half + 1)]
+        rows += [[h * slope(h * grids[w] / 2) for h in harms]
+                 for w in range(1 - first, half + 1)]
+        M = mp.matrix(rows)
+        rhs = mp.matrix([values[w] for w in range(first, half + 1)]
+                        + [0] * (half + first))
+        sol = mp.lu_solve(M, rhs)
+        return {h: sol[c] for c, h in enumerate(harms)}, mp.norm(M * sol - rhs)
 
-    rows, rhs = [], []
-    for w in range(1, half + 1):
-        rows.append([mp.sin(h * grids[w] / 2) for h in harms])
-        rhs.append(bvals[w])
-    for w in range(half + 1):
-        rows.append([h * mp.cos(h * grids[w] / 2) for h in harms])
-        rhs.append(0)
-    b_sol = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-    res_b = mp.norm(mp.matrix(rows) * b_sol - mp.matrix(rhs))
-
-    a = {h: a_sol[c] for c, h in enumerate(harms)}
-    b = {h: b_sol[c] for c, h in enumerate(harms)}
+    a, res_a = solve(mp.cos, mp.sin, avals, 0)
+    b, res_b = solve(mp.sin, mp.cos, bvals, 1)
     return a, b, float(res_a + res_b)
 
 
@@ -209,17 +201,17 @@ def _make_pair(q: int, values: list[int], target_desc: tuple[int, ...]) -> Laure
 def solve_mod_p_coeffs(p: int, j: int = 0) -> LaurentPair:
     """Series of degree 2p-1 whose measured bit is the weight-mod-p indicator.
 
-    The interpolation targets are residue-independent; j enters later as a
-    constant shift of the rotation phase (the truth table is invariant under
-    weight shifts by p, so shifting the phase grid re-aims the same series).
+    This is the symmetric construction at q = p: the profile 0 1 ... 1 over
+    weights 0..(p-1)/2.  The residue j enters later as a constant shift of
+    the rotation phase (the truth table is invariant under weight shifts by
+    p, so shifting the phase grid re-aims the same series).
     """
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd integer >= 3")
     if not 0 <= j < p:
         raise ValueError("j out of range")
     half = (p - 1) // 2
-    values = [0] + [1] * half  # A = delta_{w,0}, B = 1 - delta on the half grid
-    return _make_pair(p, values, tuple(values))
+    return solve_symmetric_coeffs([0] + [1] * half, half)
 
 
 def solve_symmetric_coeffs(profile, n: int) -> LaurentPair:
@@ -396,76 +388,56 @@ def _complete(pair: LaurentPair):
 
 
 def _peel_angles(pair: LaurentPair, c, d):
-    """Factor the matrix Laurent polynomial into XY-plane rotation layers."""
+    """Factor the matrix Laurent polynomial into XY-plane rotation layers.
+
+    ``E[i]`` is the 2x2 coefficient of z^(2i - m) for the current degree m,
+    kept as an object array of ``mpc``; each layer multiplies the stack
+    by the projector pair (P, Q) of its rotation axis.
+    """
     import mpmath as mp
 
     L = pair.degree
     a, b = pair.a_exact, pair.b_exact
-    E: dict[int, list[list[mp.mpc]]] = {}
+    E = np.empty((L + 1, 2, 2), dtype=object)
+    mirror = np.array([[1, -1], [-1, 1]])  # z^-j: off-diagonals negated
     for jj in range(1, L + 1, 2):
-        aj = a.get(jj, mp.mpf(0))
-        bj = b.get(jj, mp.mpf(0))
-        cj = c.get(jj, mp.mpf(0))
-        dj = d.get(jj, mp.mpf(0))
-        E[jj] = [[(aj + 1j * dj) / 2, (bj - 1j * cj) / 2],
-                 [(bj + 1j * cj) / 2, (aj - 1j * dj) / 2]]
-        E[-jj] = [[(aj + 1j * dj) / 2, -(bj - 1j * cj) / 2],
-                  [-(bj + 1j * cj) / 2, (aj - 1j * dj) / 2]]
+        aj, bj, cj, dj = (cs.get(jj, mp.mpf(0)) for cs in (a, b, c, d))
+        E[(L + jj) // 2] = np.array([[aj + 1j * dj, bj - 1j * cj],
+                                     [bj + 1j * cj, aj - 1j * dj]],
+                                    dtype=object) / 2
+        E[(L - jj) // 2] = E[(L + jj) // 2] * mirror
 
-    def mul(A, B):
-        return [[A[0][0] * B[0][0] + A[0][1] * B[1][0],
-                 A[0][0] * B[0][1] + A[0][1] * B[1][1]],
-                [A[1][0] * B[0][0] + A[1][1] * B[1][0],
-                 A[1][0] * B[0][1] + A[1][1] * B[1][1]]]
-
-    def add(A, B):
-        return [[A[i][jx] + B[i][jx] for jx in range(2)] for i in range(2)]
-
-    zero = [[mp.mpc(0), mp.mpc(0)], [mp.mpc(0), mp.mpc(0)]]
     tiny = mp.mpf(10) ** (-SYNTHESIS_DPS + 12)
     # deflated targets factor into fewer genuine layers; identity pairs of
     # opposed axes pad the sequence back to the declared rotation count
-    eff = max((abs(e) for e, M in E.items()
-               if max(abs(M[i][j]) for i in range(2) for j in range(2)) > tiny),
-              default=0)
+    eff = max((abs(2 * i - L) for i, M in enumerate(E)
+               if max(abs(x) for x in M.flat) > tiny), default=0)
     if (L - eff) % 2:
         raise SynthesisError("degree deflation changed parity")
-    E = {e: M for e, M in E.items() if abs(e) <= eff}
+    E = E[(L - eff) // 2:(L + eff) // 2 + 1]
     xis = []
     for m in range(eff, 0, -1):
-        Cm = E[m]
-        if abs(Cm[0][0]) + abs(Cm[0][1]) > abs(Cm[1][0]) + abs(Cm[1][1]):
-            v = (-Cm[0][1], Cm[0][0])
+        Cm = E[-1]
+        if abs(Cm[0, 0]) + abs(Cm[0, 1]) > abs(Cm[1, 0]) + abs(Cm[1, 1]):
+            v = (-Cm[0, 1], Cm[0, 0])
         else:
-            v = (-Cm[1][1], Cm[1][0])
+            v = (-Cm[1, 1], Cm[1, 0])
         nv = mp.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
         if nv < mp.mpf("1e-30"):
             raise SynthesisError(f"vanishing leading coefficient at degree {m}")
         v = (v[0] / nv, v[1] / nv)
         if abs(abs(v[0]) ** 2 - mp.mpf("0.5")) > mp.mpf("1e-18"):
             raise SynthesisError("rotation axis left the XY plane during peeling")
-        Q = [[v[0] * mp.conj(v[0]), v[0] * mp.conj(v[1])],
-             [v[1] * mp.conj(v[0]), v[1] * mp.conj(v[1])]]
-        P = [[1 - Q[0][0], -Q[0][1]], [-Q[1][0], 1 - Q[1][1]]]
-        xis.append(-mp.arg(2 * Q[0][1]))
-        En = {}
-        for e in range(-(m + 1), m + 2):
-            if (e - (m - 1)) % 2:
-                continue
-            t = zero
-            if (e + 1) in E:
-                t = add(t, mul(E[e + 1], P))
-            if (e - 1) in E:
-                t = add(t, mul(E[e - 1], Q))
-            if abs(e) > m - 1:
-                resid = max(abs(t[i][jx]) for i in range(2) for jx in range(2))
-                if resid > mp.mpf("1e-18"):
-                    raise SynthesisError(f"peel residue {float(resid):.1e} at degree {m}")
-            else:
-                En[e] = t
-        E = En
-    E0 = E[0]
-    dev = max(abs(E0[i][jx] - (1 if i == jx else 0)) for i in range(2) for jx in range(2))
+        Q = np.outer(v, [mp.conj(x) for x in v])
+        P = np.eye(2, dtype=object) - Q
+        xis.append(-mp.arg(2 * Q[0, 1]))
+        # the layer must clear z^(-m-1) and z^(m+1) exactly
+        for end in (E[0] @ P, E[-1] @ Q):
+            resid = max(abs(x) for x in end.flat)
+            if resid > mp.mpf("1e-18"):
+                raise SynthesisError(f"peel residue {float(resid):.1e} at degree {m}")
+        E = E[1:] @ P + E[:-1] @ Q
+    dev = max(abs(x) for x in (E[0] - np.eye(2)).flat)
     if dev > mp.mpf("1e-18"):
         raise SynthesisError("nonidentity residual layer after peeling")
     out = list(reversed(xis))

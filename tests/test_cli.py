@@ -200,6 +200,28 @@ class TestCompileSimulate:
                                "--all")
         assert code == 1 and "integer p and j" in err
 
+    def test_symmetric_pipe_infers_the_target(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "compile", "--protocol", "symmetric",
+                               "--fn", "mod3", "--n", "3")
+        assert code == 0 and json.loads(out)["meta"]["profile"] == "0110"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, err = run_cli(capsys, "simulate", "--all", "--shots", "10",
+                                 "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["min_analytic"] > 1 - 1e-9
+
+    @pytest.mark.parametrize("profile", [
+        None, "011", "01100", "01a0", " 0110", 110, [0, 1, 1, 0]])
+    def test_malformed_profile_meta_exits_1(self, capsys, tmp_path, profile):
+        obj = json.loads(mbqc.mod3_protocol(3).to_json())
+        obj["meta"] = {"builder": "qsp_symmetric_protocol", "n": 3}
+        if profile is not None:
+            obj["meta"]["profile"] = profile
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert_one_error_line(*run_main("simulate", "--schedule", str(path),
+                                         "--all"), "meta.profile")
+
     def test_oversized_arity_exits_1(self, capsys, tmp_path):
         # inputs are packed into int64, so a 70-bit input cannot be run
         obj = json.loads(mbqc.mod3_protocol(1).to_json())
@@ -270,6 +292,25 @@ def assert_one_error_line(code, out, err, flag):
 
 
 VALID_SPEC = re.compile(r"and|or|parity|c2|const[01]|mod[0-9]+(:[0-9]+)?")
+
+
+# edge sizes of the weight protocols: an input size below one, the residue
+# past (p+1)/2, and the constant profiles
+EDGE_COMPILES = (
+    [("modp", "--p", str(p), "--j", str(j), "--n", str(n))
+     for p in (3, 5) for j in (0, (p + 1) // 2) for n in (-1, 0, 1, 2)]
+    + [("symmetric", "--fn", fn, "--n", str(n))
+       for fn in ("const0", "const1") for n in (-1, 0, 1, 2)])
+
+
+@pytest.mark.parametrize("args", EDGE_COMPILES, ids=" ".join)
+def test_weight_protocol_edge_sizes_exit_cleanly(args):
+    code, out, err = run_main("compile", "--protocol", *args)
+    assert "Traceback" not in err
+    if code == 1:
+        assert_one_error_line(code, out, err, "")
+    else:
+        assert code == 0 and json.loads(out)["l_c"] is not None
 
 
 class TestInputHardening:

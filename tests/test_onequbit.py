@@ -80,6 +80,15 @@ class TestQspProgram:
         ref = reference_angles(3)
         assert build_qsp_program(3, 0, 4, ref).gate_count == 5 * 4 + 6
 
+    def test_residue_adds_one_offset_per_block(self, modp_angles):
+        # (2p-1)n + 2p gates plus one offset rotation in each of 2p-1 blocks
+        assert build_qsp_program(3, 2, 4, modp_angles[3]).gate_count == 26 + 5
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_arity_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            build_qsp_program(3, 0, n, reference_angles(3))
+
     def test_reference_angles_n2(self):
         prog = build_qsp_program(3, 0, 2, reference_angles(3))
         assert evaluate(prog, "11").deterministic_bit == 1
