@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -191,9 +192,11 @@ class TestGridZeroDivision:
             complete_and_extract_angles(pair)
 
 
-def _angle_digest(angles_list):
+_RESIDUALS = ("interp_residual", "division_remainder")
+
+
+def _angle_digest(angles_list, keys=_RESIDUALS + ("reconstruction_residual",)):
     """sha256 of the hex angles and certificate residuals, one line a set."""
-    keys = ("interp_residual", "division_remainder", "reconstruction_residual")
     h = hashlib.sha256()
     for a in angles_list:
         words = [x.hex() for x in a.xi] + [float(a.stats[k]).hex() for k in keys]
@@ -205,26 +208,59 @@ def _profiles(n):
     return [[0, *bits] for bits in itertools.product((0, 1), repeat=n)]
 
 
+_PINNED_SETS = {
+    "p3-all-j": lambda: [qsp.synthesize_mod_p(3, j) for j in range(3)],
+    "p5-all-j": lambda: [qsp.synthesize_mod_p(5, j) for j in range(5)],
+    "p7-all-j": lambda: [qsp.synthesize_mod_p(7, j) for j in range(7)],
+    "p9-11-13": lambda: [qsp.synthesize_mod_p(p, 0) for p in (9, 11, 13)],
+    "profiles-n2": lambda: [qsp.synthesize_symmetric(f, 2) for f in _profiles(2)],
+    "profiles-n3": lambda: [qsp.synthesize_symmetric(f, 3) for f in _profiles(3)],
+}
+
+
+@functools.cache
+def _pinned_set(name):
+    return _PINNED_SETS[name]()
+
+
+def _pins(digests):
+    return [pytest.param(name, d, id=name) for name, d in digests.items()]
+
+
 class TestPinnedAngles:
     # the synthesized angles are part of the reproducibility contract: a
     # faster root finder or solver must give the same floats bit for bit
-    @pytest.mark.parametrize("build, digest", [
-        (lambda: [qsp.synthesize_mod_p(3, j) for j in range(3)],
-         "f4c4d2e2dbd86bef2558a91541f66d5c9c4430b6bc3af9e9f5cde734b484f96b"),
-        (lambda: [qsp.synthesize_mod_p(5, j) for j in range(5)],
-         "658f4515b6a391712e8e8bcb85408e89a6fdaf5e9b32a9532534b5c5ef68fcaf"),
-        (lambda: [qsp.synthesize_mod_p(7, j) for j in range(7)],
-         "46e444ac26adb3ffe70938203432f3ce3acb768adc087deb7717afa785011954"),
-        (lambda: [qsp.synthesize_mod_p(p, 0) for p in (9, 11, 13)],
-         "3197e011891da807a20074a99791a1cd41e25b4fd7c00eae44211c0b86ebb706"),
-        (lambda: [qsp.synthesize_symmetric(f, 2) for f in _profiles(2)],
-         "281ed477395f355e9e467f436dfd85f653481dd7313cb0544f0f3d48e18a3311"),
-        (lambda: [qsp.synthesize_symmetric(f, 3) for f in _profiles(3)],
-         "abafc123d3b82449942664ce0ad87260318a3825b9484c1910841a06506b25af"),
-    ], ids=["p3-all-j", "p5-all-j", "p7-all-j", "p9-11-13", "profiles-n2",
-            "profiles-n3"])
-    def test_pinned_angle_digests(self, build, digest):
-        assert _angle_digest(build()) == digest
+    @pytest.mark.parametrize("name, digest", _pins({
+        "p3-all-j": "dcd5987346192bc5d3cadcbf095a2d1b7909a0c104edcac62146badb539121d0",
+        "p5-all-j": "6a2c8de153f0992e6c53aefe1258046f6de36ff5835334dada8ec6b3d0871f19",
+        "p7-all-j": "a6a714a82b5115928c82fd162a35a75485448103a68fef58af738ae5214cc1df",
+        "p9-11-13": "2abdc02621934dd069d75d0bc5d78086493785c333c1c99658d3f39e1ea0e9d1",
+        "profiles-n2": "6f58c84b67b5eacbca65d154facc2ed82956f96e5379f980843758f59ef00e92",
+        "profiles-n3": "94edee8b88ea3ce933322f57dee37192945f62565de2c68a842e8d98b7af1459",
+    }))
+    def test_pinned_angles_and_solver_residuals(self, name, digest):
+        assert _angle_digest(_pinned_set(name), _RESIDUALS) == digest
+
+    @pytest.mark.parametrize("name, digest", _pins({
+        "p3-all-j": "f4c4d2e2dbd86bef2558a91541f66d5c9c4430b6bc3af9e9f5cde734b484f96b",
+        "p5-all-j": "658f4515b6a391712e8e8bcb85408e89a6fdaf5e9b32a9532534b5c5ef68fcaf",
+        "p7-all-j": "46e444ac26adb3ffe70938203432f3ce3acb768adc087deb7717afa785011954",
+        "p9-11-13": "3197e011891da807a20074a99791a1cd41e25b4fd7c00eae44211c0b86ebb706",
+        "profiles-n2": "281ed477395f355e9e467f436dfd85f653481dd7313cb0544f0f3d48e18a3311",
+        "profiles-n3": "abafc123d3b82449942664ce0ad87260318a3825b9484c1910841a06506b25af",
+    }))
+    def test_pinned_angle_digests(self, name, digest):
+        # also pins the float reconstruction residual, which follows the
+        # rounding of the rotation-product kernel
+        assert _angle_digest(_pinned_set(name)) == digest
+
+    @pytest.mark.parametrize("p, digest", [
+        (15, "5723a2b8726ca464f66e8b4009308b64c6430c3c83bb0459938ae388beb3eb00"),
+        (17, "53ad5e04936b5c967e98e9198287c8d164d1dcfdd0b439ae6984699887caf959"),
+        (19, "fae82e04a8e59c243ff8a47a233d8f38d6f0324a40c289fe8843e16efe890ecf"),
+    ])
+    def test_pinned_angles_beyond_13(self, p, digest):
+        assert _angle_digest([qsp.synthesize_mod_p(p, 0)], ()) == digest
 
 
 class TestCompletion:
