@@ -391,8 +391,10 @@ def _peel_angles(pair: LaurentPair, c, d):
     """Factor the matrix Laurent polynomial into XY-plane rotation layers.
 
     ``E[i]`` is the 2x2 coefficient of z^(2i - m) for the current degree m,
-    kept as an object array of ``mpc``; each layer multiplies the stack
-    by the projector pair (P, Q) of its rotation axis.
+    kept as an object array of ``mpc``.  A layer's projectors are rank one,
+    Q = v v^H and P = I - Q for the unit axis vector v, so stripping it,
+    E[1:] P + E[:-1] Q, is E[1:] + (E[:-1] - E[1:]) v v^H: one
+    matrix-vector product and one outer product per coefficient.
     """
     import mpmath as mp
 
@@ -425,18 +427,17 @@ def _peel_angles(pair: LaurentPair, c, d):
         nv = mp.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
         if nv < mp.mpf("1e-30"):
             raise SynthesisError(f"vanishing leading coefficient at degree {m}")
-        v = (v[0] / nv, v[1] / nv)
+        v = np.array([v[0] / nv, v[1] / nv], dtype=object)
         if abs(abs(v[0]) ** 2 - mp.mpf("0.5")) > mp.mpf("1e-18"):
             raise SynthesisError("rotation axis left the XY plane during peeling")
-        Q = np.outer(v, [mp.conj(x) for x in v])
-        P = np.eye(2, dtype=object) - Q
-        xis.append(-mp.arg(2 * Q[0, 1]))
+        vh = np.array([mp.conj(x) for x in v], dtype=object)
+        xis.append(-mp.arg(2 * v[0] * vh[1]))
         # the layer must clear z^(-m-1) and z^(m+1) exactly
-        for end in (E[0] @ P, E[-1] @ Q):
+        for end in (E[0] - np.outer(E[0] @ v, vh), np.outer(E[-1] @ v, vh)):
             resid = max(abs(x) for x in end.flat)
             if resid > mp.mpf("1e-18"):
                 raise SynthesisError(f"peel residue {float(resid):.1e} at degree {m}")
-        E = E[1:] @ P + E[:-1] @ Q
+        E = E[1:] + ((E[:-1] - E[1:]) @ v)[:, :, None] * vh
     dev = max(abs(x) for x in (E[0] - np.eye(2)).flat)
     if dev > mp.mpf("1e-18"):
         raise SynthesisError("nonidentity residual layer after peeling")
@@ -479,12 +480,29 @@ def rotation_product(gates) -> np.ndarray:
     ``gates`` lists (axis, angle) pairs in the order they act, axis "X" or
     "Z"; each angle is a scalar or an array of k angles, one per batch
     entry.  With scalar angles only, k = 1.
+
+    Every gate is in SU(2), so the running product is carried as its
+    Cayley-Klein pair (alpha, beta), U = [[alpha, -beta*], [beta, alpha*]].
+    With c = cos(theta/2) and s = sin(theta/2), an X rotation by theta maps
+    the pair to (c alpha - i s beta, -i s alpha + c beta) and a Z rotation
+    to (e^(-i theta/2) alpha, e^(i theta/2) beta).  The matrices are
+    assembled once, at the end.
     """
-    U = _I2[None]
+    alpha, beta = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
     for axis, angle in gates:
-        R = (rot_x if axis == "X" else rot_z)(np.reshape(angle, (-1, 1, 1)))
-        U = R @ U
-    return np.array(U)
+        half = np.reshape(angle, -1) / 2
+        if axis == "X":
+            c, i_s = np.cos(half), 1j * np.sin(half)
+            alpha, beta = c * alpha - i_s * beta, c * beta - i_s * alpha
+        elif axis == "Z":
+            phase = np.exp(-1j * half)
+            alpha, beta = phase * alpha, phase.conj() * beta
+        else:
+            raise ValueError(f"rotation axis must be 'X' or 'Z', got {axis!r}")
+    U = np.empty((len(alpha), 2, 2), dtype=complex)
+    U[:, 0, 0], U[:, 0, 1] = alpha, -beta.conj()
+    U[:, 1, 0], U[:, 1, 1] = beta, alpha.conj()
+    return U
 
 
 def _rotation_product(xi, phis, xi0: float | None = None) -> np.ndarray:

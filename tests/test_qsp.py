@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2mbqc import qsp
 from l2mbqc.qsp import (LaurentPair, QspAngles, SynthesisError,
@@ -243,11 +245,11 @@ class TestPinnedAngles:
 
     @pytest.mark.parametrize("name, digest", _pins({
         "p3-all-j": "f4c4d2e2dbd86bef2558a91541f66d5c9c4430b6bc3af9e9f5cde734b484f96b",
-        "p5-all-j": "658f4515b6a391712e8e8bcb85408e89a6fdaf5e9b32a9532534b5c5ef68fcaf",
-        "p7-all-j": "46e444ac26adb3ffe70938203432f3ce3acb768adc087deb7717afa785011954",
-        "p9-11-13": "3197e011891da807a20074a99791a1cd41e25b4fd7c00eae44211c0b86ebb706",
-        "profiles-n2": "281ed477395f355e9e467f436dfd85f653481dd7313cb0544f0f3d48e18a3311",
-        "profiles-n3": "abafc123d3b82449942664ce0ad87260318a3825b9484c1910841a06506b25af",
+        "p5-all-j": "d4cdc2a749567cbf17e2bb328a34df4da6b9a4ee2305a98ada4bbbc492d1848b",
+        "p7-all-j": "072ba9bc8db9a66877f12c209a0756463b90d501f5f9112043e43073c85a0be4",
+        "p9-11-13": "5798e88f579b05442487f880af47cc9eb921d67fb01bf82109530e893e7267c6",
+        "profiles-n2": "368f15ad08ac5cccb330c4f7a09b18108fb695aabb76be6f6bb17c6e1629074e",
+        "profiles-n3": "7d01e2e9d7e02b1ae6f493d820512a09d9cc2f29814be688b98c88e7bba83470",
     }))
     def test_pinned_angle_digests(self, name, digest):
         # also pins the float reconstruction residual, which follows the
@@ -296,6 +298,41 @@ class TestCompletion:
             target = 0 if w % 3 == 0 else 1
             assert abs(Uo[target, 0]) ** 2 > 1 - 1e-9
             assert abs(Ur[target, 0]) ** 2 > 1 - 1e-9
+
+
+_ANGLE = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
+
+
+@st.composite
+def _gate_lists(draw):
+    """(k, gates): X/Z gates whose angles are scalars or length-k lists."""
+    k = draw(st.integers(1, 5))
+    angle = st.one_of(_ANGLE, st.lists(_ANGLE, min_size=k, max_size=k))
+    return k, draw(st.lists(st.tuples(st.sampled_from("XZ"), angle), max_size=12))
+
+
+class TestRotationProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(_gate_lists())
+    def test_matches_explicit_matmul_chain(self, case):
+        k, gates = case
+        U = qsp.rotation_product(gates)
+        assert U.shape == (k if any(np.ndim(a) for _, a in gates) else 1, 2, 2)
+        for b, Ub in enumerate(U):
+            ref = np.eye(2, dtype=complex)
+            for axis, angle in gates:
+                theta = angle[b] if np.ndim(angle) else angle
+                ref = (qsp.rot_x if axis == "X" else qsp.rot_z)(theta) @ ref
+            assert np.max(np.abs(Ub - ref)) < 1e-13
+            assert np.max(np.abs(Ub.conj().T @ Ub - np.eye(2))) < 1e-13
+            assert abs(np.linalg.det(Ub) - 1) < 1e-13
+
+    def test_empty_product_is_one_identity(self):
+        assert np.array_equal(qsp.rotation_product([]), np.eye(2)[None])
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError, match="'Y'"):
+            qsp.rotation_product([("X", 0.2), ("Y", 0.1)])
 
 
 class TestReconstruct:
