@@ -256,6 +256,21 @@ class TestPinnedAngles:
         # rounding of the rotation-product kernel
         assert _angle_digest(_pinned_set(name)) == digest
 
+    # computed before the completion moved to coefficient arrays; leaves out
+    # division_remainder, the 1e-50 rounding residue of the exact division,
+    # whose summation order that change altered
+    @pytest.mark.parametrize("name, digest", _pins({
+        "p3-all-j": "0589573c0ca45dcda321a3b74b313cbc1098b2fa9efe2d99bceee61f334c31d1",
+        "p5-all-j": "6ed8a59359a3803bc25e6ded57f2517489dffdf764b60e006d4f758fbd47031c",
+        "p7-all-j": "54431ebafca3eb387e1af57d3e95310db9e090bc5d4e17e1af1488d3a927f4d6",
+        "p9-11-13": "5ba331d8aaf9fa5b1b4c5b40cc1840ecc2cfbf713f603ab8acfa74ca32760702",
+        "profiles-n2": "dbf879abfe17f4af05548130a8aa334fa9cf2aad397fb9266872e6442552a11a",
+        "profiles-n3": "76ff775c4dd5345437ee56ee4eaffe8051a1b604d4677212e0fa7810c738af18",
+    }))
+    def test_pinned_angles_and_seed_deviation(self, name, digest):
+        keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
+        assert _angle_digest(_pinned_set(name), keys) == digest
+
     @pytest.mark.parametrize("p, digest", [
         (15, "5723a2b8726ca464f66e8b4009308b64c6430c3c83bb0459938ae388beb3eb00"),
         (17, "53ad5e04936b5c967e98e9198287c8d164d1dcfdd0b439ae6984699887caf959"),
