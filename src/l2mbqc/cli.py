@@ -134,7 +134,10 @@ def cmd_qsp(args, out) -> int:
                  args.format, out)
             return 0
         angles = qsp.synthesize_mod_p(args.p, args.j)
-        worst = qsp.verify_qsp(angles, args.p, args.j, args.sweep)
+        try:
+            worst = qsp.verify_qsp(angles, args.p, args.j, args.sweep)
+        except ValueError as exc:
+            raise ValueError(f"--sweep {args.sweep}: {exc}") from None
         payload = json.loads(angles.to_json())
         payload["worst_failure"] = f"{worst:.3e}"
         if worst > qsp.FAILURE_TOL_OWN:

@@ -9,6 +9,7 @@ this form can produce at zero phase.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -245,34 +246,21 @@ def normalize_sign_form(prog: OneQubitProgram) -> OneQubitProgram:
     merge into a single trailing rotation, preserving the exact unitary.
     """
     out: list[Gate] = []
-    run_axis: str | None = None
-    run_signed: list[Gate] = []
-    run_residue = 0.0
-
-    def flush():
-        nonlocal run_axis, run_residue
-        if run_axis is None:
-            return
-        out.extend(run_signed)
-        if run_signed or run_residue != 0.0:
-            out.append(Gate(run_axis, run_residue))
-        run_signed.clear()
-        run_axis = None
-        run_residue = 0.0
-
-    for g in prog.gates:
-        if g.axis != run_axis:
-            flush()
-            run_axis = g.axis
-        if g.cond.kind == "select":
-            run_signed.append(Gate(g.axis, g.angle / 2,
+    for axis, run in itertools.groupby(prog.gates, key=lambda g: g.axis):
+        signed: list[Gate] = []
+        residue = 0.0
+        for g in run:
+            if g.cond.kind == "select":
+                signed.append(Gate(axis, g.angle / 2,
                                    Condition("sign", g.cond.mask, 1)))
-            run_residue += g.angle / 2
-        elif g.cond.kind == "none":
-            run_residue += g.angle
-        else:
-            run_signed.append(g)
-    flush()
+                residue += g.angle / 2
+            elif g.cond.kind == "none":
+                residue += g.angle
+            else:
+                signed.append(g)
+        out += signed
+        if signed or residue != 0.0:
+            out.append(Gate(axis, residue))
     return OneQubitProgram(prog.n, tuple(out), prog.flip_output,
                            meta={**prog.meta, "sign_form": True})
 

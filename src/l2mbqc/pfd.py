@@ -106,8 +106,8 @@ def brute_force_matrix_entry(y: int, p: int) -> int:
     return count
 
 
-def solve_pfd(f: BooleanFunction, offsets: dict[int, int] | None = None,
-              system: SierpinskiSystem | None = None) -> PeriodicDecomposition:
+def solve_pfd(f: BooleanFunction,
+              offsets: dict[int, int] | None = None) -> PeriodicDecomposition:
     """Angles phi = M^{-1} (a + k) with a the ANF coefficients, k even integers.
 
     The canonical solution takes k = 0.  Any even offset vector produces
@@ -115,7 +115,7 @@ def solve_pfd(f: BooleanFunction, offsets: dict[int, int] | None = None,
     """
     if f.n > MAX_PFD_ARITY:
         raise ValueError(f"solve_pfd supports n <= {MAX_PFD_ARITY}")
-    sys_ = system or sierpinski_matrix(f.n)
+    inverse = sierpinski_matrix(f.n).inverse
     masks = list(range(1, 1 << f.n))
     poly = anf(f)
     rhs = []
@@ -126,7 +126,7 @@ def solve_pfd(f: BooleanFunction, offsets: dict[int, int] | None = None,
         rhs.append((1 if y in poly.monomials else 0) + k)
     angles: dict[int, Fraction] = {}
     for i, p in enumerate(masks):
-        phi = sum((sys_.inverse[i][j] * rhs[j] for j in range(len(masks))),
+        phi = sum((inverse[i][j] * rhs[j] for j in range(len(masks))),
                   Fraction(0))
         if phi != 0:
             angles[p] = phi

@@ -24,6 +24,7 @@ does not pay for it.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -234,27 +235,20 @@ def solve_symmetric_coeffs(profile, n: int) -> LaurentPair:
 # stage 2 + 3: completion and angle extraction
 
 
-def _laurent_square_remainder(pair: LaurentPair):
-    """R = 1 - A^2 - B^2 as an exact even Laurent series in z."""
+def _z_series(coeffs, L: int, sign: int) -> np.ndarray:
+    """sum_h c_h (z^h + sign z^-h) / 2 for ``coeffs`` = {h: c_h}.
+
+    The one coefficient layout of completion and peeling: an object array
+    with z^e (e odd, |e| <= L) at index (e + L) // 2.  ``np.convolve`` of
+    two such arrays holds w^m, w = z^2, at index m + L.
+    """
     import mpmath as mp
 
-    a, b = pair.a_exact, pair.b_exact
-    Az: dict[int, mp.mpf] = {}
-    for h, c in a.items():
-        Az[h] = Az.get(h, mp.mpf(0)) + c / 2
-        Az[-h] = Az.get(-h, mp.mpf(0)) + c / 2
-    Bz: dict[int, mp.mpf] = {}  # real residue of B/(i): B(z) = Bz(z)/i pointwise
-    for h, c in b.items():
-        Bz[h] = Bz.get(h, mp.mpf(0)) + c / 2
-        Bz[-h] = Bz.get(-h, mp.mpf(0)) - c / 2
-    R = {0: mp.mpf(1)}
-    for e1, c1 in Az.items():
-        for e2, c2 in Az.items():
-            R[e1 + e2] = R.get(e1 + e2, mp.mpf(0)) - c1 * c2
-    for e1, c1 in Bz.items():
-        for e2, c2 in Bz.items():
-            R[e1 + e2] = R.get(e1 + e2, mp.mpf(0)) + c1 * c2
-    return R
+    out = np.full(L + 1, mp.mpf(0), dtype=object)
+    for h, c in coeffs.items():
+        out[(L + h) // 2] += c / 2
+        out[(L - h) // 2] += sign * c / 2
+    return out
 
 
 def _divide_grid_zeros(poly, q: int):
@@ -301,13 +295,15 @@ def _seed_roots(coeffs) -> np.ndarray:
 def _complete(pair: LaurentPair):
     """Spectral factorization of the remainder into the Y and Z components.
 
-    In w = z^2 the remainder vanishes doubly at each grid point, the q-th
-    roots of unity, so it is divided exactly by (w^q - 1)^2 first.  The
-    root finder then sees only the quotient, whose roots are simple and off
-    the circle; the factor takes its roots strictly inside the unit circle
-    plus one copy of each grid point.  Conjugation symmetry of that set keeps
-    the factor real, and the double grid zeros make the readout
-    deterministic.  Returns (c, d, stats) with the division certificate and
+    The remainder 1 - A^2 - B^2 = 1 - A^2 + (iB)^2 is two convolutions of
+    ``_z_series`` arrays, a series in w = z^2.  It vanishes doubly at each
+    grid point, the q-th roots of unity, so it is divided exactly by
+    (w^q - 1)^2 first.  The root finder then sees only the quotient, whose
+    roots are simple and off the circle; the factor takes its roots
+    strictly inside the unit circle plus one copy of each grid point.
+    Conjugation symmetry of that set keeps the factor real, and the double
+    grid zeros make the readout deterministic.  Returns (G, stats): the
+    real factor G laid out like A, then the division certificate and
     ``root_seed_dev``, the largest distance from a polished root to its
     nearest float seed (``_seed_roots``).
     """
@@ -315,22 +311,20 @@ def _complete(pair: LaurentPair):
 
     L = pair.degree
     q = pair.grid_period
-    R = _laurent_square_remainder(pair)
-    rho: dict[int, mp.mpf] = {}
-    for e, c in R.items():
-        if e % 2:
-            raise SynthesisError("remainder has odd harmonics")
-        rho[e // 2] = rho.get(e // 2, mp.mpf(0)) + c
+    A = _z_series(pair.a_exact, L, 1)
+    iB = _z_series(pair.b_exact, L, -1)
+    rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
+    rho[L] += 1
+    G = np.full(L + 1, mp.mpf(0), dtype=object)
     tiny = mp.mpf(10) ** (-SYNTHESIS_DPS + 10)
-    if all(abs(c) < tiny for c in rho.values()):
+    if all(abs(c) < tiny for c in rho):
         # exactly unitary pair: nothing to complete
-        zeros = {j: mp.mpf(0) for j in range(1, L + 1, 2)}
-        return zeros, zeros, {"grid_zeros": 0, "quotient_degree": 0,
-                              "division_remainder": 0.0, "root_seed_dev": 0.0}
+        return G, {"grid_zeros": 0, "quotient_degree": 0,
+                   "division_remainder": 0.0, "root_seed_dev": 0.0}
     # the remainder may deflate below the full degree budget (for instance a
     # pure-cosine interpolant leaves sin^2 of a single harmonic)
-    deg = max(abs(e) for e, c in rho.items() if abs(c) > tiny)
-    qc = [rho.get(k - deg, mp.mpf(0)) for k in range(2 * deg + 1)]
+    deg = max(abs(k - L) for k, c in enumerate(rho) if abs(c) > tiny)
+    qc = rho[L - deg:L + deg + 1]
     quot, rest = _divide_grid_zeros(qc, q)
     leftover = float(max(abs(c) for c in rest) / max(abs(c) for c in qc))
     if leftover > COMPLETION_TOL:
@@ -353,61 +347,48 @@ def _complete(pair: LaurentPair):
                              f"expected {qdeg // 2}")
     selected += [mp.expjpi(mp.mpf(2 * k) / q) for k in range(q)]
 
-    sigma = [mp.mpc(1)]
-    for r in selected:
-        nxt = [mp.mpc(0)] * (len(sigma) + 1)
-        for i, c in enumerate(sigma):
-            nxt[i + 1] += c
-            nxt[i] -= c * r
-        sigma = nxt
-    scale2 = rho[deg] / (sigma[deg] * sigma[0])
-    scale = mp.sqrt(scale2)
-    shift = -(deg + 1) // 2  # centered window; equals the full-degree layout
-    ghat = {k + shift: scale * sigma[k] for k in range(deg + 1)}
+    sigma = functools.reduce(np.convolve, ([-r, 1] for r in selected), [mp.mpc(1)])
+    ghat = mp.sqrt(qc[-1] / (sigma[deg] * sigma[0])) * sigma
+    shift = -(deg + 1) // 2  # ghat[k] multiplies w^(k + shift)
 
-    def factor_matches(g):
-        for ut in (mp.mpc("0.7311", "0.211"), mp.mpc("1.3917", "-0.4101")):
-            lhs = sum(c * ut ** e for e, c in g.items()) * \
-                  sum(c * ut ** -e for e, c in g.items())
-            rhs = sum(c * ut ** e for e, c in rho.items())
-            if abs(lhs - rhs) > mp.mpf("1e-25") * (1 + abs(rhs)):
-                return False
-        return True
+    def at(coeffs, low, t):
+        return sum(c * t ** (k + low) for k, c in enumerate(coeffs))
 
-    if not factor_matches(ghat):
-        raise SynthesisError("spectral factor failed identity check")
-    G = {2 * m + 1: c for m, c in ghat.items()}
-    max_imag = max(abs(mp.im(c)) for c in G.values())
+    for ut in (mp.mpc("0.7311", "0.211"), mp.mpc("1.3917", "-0.4101")):
+        lhs = at(ghat, shift, ut) * at(ghat, shift, 1 / ut)
+        rhs = at(rho, -L, ut)
+        if abs(lhs - rhs) > mp.mpf("1e-25") * (1 + abs(rhs)):
+            raise SynthesisError("spectral factor failed identity check")
+    max_imag = max(abs(mp.im(c)) for c in ghat)
     if max_imag > mp.mpf("1e-25"):
         raise SynthesisError(f"completion not real (imag {float(max_imag):.1e}); "
                              "remainder is negative somewhere on the circle")
-    d = {jj: mp.re(G.get(jj, 0) + G.get(-jj, 0)) for jj in range(1, L + 1, 2)}
-    c = {jj: mp.re(G.get(jj, 0) - G.get(-jj, 0)) for jj in range(1, L + 1, 2)}
-    return c, d, {"grid_zeros": 2 * q, "quotient_degree": qdeg,
-                  "division_remainder": leftover, "root_seed_dev": seed_dev}
+    lo = (L + 1) // 2 + shift
+    G[lo:lo + deg + 1] = [mp.re(c) for c in ghat]
+    return G, {"grid_zeros": 2 * q, "quotient_degree": qdeg,
+               "division_remainder": leftover, "root_seed_dev": seed_dev}
 
 
-def _peel_angles(pair: LaurentPair, c, d):
+def _peel_angles(pair: LaurentPair, G):
     """Factor the matrix Laurent polynomial into XY-plane rotation layers.
 
     ``E[i]`` is the 2x2 coefficient of z^(2i - m) for the current degree m,
-    kept as an object array of ``mpc``.  A layer's projectors are rank one,
-    Q = v v^H and P = I - Q for the unit axis vector v, so stripping it,
-    E[1:] P + E[:-1] Q, is E[1:] + (E[:-1] - E[1:]) v v^H: one
-    matrix-vector product and one outer product per coefficient.
+    an object array of ``mpc``: [[A + iD, iB - iC], [iB + iC, A - iD]] from
+    A, iB (``_z_series``) and the even and odd parts D, C of the factor G,
+    all in one layout.  A layer's projectors are rank one, Q = v v^H and
+    P = I - Q for the unit axis vector v, so stripping it, E[1:] P +
+    E[:-1] Q, is E[1:] + (E[:-1] - E[1:]) v v^H: one matrix-vector product
+    and one outer product per coefficient.
     """
     import mpmath as mp
 
     L = pair.degree
-    a, b = pair.a_exact, pair.b_exact
+    A = _z_series(pair.a_exact, L, 1)
+    iB = _z_series(pair.b_exact, L, -1)
+    D, C = (G + G[::-1]) / 2, (G - G[::-1]) / 2
     E = np.empty((L + 1, 2, 2), dtype=object)
-    mirror = np.array([[1, -1], [-1, 1]])  # z^-j: off-diagonals negated
-    for jj in range(1, L + 1, 2):
-        aj, bj, cj, dj = (cs.get(jj, mp.mpf(0)) for cs in (a, b, c, d))
-        E[(L + jj) // 2] = np.array([[aj + 1j * dj, bj - 1j * cj],
-                                     [bj + 1j * cj, aj - 1j * dj]],
-                                    dtype=object) / 2
-        E[(L - jj) // 2] = E[(L + jj) // 2] * mirror
+    E[:, 0, 0], E[:, 0, 1] = A + 1j * D, iB - 1j * C
+    E[:, 1, 0], E[:, 1, 1] = iB + 1j * C, A - 1j * D
 
     tiny = mp.mpf(10) ** (-SYNTHESIS_DPS + 12)
     # deflated targets factor into fewer genuine layers; identity pairs of
@@ -454,8 +435,8 @@ def complete_and_extract_angles(pair: LaurentPair) -> QspAngles:
         feas = pair.min_remainder()
         if feas < -1e-12:
             raise SynthesisError(f"pair is infeasible: min remainder {feas:.3e}")
-        c, d, stats = _complete(pair)
-        xi = tuple(float(x) for x in _peel_angles(pair, c, d))
+        G, stats = _complete(pair)
+        xi = tuple(float(x) for x in _peel_angles(pair, G))
     worst = _reconstruction_residual(xi, pair)
     if worst > 1e-10:
         raise SynthesisError(f"reconstruction residual {worst:.2e}")
@@ -539,6 +520,8 @@ def verify_qsp(angles: QspAngles, p: int, j: int, n: int) -> float:
     The residue shift j enters as a constant offset of the rotation phase:
     the circuit rotates by 4*pi*(w - j)/p instead of 4*pi*w/p.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     w = np.arange(n + 1)
     return _worst_readout(angles, 4 * np.pi * (w - j) / p, (w % p != j % p).astype(int))
 

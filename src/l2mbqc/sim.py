@@ -297,6 +297,8 @@ def run_schedule_batch(s: MeasurementSchedule, x, shots: int, seed: int):
     Returns (outcome arrays keyed by qubit id, output bits), each of shape
     (shots,).  Identical seeds reproduce identical runs.
     """
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     xi = parse_input(x, s.arity) if s.arity else 0
     outcomes = chain_sample(s, np.full(shots, xi),
                             np.random.default_rng(seed))
@@ -584,6 +586,8 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
     """
     if f.n != s.arity:
         raise ValueError("arity mismatch")
+    if shots_per_input < 0:
+        raise ValueError(f"shots_per_input must be >= 0, got {shots_per_input}")
     if use_exact is None:
         use_exact = s.n_qubits <= ENUM_CAP
     inputs = np.arange(1 << f.n)

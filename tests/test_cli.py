@@ -91,6 +91,13 @@ class TestQsp:
         assert code == 0
         assert float(json.loads(out)["pr_output_0"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("extra", [(), ("--table2",)])
+    def test_negative_sweep_exits_1(self, capsys, extra):
+        code, out, err = run_cli(capsys, "qsp", "--p", "3", "--sweep", "-1",
+                                 *extra)
+        assert code == 1 and out == ""
+        assert err == "error: --sweep -1: n must be >= 0, got -1\n"
+
     def test_profile_synthesis(self, capsys):
         code, out, _ = run_cli(capsys, "qsp", "--profile", "0010",
                                "--format", "json")
@@ -140,6 +147,15 @@ class TestCompileSimulate:
         assert code == 1 and re.search(r"min_analytic\s+None\n", out)
         assert err.startswith("error: not deterministic: min_exact 0.44")
         assert err.count("\n") == 1
+
+    def test_negative_shots_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "mod3.json"
+        run_cli(capsys, "compile", "--protocol", "mod3", "--n", "2",
+                "--out", str(path))
+        code, out, err = run_cli(capsys, "simulate", "--schedule", str(path),
+                                 "--all", "--shots", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: shots_per_input must be >= 0, got -1\n"
 
     def test_no_certificate_exits_1(self, capsys, tmp_path):
         # 57 qubits: no analytic path, no exact run by default, no shots

@@ -109,8 +109,12 @@ ALL_PROFILES = [(0, *bits) for n in (1, 2, 3)
 
 def _remainder_degree(pair):
     """Degree in w = z^2 of the remainder 1 - A^2 - B^2."""
-    R = qsp._laurent_square_remainder(pair)
-    return max(abs(e) for e, c in R.items() if abs(c) > 1e-40) // 2
+    L = pair.degree
+    A = qsp._z_series(pair.a_exact, L, 1)
+    iB = qsp._z_series(pair.b_exact, L, -1)
+    rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
+    rho[L] += 1
+    return max(abs(k - L) for k, c in enumerate(rho) if abs(c) > 1e-40)
 
 
 class TestGridZeroDivision:
@@ -233,32 +237,34 @@ class TestPinnedAngles:
     # the synthesized angles are part of the reproducibility contract: a
     # faster root finder or solver must give the same floats bit for bit
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "dcd5987346192bc5d3cadcbf095a2d1b7909a0c104edcac62146badb539121d0",
-        "p5-all-j": "6a2c8de153f0992e6c53aefe1258046f6de36ff5835334dada8ec6b3d0871f19",
-        "p7-all-j": "a6a714a82b5115928c82fd162a35a75485448103a68fef58af738ae5214cc1df",
-        "p9-11-13": "2abdc02621934dd069d75d0bc5d78086493785c333c1c99658d3f39e1ea0e9d1",
-        "profiles-n2": "6f58c84b67b5eacbca65d154facc2ed82956f96e5379f980843758f59ef00e92",
-        "profiles-n3": "94edee8b88ea3ce933322f57dee37192945f62565de2c68a842e8d98b7af1459",
+        "p3-all-j": "04ca547e4aeb3cd9ad8b16eda79f566bc30aae5bf15a4071f57a066579b29b5a",
+        "p5-all-j": "caa22f18bfc8974c9cc8a8bc53039affc93a838a9f065ac53d589627d79151ed",
+        "p7-all-j": "7159b7e3cec56d219498c940590e3d419020cd2183c981f288c74226131e65e4",
+        "p9-11-13": "65afe054a35174889bd352308a5843f8b0a191b12eca2994d66bc0db1c7d5de1",
+        "profiles-n2": "ca06964ba80a7a72881cdcef2a29ace3c88155a88ec964e20028f42ea2276cb3",
+        "profiles-n3": "fbeabc9b1c830a445d0f74120fb0eb788c8ecc5a0c6a4598428afb7d21b2b5b1",
     }))
     def test_pinned_angles_and_solver_residuals(self, name, digest):
+        # division_remainder follows the summation order of the remainder
+        # convolution, so these and the full digests move with it
         assert _angle_digest(_pinned_set(name), _RESIDUALS) == digest
 
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "f4c4d2e2dbd86bef2558a91541f66d5c9c4430b6bc3af9e9f5cde734b484f96b",
-        "p5-all-j": "d4cdc2a749567cbf17e2bb328a34df4da6b9a4ee2305a98ada4bbbc492d1848b",
-        "p7-all-j": "072ba9bc8db9a66877f12c209a0756463b90d501f5f9112043e43073c85a0be4",
-        "p9-11-13": "5798e88f579b05442487f880af47cc9eb921d67fb01bf82109530e893e7267c6",
-        "profiles-n2": "368f15ad08ac5cccb330c4f7a09b18108fb695aabb76be6f6bb17c6e1629074e",
-        "profiles-n3": "7d01e2e9d7e02b1ae6f493d820512a09d9cc2f29814be688b98c88e7bba83470",
+        "p3-all-j": "a46d4d03425fb4cfcb3196e1f8b0294e6f26f4b86930b4edbaa1503224abed72",
+        "p5-all-j": "0f15ee651af3392dcd1d1997b42d0812c6861f6ec4724683d9ded71e545b8e09",
+        "p7-all-j": "acfe505ade9fa167fc488082eb9c07c7700acc4ea1130fe7439e8e1e922acec9",
+        "p9-11-13": "93bf8e2406ba4884401e898c9bacf59776f9c44d9fd8a193ad3350b87046cf92",
+        "profiles-n2": "0d9aa886a9162b8b8c95ac22d0552d449ed0c7799a4bb17252e02a8ed4c8e7ac",
+        "profiles-n3": "8593a2c39a815ba8b13b24c81c50bfae2dabbc853dfdb59ecef3c2a239999d8c",
     }))
     def test_pinned_angle_digests(self, name, digest):
         # also pins the float reconstruction residual, which follows the
         # rounding of the rotation-product kernel
         assert _angle_digest(_pinned_set(name)) == digest
 
-    # computed before the completion moved to coefficient arrays; leaves out
-    # division_remainder, the 1e-50 rounding residue of the exact division,
-    # whose summation order that change altered
+    # leaves out division_remainder, the 1e-50 rounding residue of the exact
+    # division, which follows the summation order of the remainder; the
+    # angles and the other residuals must not move with it
     @pytest.mark.parametrize("name, digest", _pins({
         "p3-all-j": "0589573c0ca45dcda321a3b74b313cbc1098b2fa9efe2d99bceee61f334c31d1",
         "p5-all-j": "6ed8a59359a3803bc25e6ded57f2517489dffdf764b60e006d4f758fbd47031c",
@@ -402,6 +408,10 @@ class TestVerify:
         for p in (3, 5):
             for j in range(p):
                 assert verify_qsp(modp_angles[p], p, j, 12) < 1e-9
+
+    def test_negative_sweep_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            verify_qsp(reference_angles(3), 3, 0, -1)
 
     def test_constant_zero_profile(self):
         angles = qsp.synthesize_symmetric([0, 0, 0], 2)

@@ -181,6 +181,10 @@ class TestRunShot:
         assert sorted(outcomes) == list(range(1, 10))
         assert all(v.shape == (0,) for v in outcomes.values())
 
+    def test_negative_shots_rejected(self):
+        with pytest.raises(ValueError, match="shots must be >= 0, got -1"):
+            run_schedule_batch(mod3_protocol(1), 0, -1, 0)
+
     def test_empty_schedule_returns_constant(self):
         s = MeasurementSchedule(cluster1d(0), 1, (), frozenset(), 1)
         _, y = run_shot(s, 0, seed=0)
@@ -451,6 +455,13 @@ class TestEffectiveCircuit:
 
 
 class TestVerifyProtocol:
+    @pytest.mark.parametrize("score", [verify_protocol, bell_score])
+    def test_negative_shots_rejected(self, score):
+        s, f = mod3_protocol(2), boolean.mod_p(3, 0, 2)
+        with pytest.raises(ValueError,
+                           match="shots_per_input must be >= 0, got -2"):
+            score(s, f, shots_per_input=-2)
+
     def test_mod3_n4_full_sweep(self):
         s = mod3_protocol(4)
         f = boolean.mod_p(3, 0, 4)

@@ -52,6 +52,19 @@ def test_tracer_installs_and_restores(tracing):
     assert tr.counts["sim.shots"] == 3
 
 
+def test_synthesis_layers_each_get_one_span(tracing):
+    # the synth workload's per-layer metrics are the self times of these
+    with tracing.Tracer() as tr:
+        qsp.synthesize_mod_p(5, 0)
+    names = [span[0] for span in tr.spans]
+    layers = ("qsp.interp", "qsp.complete", "qsp.peel", "qsp.check",
+              "qsp.polyroots")
+    assert {name: names.count(name) for name in layers} == dict.fromkeys(layers, 1)
+    # the root finder runs inside the completion, which its time is taken from
+    parent = tr.spans[names.index("qsp.polyroots")][3]
+    assert tr.spans[parent][0] == "qsp.complete"
+
+
 def test_compiled_flag_read_by_sample_workload():
     # workloads.Sample demands min_analytic exactly where s.compiled holds
     modp = mbqc.modp_protocol(5, 0, 3, qsp.reference_angles(5))
