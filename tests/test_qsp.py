@@ -277,6 +277,20 @@ class TestPinnedAngles:
         keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
         assert _angle_digest(_pinned_set(name), keys) == digest
 
+    # the float outputs alone, free of the 1e-50 residues of the exact
+    # stages: a different interpolation or division order must not move them
+    @pytest.mark.parametrize("name, digest", _pins({
+        "p3-all-j": "acc044e3ce2b9c88ae997f80ae5fb6929c80984215c841b0c7b5cb928599efff",
+        "p5-all-j": "b1c6e7654e9e9becffe7ed5969beed3949ff52a98c7a5c58eae562cabd691262",
+        "p7-all-j": "15e69ba95109e673bcfc985ad13782e964c4dc85c9c9fe1daf2364475fb1854e",
+        "p9-11-13": "72ca13d6304a9db5868c233fbcefef624afb33d56cc4740ea359ebb9ffdbcaf8",
+        "profiles-n2": "60bedd45780f0b1cce4428ecd1cc5f229570c5984a19dd0766c222eaf0185352",
+        "profiles-n3": "1ca700dff56d5d52ab6e0f2ab0ec4095d8c14a8c4f748b47079795774b397e06",
+    }))
+    def test_pinned_angles_and_float_certificates(self, name, digest):
+        keys = ("reconstruction_residual", "root_seed_dev")
+        assert _angle_digest(_pinned_set(name), keys) == digest
+
     @pytest.mark.parametrize("p, digest", [
         (15, "5723a2b8726ca464f66e8b4009308b64c6430c3c83bb0459938ae388beb3eb00"),
         (17, "53ad5e04936b5c967e98e9198287c8d164d1dcfdd0b439ae6984699887caf959"),
