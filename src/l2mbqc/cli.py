@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -126,6 +127,8 @@ def cmd_qsp(args, out) -> int:
             code = 1
     else:
         if args.phi is not None:
+            if not math.isfinite(args.phi):
+                raise ValueError(f"--phi {args.phi}: must be a finite phase")
             ref = qsp.reference_angles(args.p)
             U = qsp.reconstruct_unitary(ref, args.phi)
             emit({"p": args.p, "phi": args.phi,

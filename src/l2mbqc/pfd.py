@@ -8,6 +8,7 @@ verification.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -73,7 +74,9 @@ def _chi_meets(a: int, b: int) -> int:
     return 1 if a & b else 0
 
 
+@functools.cache
 def sierpinski_matrix(n: int) -> SierpinskiSystem:
+    """The system for arity n, built and checked once per n (it is immutable)."""
     if not 1 <= n <= MAX_PFD_ARITY:
         raise ValueError(f"n must be in 1..{MAX_PFD_ARITY}")
     masks = list(range(1, 1 << n))

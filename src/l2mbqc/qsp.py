@@ -7,7 +7,8 @@ three exact stages, all in extended precision:
 
 1. interpolate the I and X components (cosine and sine series) on a grid of
    phase values so the measured bit equals the target function there, with
-   derivative-zero rows so the remainder has double zeros on the circle;
+   zero slope so the remainder has double zeros on the circle; on the
+   equispaced grid this is a closed-form cosine/sine transform, not a solve;
 2. complete the pair to a unitary by spectral factorization of the
    remainder 1 - A^2 - B^2;
 3. extract the rotation angles by peeling rank-one projector factors off
@@ -43,7 +44,7 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class SynthesisError(RuntimeError):
-    """Linear solve, feasibility, or completion failure."""
+    """Interpolation residual, feasibility, or completion failure."""
 
 
 def rot_x(theta: float) -> np.ndarray:
@@ -54,37 +55,40 @@ def rot_z(theta: float) -> np.ndarray:
     return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _Z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentPair:
     """Real cosine/sine series for the I and X components of the target.
 
-    ``a[h]`` multiplies cos(h*phi/2) and ``b[h]`` multiplies sin(h*phi/2);
-    only odd harmonics h <= degree appear (degree is odd throughout).
-    ``grid_period`` is q: grid points sit at phi_w = 4*pi*w/q.
+    ``a`` and ``b`` are object arrays of exact ``mpf`` coefficients, one per
+    odd harmonic up to the odd ``degree``: index j multiplies
+    cos((2j+1)*phi/2) in A and sin((2j+1)*phi/2) in B.  ``grid_period`` is
+    q: grid points sit at phi_w = 4*pi*w/q.
     """
 
     degree: int
-    a: dict[int, float]
-    b: dict[int, float]
+    a: np.ndarray
+    b: np.ndarray
     grid_period: int
     target_values: tuple[int, ...]
     residual: float
-    a_exact: dict = field(default_factory=dict, compare=False, repr=False)
-    b_exact: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.degree % 2 == 0:
             raise ValueError("degree must be odd")
-        for coeffs in (self.a, self.b):
-            for h in coeffs:
-                if h % 2 == 0 or not 0 < h <= self.degree:
-                    raise ValueError("series must use odd harmonics <= degree")
+        for name in ("a", "b"):
+            coeffs = np.asarray(getattr(self, name), dtype=object)
+            if coeffs.shape != ((self.degree + 1) // 2,):
+                raise ValueError("series need one coefficient per odd "
+                                 "harmonic <= degree")
+            object.__setattr__(self, name, coeffs)
 
     def a_value(self, phi):
-        return sum(c * np.cos(h * phi / 2) for h, c in self.a.items())
+        return sum(float(c) * np.cos((2 * j + 1) * phi / 2)
+                   for j, c in enumerate(self.a))
 
     def b_value(self, phi):
-        return sum(c * np.sin(h * phi / 2) for h, c in self.b.items())
+        return sum(float(c) * np.sin((2 * j + 1) * phi / 2)
+                   for j, c in enumerate(self.b))
 
     def min_remainder(self, samples: int = 2048) -> float:
         """min over the circle of 1 - A^2 - B^2 (feasibility check)."""
@@ -143,60 +147,60 @@ def reference_angles(p: int) -> QspAngles:
 
 
 def _interp_system(q: int, avals, bvals):
-    """Solve the two decoupled q x q systems in extended precision.
+    """The interpolant in closed form, in extended precision.
 
-    Value rows pin A at w = 0..(q-1)/2 and B at w = 1..(q-1)/2; derivative
-    rows force stationarity so the completion remainder has double zeros.
+    Value rows pin A at w = 0..(q-1)/2 and B at w = 1..(q-1)/2; zero-slope
+    rows on the other grid points give the completion remainder its double
+    zeros.  Harmonics h < q and h' = 2q - h share cos(2*pi*h*w/q) and have
+    opposite sines, and h = q is constant on the grid.  So the value rows
+    are a cosine transform of the even extension of A's values (a sine
+    transform of the odd one of B's) in the pair sums s_h, and the slope
+    rows split each sum: h a_h = h' a_h' and h b_h = -h' b_h', with
+    a_q the mean and b_q = 0.  Every angle is 2*pi*k/q, read from one
+    table.  Returns the two coefficient arrays (``LaurentPair`` layout) and
+    the 2-norm of the value and slope rows evaluated on them.
     """
     import mpmath as mp
 
     half = (q - 1) // 2
-    harms = [2 * j + 1 for j in range(q)]
-    grids = [4 * mp.pi * w / q for w in range(half + 1)]
+    grid = range(-half, half + 1)
+    cos = [mp.cospi(mp.mpf(2 * k) / q) for k in range(q)]
+    sin = [mp.sinpi(mp.mpf(2 * k) / q) for k in range(q)]
 
-    def solve(value, slope, values, first):
+    def split(table, ext, sign):
+        # harmonic h at index (h - 1) / 2, its partner 2q - h at q - 1 - that
+        out = np.full(q, mp.mpf(0), dtype=object)
+        for j in range(half):
+            h = 2 * j + 1
+            s = 2 * mp.fsum(v * table[h * w % q] for w, v in zip(grid, ext)) / q
+            out[j] = s * (2 * q - h) / (2 * q)
+            out[q - 1 - j] = sign * s * h / (2 * q)
+        return out
+
+    def residual(coeffs, value, slope, values, first):
         # value rows on w = first..half, zero-slope rows on the other grid
-        rows = [[value(h * grids[w] / 2) for h in harms]
-                for w in range(first, half + 1)]
-        rows += [[h * slope(h * grids[w] / 2) for h in harms]
+        harms = range(1, 2 * q, 2)
+        rows = [mp.fsum(c * value[h * w % q] for h, c in zip(harms, coeffs))
+                - values[w] for w in range(first, half + 1)]
+        rows += [mp.fsum(h * c * slope[h * w % q] for h, c in zip(harms, coeffs))
                  for w in range(1 - first, half + 1)]
-        M = mp.matrix(rows)
-        rhs = mp.matrix([values[w] for w in range(first, half + 1)]
-                        + [0] * (half + first))
-        sol = mp.lu_solve(M, rhs)
-        return {h: sol[c] for c, h in enumerate(harms)}, mp.norm(M * sol - rhs)
+        return mp.norm(rows)
 
-    a, res_a = solve(mp.cos, mp.sin, avals, 0)
-    b, res_b = solve(mp.sin, mp.cos, bvals, 1)
-    return a, b, float(res_a + res_b)
+    a = split(cos, [avals[abs(w)] for w in grid], 1)
+    a[half] = mp.fsum(avals[abs(w)] for w in grid) / q
+    b = split(sin, [bvals[w] if w >= 0 else -bvals[-w] for w in grid], -1)
+    res = residual(a, cos, sin, avals, 0) + residual(b, sin, cos, bvals, 1)
+    return a, b, float(res)
 
 
 def _make_pair(q: int, values: list[int], target_desc: tuple[int, ...]) -> LaurentPair:
     import mpmath as mp
 
     with mp.workdps(SYNTHESIS_DPS):
-        avals = [1 - v for v in values]
-        bvals = list(values)
-        try:
-            a, b, residual = _interp_system(q, avals, bvals)
-        except ZeroDivisionError as exc:
-            raise SynthesisError(
-                f"singular interpolation system for period {q}") from exc
-        # keep the high-precision mpf objects as-is; re-wrapping outside the
-        # precision context would silently round them to machine precision
-        pair = LaurentPair(
-            degree=2 * q - 1,
-            a={h: float(c) for h, c in a.items()},
-            b={h: float(c) for h, c in b.items()},
-            grid_period=q,
-            target_values=target_desc,
-            residual=residual,
-            a_exact=dict(a),
-            b_exact=dict(b),
-        )
+        a, b, residual = _interp_system(q, [1 - v for v in values], list(values))
     if residual > SOLVE_RESIDUAL_TOL:
         raise SynthesisError(f"interpolation residual {residual:.2e}")
-    return pair
+    return LaurentPair(2 * q - 1, a, b, q, target_desc, residual)
 
 
 def solve_mod_p_coeffs(p: int, j: int = 0) -> LaurentPair:
@@ -235,20 +239,14 @@ def solve_symmetric_coeffs(profile, n: int) -> LaurentPair:
 # stage 2 + 3: completion and angle extraction
 
 
-def _z_series(coeffs, L: int, sign: int) -> np.ndarray:
-    """sum_h c_h (z^h + sign z^-h) / 2 for ``coeffs`` = {h: c_h}.
+def _z_series(coeffs, sign: int) -> np.ndarray:
+    """sum_h c_h (z^h + sign z^-h) / 2 for a ``LaurentPair`` series of degree L.
 
     The one coefficient layout of completion and peeling: an object array
     with z^e (e odd, |e| <= L) at index (e + L) // 2.  ``np.convolve`` of
     two such arrays holds w^m, w = z^2, at index m + L.
     """
-    import mpmath as mp
-
-    out = np.full(L + 1, mp.mpf(0), dtype=object)
-    for h, c in coeffs.items():
-        out[(L + h) // 2] += c / 2
-        out[(L - h) // 2] += sign * c / 2
-    return out
+    return np.concatenate([sign * coeffs[::-1], coeffs]) / 2
 
 
 def _divide_grid_zeros(poly, q: int):
@@ -311,8 +309,8 @@ def _complete(pair: LaurentPair):
 
     L = pair.degree
     q = pair.grid_period
-    A = _z_series(pair.a_exact, L, 1)
-    iB = _z_series(pair.b_exact, L, -1)
+    A = _z_series(pair.a, 1)
+    iB = _z_series(pair.b, -1)
     rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
     rho[L] += 1
     G = np.full(L + 1, mp.mpf(0), dtype=object)
@@ -383,8 +381,8 @@ def _peel_angles(pair: LaurentPair, G):
     import mpmath as mp
 
     L = pair.degree
-    A = _z_series(pair.a_exact, L, 1)
-    iB = _z_series(pair.b_exact, L, -1)
+    A = _z_series(pair.a, 1)
+    iB = _z_series(pair.b, -1)
     D, C = (G + G[::-1]) / 2, (G - G[::-1]) / 2
     E = np.empty((L + 1, 2, 2), dtype=object)
     E[:, 0, 0], E[:, 0, 1] = A + 1j * D, iB - 1j * C

@@ -91,6 +91,12 @@ class TestQsp:
         assert code == 0
         assert float(json.loads(out)["pr_output_0"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phase_exits_1(self, capsys, phi):
+        code, out, err = run_cli(capsys, "qsp", "--p", "3", f"--phi={phi}")
+        assert code == 1 and out == ""
+        assert err == f"error: --phi {float(phi)}: must be a finite phase\n"
+
     @pytest.mark.parametrize("extra", [(), ("--table2",)])
     def test_negative_sweep_exits_1(self, capsys, extra):
         code, out, err = run_cli(capsys, "qsp", "--p", "3", "--sweep", "-1",

@@ -34,12 +34,17 @@ class TestSierpinski:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_exact_inverse(self, n):
-        # construction already multiplies M by the closed form exactly
-        sierpinski_matrix(n)
+        # construction already multiplies M by the closed form exactly; the
+        # uncached call runs that check whatever built the system first
+        assert sierpinski_matrix.__wrapped__(n) == sierpinski_matrix(n)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            sierpinski_matrix(7)
+        for n in (0, 7, 7):  # a refused n is not cached
+            with pytest.raises(ValueError):
+                sierpinski_matrix(n)
+
+    def test_built_once_per_arity(self):
+        assert sierpinski_matrix(5) is sierpinski_matrix(5)
 
 
 class TestSolve:

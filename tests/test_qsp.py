@@ -39,15 +39,16 @@ class TestReferenceAngles:
 class TestModPSolve:
     def test_p3_coefficients_match_hand_solution(self):
         # the three-harmonic system solves exactly to 5/9, 1/3, 1/9
+        # (harmonics 1, 3, 5 at indices 0, 1, 2)
         pair = solve_mod_p_coeffs(3, 0)
-        assert pair.a[1] == pytest.approx(5 / 9, abs=1e-14)
-        assert pair.a[3] == pytest.approx(1 / 3, abs=1e-14)
-        assert pair.a[5] == pytest.approx(1 / 9, abs=1e-14)
+        assert float(pair.a[0]) == pytest.approx(5 / 9, abs=1e-14)
+        assert float(pair.a[1]) == pytest.approx(1 / 3, abs=1e-14)
+        assert float(pair.a[2]) == pytest.approx(1 / 9, abs=1e-14)
 
     def test_row_sum_normalization(self):
         # at zero phase every cosine is 1, so the coefficients sum to 1
         pair = solve_mod_p_coeffs(5, 0)
-        assert sum(pair.a.values()) == pytest.approx(1.0, abs=1e-13)
+        assert float(sum(pair.a)) == pytest.approx(1.0, abs=1e-13)
 
     def test_p5_delta_values_on_grid(self):
         pair = solve_mod_p_coeffs(5, 0)
@@ -65,10 +66,14 @@ class TestModPSolve:
             assert a1 == pytest.approx(a2, abs=1e-12)
 
     def test_structural_parity(self):
+        # one coefficient per odd harmonic 1, 3, ..., degree
         pair = solve_mod_p_coeffs(3, 0)
-        assert all(h % 2 == 1 for h in pair.a)
-        assert all(h % 2 == 1 for h in pair.b)
         assert pair.degree == 5
+        assert pair.a.shape == pair.b.shape == (3,)
+        with pytest.raises(ValueError, match="odd"):
+            _pair(4, [1, 0], [0, 0], 3)
+        with pytest.raises(ValueError, match="harmonic"):
+            _pair(5, [1, 0, 0], [0, 0], 3)
 
     def test_residual_reported(self):
         assert solve_mod_p_coeffs(9, 0).residual < 1e-12
@@ -95,7 +100,7 @@ class TestSymmetricSolve:
 
     def test_zero_phase_row_sums_to_one(self):
         pair = solve_symmetric_coeffs([0, 1, 0], 2)
-        assert sum(pair.a.values()) == pytest.approx(1.0, abs=1e-12)
+        assert float(sum(pair.a)) == pytest.approx(1.0, abs=1e-12)
 
     def test_profile_starting_at_one_rejected(self):
         with pytest.raises(SynthesisError):
@@ -107,11 +112,59 @@ ALL_PROFILES = [(0, *bits) for n in (1, 2, 3)
                 for bits in itertools.product((0, 1), repeat=n)]
 
 
+def _pair(degree, a, b, q):
+    """A hand-built pair; coefficient j belongs to harmonic 2j + 1."""
+    return LaurentPair(degree, [mpmath.mpf(c) for c in a],
+                       [mpmath.mpf(c) for c in b], q, (0,), 0.0)
+
+
+def _lu_interpolant(q, values):
+    """The interpolation conditions as two q x q systems, solved by LU.
+
+    Value rows pin A = 1 - f at w = 0..(q-1)/2 and B = f at w = 1..(q-1)/2
+    on phi_w = 4*pi*w/q; zero-slope rows fill the other grid points.  An
+    oracle independent of the closed form: every entry comes from mp.cos
+    and mp.sin of its own angle.
+    """
+    mp = mpmath
+    with mp.workdps(qsp.SYNTHESIS_DPS):
+        half = (q - 1) // 2
+        harms = range(1, 2 * q, 2)
+        grid = [4 * mp.pi * w / q for w in range(half + 1)]
+
+        def solve(value, slope, vals, first):
+            rows = [[value(h * grid[w] / 2) for h in harms]
+                    for w in range(first, half + 1)]
+            rows += [[h * slope(h * grid[w] / 2) for h in harms]
+                     for w in range(1 - first, half + 1)]
+            rhs = [vals[w] for w in range(first, half + 1)] + [0] * (half + first)
+            return list(mp.lu_solve(mp.matrix(rows), mp.matrix(rhs)))
+
+        return (solve(mp.cos, mp.sin, [1 - v for v in values], 0),
+                solve(mp.sin, mp.cos, list(values), 1))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: solve_symmetric_coeffs([0], 0), id="q1"),
+    *(pytest.param(functools.partial(solve_mod_p_coeffs, p), id=f"mod{p}")
+      for p in (3, 5, 7, 9, 13, 23)),
+    *(pytest.param(functools.partial(solve_symmetric_coeffs, list(f), len(f) - 1),
+                   id="".join(map(str, f))) for f in ALL_PROFILES),
+])
+def test_closed_form_matches_lu_solve(build):
+    pair = build()
+    a, b = _lu_interpolant(pair.grid_period, pair.target_values)
+    gaps = [abs(x - y) for x, y in zip([*pair.a, *pair.b], a + b)]
+    assert len(gaps) == 2 * pair.grid_period
+    assert max(gaps) <= 1e-45
+    assert pair.residual <= 1e-45
+
+
 def _remainder_degree(pair):
     """Degree in w = z^2 of the remainder 1 - A^2 - B^2."""
     L = pair.degree
-    A = qsp._z_series(pair.a_exact, L, 1)
-    iB = qsp._z_series(pair.b_exact, L, -1)
+    A = qsp._z_series(pair.a, 1)
+    iB = qsp._z_series(pair.b, -1)
     rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
     rho[L] += 1
     return max(abs(k - L) for k, c in enumerate(rho) if abs(c) > 1e-40)
@@ -191,8 +244,7 @@ class TestGridZeroDivision:
 
     def test_remainder_without_grid_zeros_rejected(self):
         # feasible (1 - A^2 >= 3/4), but nothing vanishes at the grid points
-        pair = LaurentPair(1, {1: 0.5}, {}, 3, (0,), 0.0,
-                           {1: mpmath.mpf("0.5")}, {})
+        pair = _pair(1, ["0.5"], [0], 3)
         assert pair.min_remainder() > 0
         with pytest.raises(SynthesisError, match="grid zeros"):
             complete_and_extract_angles(pair)
@@ -237,12 +289,12 @@ class TestPinnedAngles:
     # the synthesized angles are part of the reproducibility contract: a
     # faster root finder or solver must give the same floats bit for bit
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "04ca547e4aeb3cd9ad8b16eda79f566bc30aae5bf15a4071f57a066579b29b5a",
-        "p5-all-j": "caa22f18bfc8974c9cc8a8bc53039affc93a838a9f065ac53d589627d79151ed",
-        "p7-all-j": "7159b7e3cec56d219498c940590e3d419020cd2183c981f288c74226131e65e4",
-        "p9-11-13": "65afe054a35174889bd352308a5843f8b0a191b12eca2994d66bc0db1c7d5de1",
-        "profiles-n2": "ca06964ba80a7a72881cdcef2a29ace3c88155a88ec964e20028f42ea2276cb3",
-        "profiles-n3": "fbeabc9b1c830a445d0f74120fb0eb788c8ecc5a0c6a4598428afb7d21b2b5b1",
+        "p3-all-j": "2e14547a6d5fab66120787307a4930b1834cd2dedc436ff8fcd439fb75715947",
+        "p5-all-j": "a35eab31a188f803d6942f598c6917b1861dfec23b3c60d1e0cad860ac72762d",
+        "p7-all-j": "43bb3eaaf91e2963ff278cde89dfbad6ec165beb58f7771b391a24da782c09e7",
+        "p9-11-13": "125a6a7ba1c1bfbc07183ce398f01e10cca1b6c55a0614bd16b2b47911daaa15",
+        "profiles-n2": "520f87966a59cc199e2c223bf8c68cb8dfd6f49be83e0f80d6e8cad683f5147c",
+        "profiles-n3": "89c88d90a40ab9796d54bb785b53818a97a2d91b34ef8ca9f0379264997f025f",
     }))
     def test_pinned_angles_and_solver_residuals(self, name, digest):
         # division_remainder follows the summation order of the remainder
@@ -250,12 +302,12 @@ class TestPinnedAngles:
         assert _angle_digest(_pinned_set(name), _RESIDUALS) == digest
 
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "a46d4d03425fb4cfcb3196e1f8b0294e6f26f4b86930b4edbaa1503224abed72",
-        "p5-all-j": "0f15ee651af3392dcd1d1997b42d0812c6861f6ec4724683d9ded71e545b8e09",
-        "p7-all-j": "acfe505ade9fa167fc488082eb9c07c7700acc4ea1130fe7439e8e1e922acec9",
-        "p9-11-13": "93bf8e2406ba4884401e898c9bacf59776f9c44d9fd8a193ad3350b87046cf92",
-        "profiles-n2": "0d9aa886a9162b8b8c95ac22d0552d449ed0c7799a4bb17252e02a8ed4c8e7ac",
-        "profiles-n3": "8593a2c39a815ba8b13b24c81c50bfae2dabbc853dfdb59ecef3c2a239999d8c",
+        "p3-all-j": "33117e3dd2c81126254868edfd0023af6ef4903e2ff0588d6f531827b0df7f11",
+        "p5-all-j": "0815f667c4fe113894d65a1d23f1e22bf20501b5f20ec9efebd1cc544922a911",
+        "p7-all-j": "0b95fd5ccfbb2a2a7f43a2f345f1f54dc4fb97ba9c023d7e9f93dcd7482b1243",
+        "p9-11-13": "99c6a17632041c94c8fafc51d473ea153ef8fd60586788bd160fb09d573f494a",
+        "profiles-n2": "4d12e510f8c31537c16c0ee1ea21c6a3b225100be5116f9d6f0fb7c03a905765",
+        "profiles-n3": "248064626bf3a0df5d97c9e904257da4b055eaaf0f6c8ec60c6c92651d6c3185",
     }))
     def test_pinned_angle_digests(self, name, digest):
         # also pins the float reconstruction residual, which follows the
@@ -266,12 +318,12 @@ class TestPinnedAngles:
     # division, which follows the summation order of the remainder; the
     # angles and the other residuals must not move with it
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "0589573c0ca45dcda321a3b74b313cbc1098b2fa9efe2d99bceee61f334c31d1",
-        "p5-all-j": "6ed8a59359a3803bc25e6ded57f2517489dffdf764b60e006d4f758fbd47031c",
-        "p7-all-j": "54431ebafca3eb387e1af57d3e95310db9e090bc5d4e17e1af1488d3a927f4d6",
-        "p9-11-13": "5ba331d8aaf9fa5b1b4c5b40cc1840ecc2cfbf713f603ab8acfa74ca32760702",
-        "profiles-n2": "dbf879abfe17f4af05548130a8aa334fa9cf2aad397fb9266872e6442552a11a",
-        "profiles-n3": "76ff775c4dd5345437ee56ee4eaffe8051a1b604d4677212e0fa7810c738af18",
+        "p3-all-j": "5fb61fac2d1fef1686593227afc3ed242a96dc96ec1868bf396b01db70853b41",
+        "p5-all-j": "e5be7aa1f6fdceeb18df3bebc337a3aba26c73ff58e712a0d7945af600faeb8e",
+        "p7-all-j": "5a69bc568ddf5f62b0864f466ee551d87c1942cc996add526411635acf56191f",
+        "p9-11-13": "65cd21afe679aea16493e31f101318185fd0d0495f10846777047bfcc749fcd1",
+        "profiles-n2": "5e200e466f59fd9b401a8b504cf17db9525db9311ca6313e9bf4e4083ab40c19",
+        "profiles-n3": "dbb5a82b6ce2efb1199b85473b8fe8deb62e7d76174b5a96cd20028625543842",
     }))
     def test_pinned_angles_and_seed_deviation(self, name, digest):
         keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
@@ -305,17 +357,13 @@ class TestCompletion:
         # A = cos(L phi/2), B = -sin(L phi/2) is a plain power of the X
         # rotation, so every extracted axis angle is the same
         L = 5
-        pair = LaurentPair(L, {L: 1.0}, {L: -1.0}, 2 * L + 1, (0,), 0.0,
-                           {L: __import__("mpmath").mpf(1)},
-                           {L: __import__("mpmath").mpf(-1)})
+        pair = _pair(L, [0, 0, 1], [0, 0, -1], 2 * L + 1)
         angles = complete_and_extract_angles(pair)
         spread = max(angles.xi) - min(angles.xi)
         assert spread < 1e-12
 
     def test_infeasible_pair_rejected(self):
-        import mpmath as mp
-        pair = LaurentPair(1, {1: 2.0}, {}, 3, (0,), 0.0,
-                           {1: mp.mpf(2)}, {})
+        pair = _pair(1, [2], [0], 3)
         with pytest.raises(SynthesisError):
             complete_and_extract_angles(pair)
 
