@@ -201,6 +201,46 @@ class TestRunShot:
             assert dense == run_shot(s, 1, seed=seed)[0]
 
 
+class TestPinnedChainStep:
+    """Bit-level pins on the chain step's other two consumers: the exact DP
+    on the builds of ``test_pinned_sample_digests``, and the dense-forced
+    sweep of ``compare_engines``."""
+
+    EXACT_BUILDS = [
+        lambda: mod3_protocol(8),
+        lambda: mbqc.or_protocol(6),
+        lambda: mbqc.modp_protocol(7, 0, 5, qsp.reference_angles(7)),
+        lambda: compile_pfd_to_ghz(pfd.pairwise_and_decomposition(3), 0),
+        lambda: lift_ghz_to_cluster(
+            compile_pfd_to_ghz(pfd.solve_pfd(boolean.and_n(2)), 0)),
+        lambda: TestComposite().build_xor_schedule(),
+    ]
+
+    def test_pinned_exact_distributions(self):
+        h = hashlib.sha256()
+        for build in self.EXACT_BUILDS:
+            s = build()
+            for d in exact_distributions(s, range(1 << s.arity)):
+                h.update(f"{d[0].hex()} {d[1].hex()} {d.peak_states} "
+                         f"{d.marginal_dev.hex()};".encode())
+        assert h.hexdigest() == (
+            "30db633a982b6453f855d8e2ec7db40cbbeee36e8489a5207da9538eace3bdf9")
+
+    def test_pinned_dense_forced_runs(self):
+        h = hashlib.sha256()
+        for s in (mod3_protocol(2), lift_ghz_to_cluster(
+                compile_pfd_to_ghz(pfd.solve_pfd(boolean.and_n(2)), 0))):
+            for seed in range(11, 16):
+                x = seed % (1 << s.arity)
+                gap = compare_engines(s, x, seed=seed)
+                outcomes, _ = sim._drive(s, np.array([x]),
+                                         np.random.default_rng(seed),
+                                         dense=DenseEngine(s.resource))
+                h.update(gap.hex().encode() + outcomes.tobytes())
+        assert h.hexdigest() == (
+            "3d5a6325bce061564eb35e246fd382f8ab9ed3323e43ae29d846bdfbb44b06d7")
+
+
 def assert_chain_sample_matches_branches(s, inputs, rows_per_input, seed):
     """Empirical outcome strings of one sweep against the exact branch weights.
 
