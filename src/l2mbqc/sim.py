@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,9 +58,14 @@ def parity(v) -> np.ndarray:
     return v & 1
 
 
-def _row_parity(outcomes: np.ndarray, qids) -> np.ndarray:
-    """XOR of the outcome rows of qids (see ``chain_sample``), per batch row."""
-    rows = np.fromiter(qids, dtype=np.intp, count=len(qids))
+def _id_rows(qids) -> np.ndarray:
+    """Qubit ids as a sorted index array into outcome rows."""
+    return np.array(sorted(qids), dtype=np.intp)
+
+
+def _row_parity(outcomes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """XOR of the outcome rows at the qubit ids ``rows`` (see
+    ``chain_sample``), per batch row."""
     return np.bitwise_xor.reduce(outcomes[rows], axis=0)
 
 
@@ -82,7 +88,7 @@ def setting_bits(q: QubitSpec, px: dict[int, np.ndarray], adapt) -> np.ndarray:
 
 def output_bits(s: MeasurementSchedule, outcomes: np.ndarray) -> np.ndarray:
     """Output parity c xor O.m for every batch row."""
-    return s.c ^ _row_parity(outcomes, s.o_ids)
+    return s.c ^ _row_parity(outcomes, _id_rows(s.o_ids))
 
 
 def xy_basis_vectors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,12 +200,33 @@ def _chain_tensors(resource: Resource) -> list[np.ndarray]:
     return [first] + [mid] * (N - 2) + [mid.sum(axis=2, keepdims=True)]
 
 
-def _site_table(s: MeasurementSchedule):
-    """One sweep's data, sites in id order: the qubits, the (N, setting)
-    angles offset + (-1)^(setting xor bias) * theta, their (N, setting,
-    outcome, 2) eigenvectors (the Z basis on Pauli-Z sites) and the kernels
-    v^H A, each an (l, setting * outcome * r) matrix, bonds padded to 2."""
-    qubits = sorted(s.qubits, key=lambda q: q.id)
+class SiteTable(NamedTuple):
+    """A schedule's per-site data, sites in id order (``_site_table``)."""
+    qubits: tuple[QubitSpec, ...]
+    angles: np.ndarray   # (N, setting)
+    vectors: np.ndarray  # (N, setting, outcome, 2)
+    kernels: np.ndarray  # (N, l, setting * outcome * r)
+    a_rows: tuple[np.ndarray, ...]  # each site's a_ids as an intp array
+
+
+def _site_table(s: MeasurementSchedule) -> SiteTable:
+    """The schedule's site table, built on first use and kept on the
+    schedule: it is a pure function of the frozen fields, and a sweep, the
+    analytic path and ``compare_engines`` all read it.  Its arrays are
+    read-only, as every holder of the schedule shares them."""
+    table = s.__dict__.get("_site_table")
+    if table is None:
+        table = _build_site_table(s)
+        object.__setattr__(s, "_site_table", table)
+    return table
+
+
+def _build_site_table(s: MeasurementSchedule) -> SiteTable:
+    """The qubits, the (N, setting) angles offset + (-1)^(setting xor bias)
+    * theta, their (N, setting, outcome, 2) eigenvectors (the Z basis on
+    Pauli-Z sites), the kernels v^H A, each an (l, setting * outcome * r)
+    matrix, bonds padded to 2, and each site's a_ids as an index array."""
+    qubits = tuple(sorted(s.qubits, key=lambda q: q.id))
     z = np.array([isinstance(q.basis, PauliZBasis) for q in qubits], bool)
     xy = [XYBasis(0.0) if zq else q.basis for zq, q in zip(z, qubits)]
     bias = np.array([b.bias for b in xy], dtype=np.int64)[:, None]
@@ -213,15 +240,24 @@ def _site_table(s: MeasurementSchedule):
         a[:T.shape[0], :, :T.shape[2]] = T
     # einsum, not a BLAS product, keeps exactly cancelling branches at 0
     kernels = np.einsum("isoc,ilcr->ilsor", vectors.conj(), A)
-    return qubits, angles, vectors, kernels.reshape(-1, 2, 8)
+    table = SiteTable(qubits, angles, vectors, kernels.reshape(-1, 2, 8),
+                      tuple(_id_rows(q.a_ids) for q in qubits))
+    for a in (table.angles, table.vectors, table.kernels, *table.a_rows):
+        a.flags.writeable = False
+    return table
+
+
+_ONES = np.ones(8)  # the float64 length of a (bond, bond) complex block
+_ONES.flags.writeable = False
 
 
 def _sq_norms(T: np.ndarray) -> np.ndarray:
-    """Squared norm over the last two axes, summed over the float64 view by
-    a matrix product, because numpy's sums over short axes are slow."""
+    """Squared norm over the last two axes, at most (2, 2), summed over the
+    float64 view by a matrix product, because numpy's sums over short axes
+    are slow."""
     size = T.shape[-2] * T.shape[-1]
     f = T.reshape(-1, size).view(np.float64)
-    return ((f * f) @ np.ones(2 * size)).reshape(T.shape[:-2])
+    return ((f * f) @ _ONES[:2 * size]).reshape(T.shape[:-2])
 
 
 def _branches(F: np.ndarray, K: np.ndarray, setting: np.ndarray):
@@ -230,20 +266,24 @@ def _branches(F: np.ndarray, K: np.ndarray, setting: np.ndarray):
     State i is the (k, l) factor F[i] of the bond matrix F^H F; its weight
     is the squared norm of F[i], as the tensors are right-canonical.  K is
     the site's kernel (``_site_table``), setting the states' setting bits.
-    Returns the (states, 2, k, r) branches, their (states, 2) weights and
-    the worst gap between a state's weight and its branches' sum, relative
-    to it, which must stay within MARGINAL_TOL.
+    Returns the (states, 2, k, r) branches as one C-contiguous array, so
+    branch m of state i is row 2i + m of ``B.reshape(2 * states, k, r)``,
+    their (states, 2) weights and the worst gap between a state's weight
+    and its branches' sum, relative to it, which must stay within
+    MARGINAL_TOL.
     """
     n, k, l = F.shape
     r = K.shape[1] // 4
     t = (F.reshape(n * k, l) @ K).reshape(2 * n * k, 2 * r)  # row, setting
-    B = t.take(2 * np.arange(n * k) + np.repeat(setting, k), axis=0)
-    B = B.reshape(n, k, 2, r).swapaxes(1, 2)
+    B = t.take(2 * np.arange(n * k) + setting.repeat(k), axis=0)
+    # a copy only at k > 1 (the DP); at k = 1 the swap is already contiguous
+    B = np.ascontiguousarray(B.reshape(n, k, 2, r).swapaxes(1, 2))
     w = _sq_norms(B)
     total = _sq_norms(F)
+    dev = np.abs(w[:, 0] + w[:, 1] - total)
     live = total > 0  # an exact DP row zeroed on its input has no marginal
-    gap = float(np.max(np.abs(w[:, 0] + w[:, 1] - total)[live] / total[live],
-                       initial=0.0))
+    gap = float(np.divide(dev, total, out=np.zeros(n), where=live)
+                .max(initial=0.0))
     if gap > MARGINAL_TOL:
         raise AssertionError("branch weights do not sum to the state weight")
     return B, w, gap
@@ -258,26 +298,31 @@ def _drive(s: MeasurementSchedule, xs: np.ndarray, rng,
     """Sample one run per input in xs by one chain sweep in id order.
 
     Each row keeps a normalised (1, bond) factor and one uniform per site
-    picks its branch.  Given a dense engine, outcomes are drawn from its
-    marginals and forced on both.  Returns the outcome rows (see
-    ``chain_sample``) and the largest dense-chain marginal gap.
+    picks its branch: outcome m of row i is flat branch 2i + m of the
+    contiguous ``_branches`` output, one ``take`` on branches and weights
+    alike.  Given a dense engine, outcomes are drawn from its marginals and
+    forced on both.  Returns the outcome rows (see ``chain_sample``) and the
+    largest dense-chain marginal gap.
     """
-    qubits, _, vectors, kernels = _site_table(s)
-    px = input_parities(qubits, xs)
-    rows = np.arange(len(xs))
+    table = _site_table(s)
+    px = input_parities(table.qubits, xs)
+    rows2 = 2 * np.arange(len(xs))
     outcomes = np.zeros((s.n_qubits + 1, len(xs)), dtype=np.uint8)
     F = np.zeros((len(xs), 1, 2), dtype=complex) + (1, 0)
     gap = 0.0
-    for q, K, V in zip(qubits, kernels, vectors):
-        setting = setting_bits(q, px, _row_parity(outcomes, q.a_ids))
+    for q, K, V, a in zip(table.qubits, table.kernels, table.vectors,
+                          table.a_rows):
+        setting = setting_bits(q, px, _row_parity(outcomes, a))
         B, w, _ = _branches(F, K, setting)
         p = w if dense is None else np.column_stack(
             dense.marginal(q.id, V[setting, 0], V[setting, 1]))
         out = (rng.random(len(xs)) >= p[:, 0]).view(np.uint8)
+        pick = rows2 + out
         if dense is not None:
             gap = max(gap, float(np.max(np.abs(w - p))))
-            dense.project(q.id, V[setting, out], p[rows, out])
-        F = B[rows, out] / np.sqrt(w[rows, out])[:, None, None]
+            dense.project(q.id, V[setting, out], p.reshape(-1).take(pick))
+        F = (B.reshape(-1, *B.shape[2:]).take(pick, axis=0)
+             / np.sqrt(w.reshape(-1).take(pick))[:, None, None])
         outcomes[q.id] = out
     return outcomes, gap
 
@@ -315,16 +360,16 @@ def run_shot(s: MeasurementSchedule, x,
 
 def _walk(eng: DenseEngine, order, px, outcomes, weight: float, result):
     """Depth-first over outcome branches; adds leaf weights to result.
-    ``order`` pairs the unmeasured qubits with their site-table vectors and
-    ``px`` holds the input parities (``input_parities``)."""
+    ``order`` holds the unmeasured qubits with their site-table vectors and
+    adaptation rows, and ``px`` the input parities (``input_parities``)."""
     if weight <= 1e-300:
         return
     if not order:
         k = tuple(outcomes[1:, 0].tolist())
         result[k] = result.get(k, 0.0) + weight
         return
-    q, V = order[0]
-    v = V[setting_bits(q, px, _row_parity(outcomes, q.a_ids))]
+    q, V, a = order[0]
+    v = V[setting_bits(q, px, _row_parity(outcomes, a))]
     for out, p in enumerate(eng.marginal(q.id, v[:, 0], v[:, 1])):
         if p[0] <= 1e-300:
             continue
@@ -345,9 +390,10 @@ def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], floa
     xs = np.array([parse_input(x, s.arity) if s.arity else 0])
     outcomes = np.zeros((s.n_qubits + 1, 1), dtype=np.uint8)
     result: dict = {}
-    qubits, _, vectors, _ = _site_table(s)
-    _walk(DenseEngine(s.resource), list(zip(qubits, vectors)),
-          input_parities(qubits, xs), outcomes, 1.0, result)
+    table = _site_table(s)
+    _walk(DenseEngine(s.resource),
+          list(zip(table.qubits, table.vectors, table.a_rows)),
+          input_parities(table.qubits, xs), outcomes, 1.0, result)
     return result
 
 
@@ -397,9 +443,9 @@ def exact_distributions(s: MeasurementSchedule, xs) -> list[OutputDistribution]:
     # (inputs, keys, bond, bond), bonds padded to 2 as in the kernels
     F = np.zeros((len(xs), 1, 1, 2), dtype=complex) + (1, 0)
     peak, dev = 1, 0.0
-    qubits, _, _, kernels = _site_table(s)
-    px = input_parities(qubits, xs[:, None])
-    for q, kernel in zip(qubits, kernels):
+    table = _site_table(s)
+    px = input_parities(table.qubits, xs[:, None])
+    for q, kernel in zip(table.qubits, table.kernels):
         n, K, k, l = F.shape
         bits = np.array([(key >> q.id) & 1 for key in keys], dtype=np.int64)
         B, w, gap = _branches(F.reshape(n * K, k, l), kernel,
@@ -460,11 +506,11 @@ def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
                          "GHZ or odd cluster chain) have an effective circuit")
     xs = np.asarray(xs, dtype=np.int64)
     ghz_chain = s.resource.kind == "ghz"
-    qubits, angles, _, _ = _site_table(s)
-    px = input_parities(qubits, xs)
+    table = _site_table(s)
+    px = input_parities(table.qubits, xs)
     return rotation_product([("X" if ghz_chain or q.id % 2 else "Z",
                               a[setting_bits(q, px, 0)])
-                             for q, a in zip(qubits, angles)])
+                             for q, a in zip(table.qubits, table.angles)])
 
 
 def effective_circuit(s: MeasurementSchedule, x) -> EffectiveCircuit:

@@ -42,8 +42,9 @@ class TestEngines:
         assert p0[0] == pytest.approx(0.5, abs=1e-12)
         qubits = (QubitSpec(1, 1, PauliZBasis()),) + tuple(
             QubitSpec(i, 1, XYBasis(0.0)) for i in (2, 3, 4))
-        _, _, vectors, kernels = sim._site_table(
+        table = sim._site_table(
             MeasurementSchedule(ghz(4), 0, qubits, frozenset({2, 3, 4}), 0))
+        vectors, kernels = table.vectors, table.kernels
         # a Pauli-Z site reads the Z basis under either setting
         assert (vectors[0] == np.eye(2)).all()
         start = np.array([[[1, 0]]], dtype=complex)  # bond padded to 2
@@ -731,6 +732,55 @@ class TestSiteTable:
         sweep(s)
         distinct = {q.p_mask for q in s.qubits}
         assert len(calls) == len(distinct) < s.n_qubits
+
+    def test_built_once_per_schedule(self, monkeypatch):
+        calls = []
+        build = sim._build_site_table
+        monkeypatch.setattr(sim, "_build_site_table",
+                            lambda s: calls.append(s) or build(s))
+        # building or decoding a schedule does not pay for the table
+        s = mbqc.MeasurementSchedule.from_json(mod3_protocol(2).to_json())
+        assert calls == []
+        # the analytic path, two sample chunks, the exact sweep and the
+        # dense-forced sweep share one table
+        report = verify_protocol(s, boolean.mod_p(3, 0, 2),
+                                 shots_per_input=300, seed=1)
+        assert report.min_analytic > 1 - 1e-9 and report.min_exact > 1 - 1e-9
+        assert compare_engines(s, 3) < 1e-12
+        assert calls == [s]
+        # an equal schedule is another object with its own table
+        exact_distribution(dataclasses.replace(s), 0)
+        assert len(calls) == 2
+
+    def test_table_is_read_only(self):
+        table = sim._site_table(pauli_z_cut_schedule())
+        for arr in (table.angles, table.vectors, table.kernels,
+                    *table.a_rows):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.kernels[0, 0, 0] = 1.0
+        assert [a.tolist() for a in table.a_rows] == [
+            [], [1], [2], [], [4], [1, 4, 5], [2, 6]]
+        assert all(a.dtype == np.intp for a in table.a_rows)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_branches_contiguous(self, k):
+        # k = 1 is a sampled row, k = 2 a square DP factor
+        s = mod3_protocol(1)
+        kernel = sim._site_table(s).kernels[1]
+        F = np.random.default_rng(k).normal(size=(5, k, 2)).astype(complex)
+        F /= np.sqrt(sim._sq_norms(F))[:, None, None]
+        setting = np.array([0, 1, 1, 0, 1])
+        B, w, _ = sim._branches(F, kernel, setting)
+        assert B.shape == (5, 2, k, 2) and B.flags.c_contiguous
+        # branch m of state i is flat row 2i + m
+        for i, st in enumerate(setting):
+            for m in (0, 1):
+                want = F[i] @ kernel.reshape(2, 2, 2, 2)[:, st, m]
+                assert np.allclose(B.reshape(10, k, 2)[2 * i + m], want,
+                                   atol=1e-15)
+                assert w[i, m] == pytest.approx(
+                    np.sum(np.abs(want) ** 2), abs=1e-15)
 
 
 class TestBasisVectors:
