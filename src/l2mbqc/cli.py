@@ -114,8 +114,29 @@ def cmd_pfd(args, out) -> int:
     return code
 
 
+QSP_DEFAULTS = {"p": 3, "j": 0, "sweep": 20}
+
+
+def _qsp_options(args) -> None:
+    """Refuse a qsp option that the chosen mode would not read, then fill in
+    the defaults.  Modes: --profile (synthesis of a symmetric profile),
+    --phi (the reference unitary at one phase, of --p) and mod-p synthesis
+    (--p, --j, --sweep, --table2)."""
+    mode, used = (("profile", {"profile"}) if args.profile is not None else
+                  ("phi", {"phi", "p"}) if args.phi is not None else
+                  ("", {"p", "j", "sweep", "table2"}))
+    for name in ("p", "j", "phi", "sweep", "table2"):
+        value = getattr(args, name)
+        if name not in used and value is not None and value is not False:
+            raise ValueError(f"--{name} is not used with --{mode}")
+    for name, value in QSP_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def cmd_qsp(args, out) -> int:
     code = 0
+    _qsp_options(args)
     if args.profile is not None:
         profile = parse_profile(args.profile)
         n = len(profile) - 1
@@ -227,6 +248,8 @@ def _target_function(s: mbqc.MeasurementSchedule, spec: str | None):
 
 
 def cmd_simulate(args, out) -> int:
+    if args.stats and (not args.all or args.format == "csv"):
+        raise ValueError("--stats needs --all and the table or json format")
     text = open(args.schedule).read() if args.schedule else sys.stdin.read()
     s = mbqc.MeasurementSchedule.from_json(text)
     seed = args.seed
@@ -238,14 +261,16 @@ def cmd_simulate(args, out) -> int:
         if args.format == "csv":
             out.write(report.to_csv())
         else:
-            emit({"function": payload["function"],
-                  "inputs": len(payload["inputs"]),
-                  "min_analytic": payload["min_analytic"],
-                  "min_exact": payload["min_exact"],
-                  "empirical_rate": payload["empirical_rate"],
-                  "resources": json.dumps(payload["resources"]),
-                  "all_correct": report.all_shots_correct},
-                 args.format, out)
+            fields = {"function": payload["function"],
+                      "inputs": len(payload["inputs"]),
+                      "min_analytic": payload["min_analytic"],
+                      "min_exact": payload["min_exact"],
+                      "empirical_rate": payload["empirical_rate"],
+                      "resources": json.dumps(payload["resources"]),
+                      "all_correct": report.all_shots_correct}
+            if args.stats:
+                fields["stats"] = json.dumps(payload["stats"])
+            emit(fields, args.format, out)
         if report.failure:
             raise ValueError(report.failure)
         return 0
@@ -327,12 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pfd)
 
     p = sub.add_parser("qsp", help="angle synthesis and failure sweeps")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--profile", help="bit string f(0)..f(n), overrides --p")
+    p.add_argument("--p", type=int, help=f"default {QSP_DEFAULTS['p']}")
+    p.add_argument("--j", type=int, help=f"default {QSP_DEFAULTS['j']}")
+    p.add_argument("--profile", help="bit string f(0)..f(n); synthesizes it "
+                   "and takes no other qsp option")
     p.add_argument("--table2", action="store_true")
-    p.add_argument("--phi", type=float, help="report the reference unitary at one phase")
-    p.add_argument("--sweep", type=int, default=20)
+    p.add_argument("--phi", type=float, help="report the reference unitary "
+                   "of --p at one phase; takes no --j, --sweep or --table2")
+    p.add_argument("--sweep", type=int, help=f"default {QSP_DEFAULTS['sweep']}")
     common(p)
     p.set_defaults(func=cmd_qsp)
 
@@ -353,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--exact", action="store_true",
                    help="with --all, run the exact DP at any register size")
+    p.add_argument("--stats", action="store_true",
+                   help="with --all, also print the report's stats as JSON")
     p.add_argument("--shots", type=int, default=100)
     p.add_argument("--x")
     p.add_argument("--fn")

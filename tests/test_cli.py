@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import l2mbqc
-from l2mbqc import boolean, cli, mbqc
+from l2mbqc import boolean, cli, mbqc, qsp
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +110,31 @@ class TestQsp:
         assert code == 0
         assert json.loads(out)["L"] == 13
 
+    @pytest.mark.parametrize("argv, flag, mode", [
+        (("--p", "5", "--j", "2", "--phi", "0"), "--j", "--phi"),
+        (("--phi", "0", "--j", "0"), "--j", "--phi"),
+        (("--phi", "0", "--sweep", "5"), "--sweep", "--phi"),
+        (("--phi", "0", "--table2"), "--table2", "--phi"),
+        (("--profile", "01", "--phi", "1"), "--phi", "--profile"),
+        (("--profile", "01", "--phi", "0"), "--phi", "--profile"),
+        (("--profile", "01", "--p", "3"), "--p", "--profile"),
+        (("--profile", "01", "--table2"), "--table2", "--profile"),
+    ])
+    def test_unused_option_exits_1(self, argv, flag, mode):
+        # an option the mode would not read is refused, not dropped
+        code, out, err = run_main("qsp", *argv)
+        assert_one_error_line(code, out, err, flag)
+        assert err == f"error: {flag} is not used with {mode}\n"
+
+    def test_phase_report_reads_p(self, capsys):
+        code, out, _ = run_cli(capsys, "qsp", "--p", "5", "--phi", "0.4",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        U = qsp.reconstruct_unitary(qsp.reference_angles(5), 0.4)
+        assert payload["p"] == 5
+        assert payload["pr_output_1"] == f"{abs(U[1, 0]) ** 2:.12f}"
+
 
 class TestCompileSimulate:
     def test_mod3_pipe(self, capsys, tmp_path):
@@ -162,6 +187,36 @@ class TestCompileSimulate:
                                  "--all", "--shots", "-1")
         assert code == 1 and out == ""
         assert err == "error: shots_per_input must be >= 0, got -1\n"
+
+    def test_stats_line(self, capsys, tmp_path):
+        path = tmp_path / "sched.json"
+        run_cli(capsys, "compile", "--protocol", "mod3", "--n", "2",
+                "--out", str(path))
+        argv = ["simulate", "--schedule", str(path), "--all", "--shots", "20"]
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [line.split()[0] for line in plain.splitlines()] == [
+            "function", "inputs", "min_analytic", "min_exact",
+            "empirical_rate", "resources", "all_correct"]
+        code, out, _ = run_cli(capsys, *argv, "--stats")
+        assert code == 0
+        # the plain fields are untouched, and one stats line follows them
+        assert out.startswith(plain)
+        key, value = out[len(plain):].rstrip("\n").split(None, 1)
+        assert key == "stats" and "\n" not in value.strip()
+        stats = json.loads(value)
+        assert stats["exact_peak_states"] == 4
+        assert 0 <= stats["exact_marginal_dev"] < 1e-12
+        code, out, _ = run_cli(capsys, *argv, "--stats", "--format", "json")
+        assert code == 0 and json.loads(json.loads(out)["stats"]) == stats
+
+    @pytest.mark.parametrize("extra", [(), ("--all", "--format", "csv")])
+    def test_stats_without_report_exits_1(self, capsys, tmp_path, extra):
+        path = tmp_path / "sched.json"
+        run_cli(capsys, "compile", "--protocol", "mod3", "--n", "1",
+                "--out", str(path))
+        assert_one_error_line(*run_main("simulate", "--schedule", str(path),
+                                        "--stats", *extra), "--stats")
 
     def test_no_certificate_exits_1(self, capsys, tmp_path):
         # 57 qubits: no analytic path, no exact run by default, no shots
