@@ -6,11 +6,12 @@ commute, so the joint outcome distribution is sampled site by site in id
 order.  The sampler and the exact DP run on one bond-2 chain for GHZ
 states, 1D clusters and composites of those, whose right-canonical tensors
 need no environment.  The side processor sends each qubit one setting bit,
-so a sweep first tabulates each site's four (setting, outcome) projections
-of its tensor, and the input parities P.x of each distinct input mask, which
-many sites share.  One step (``_branches``) measures a site on a stack of bond
-factors by one matrix product with its table entry and a gather on (state,
-setting), returning both outcome branches and their weights and checking
+so each site's four (setting, outcome) projections of its tensor are
+tabulated once per schedule (``_site_table``), and a sweep first computes
+the input parities P.x of each distinct input mask, which many sites share.
+One step (``_branches``) measures a site on a stack of bond factors by one
+matrix product with its table entry and a gather on (state, setting),
+returning both outcome branches, contiguous, and their weights and checking
 that those weights sum to the state's weight:
 
 - sampling keeps one normalised factor per batch row, a row being one
