@@ -248,8 +248,6 @@ def _target_function(s: mbqc.MeasurementSchedule, spec: str | None):
 
 
 def cmd_simulate(args, out) -> int:
-    if args.stats and (not args.all or args.format == "csv"):
-        raise ValueError("--stats needs --all and the table or json format")
     text = open(args.schedule).read() if args.schedule else sys.stdin.read()
     s = mbqc.MeasurementSchedule.from_json(text)
     seed = args.seed
@@ -261,16 +259,15 @@ def cmd_simulate(args, out) -> int:
         if args.format == "csv":
             out.write(report.to_csv())
         else:
-            fields = {"function": payload["function"],
-                      "inputs": len(payload["inputs"]),
-                      "min_analytic": payload["min_analytic"],
-                      "min_exact": payload["min_exact"],
-                      "empirical_rate": payload["empirical_rate"],
-                      "resources": json.dumps(payload["resources"]),
-                      "all_correct": report.all_shots_correct}
-            if args.stats:
-                fields["stats"] = json.dumps(payload["stats"])
-            emit(fields, args.format, out)
+            emit({"function": payload["function"],
+                  "inputs": len(payload["inputs"]),
+                  "min_analytic": payload["min_analytic"],
+                  "min_exact": payload["min_exact"],
+                  "empirical_rate": payload["empirical_rate"],
+                  "resources": json.dumps(payload["resources"]),
+                  "all_correct": report.all_shots_correct,
+                  "stats": json.dumps(payload["stats"])},
+                 args.format, out)
         if report.failure:
             raise ValueError(report.failure)
         return 0
@@ -380,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--exact", action="store_true",
                    help="with --all, run the exact DP at any register size")
-    p.add_argument("--stats", action="store_true",
-                   help="with --all, also print the report's stats as JSON")
     p.add_argument("--shots", type=int, default=100)
     p.add_argument("--x")
     p.add_argument("--fn")

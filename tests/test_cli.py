@@ -193,30 +193,18 @@ class TestCompileSimulate:
         run_cli(capsys, "compile", "--protocol", "mod3", "--n", "2",
                 "--out", str(path))
         argv = ["simulate", "--schedule", str(path), "--all", "--shots", "20"]
-        code, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert [line.split()[0] for line in plain.splitlines()] == [
+        # the stats line comes last, after the fields pipe parses
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == [
             "function", "inputs", "min_analytic", "min_exact",
-            "empirical_rate", "resources", "all_correct"]
-        code, out, _ = run_cli(capsys, *argv, "--stats")
-        assert code == 0
-        # the plain fields are untouched, and one stats line follows them
-        assert out.startswith(plain)
-        key, value = out[len(plain):].rstrip("\n").split(None, 1)
-        assert key == "stats" and "\n" not in value.strip()
-        stats = json.loads(value)
+            "empirical_rate", "resources", "all_correct", "stats"]
+        stats = json.loads(lines[-1].split(None, 1)[1])
         assert stats["exact_peak_states"] == 4
         assert 0 <= stats["exact_marginal_dev"] < 1e-12
-        code, out, _ = run_cli(capsys, *argv, "--stats", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0 and json.loads(json.loads(out)["stats"]) == stats
-
-    @pytest.mark.parametrize("extra", [(), ("--all", "--format", "csv")])
-    def test_stats_without_report_exits_1(self, capsys, tmp_path, extra):
-        path = tmp_path / "sched.json"
-        run_cli(capsys, "compile", "--protocol", "mod3", "--n", "1",
-                "--out", str(path))
-        assert_one_error_line(*run_main("simulate", "--schedule", str(path),
-                                        "--stats", *extra), "--stats")
 
     def test_no_certificate_exits_1(self, capsys, tmp_path):
         # 57 qubits: no analytic path, no exact run by default, no shots
