@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2mbqc import boolean, mbqc, pfd, sim
+from l2mbqc import boolean, mbqc, pfd, qsp, sim
 from l2mbqc.mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, Resource,
                          XYBasis, canonical_a_ids, cluster1d,
                          compile_pfd_to_ghz, compile_to_cluster, composite, ghz,
@@ -557,6 +558,39 @@ class TestResources:
     def test_volume(self):
         rep = resources(mod3_protocol(4))
         assert rep.volume == (21 + 6) * (5 + 3)
+
+
+def _pfd_and3():
+    f = boolean.build("and", 3)
+    return compile_pfd_to_ghz(pfd.solve_pfd(f), f.table[0])
+
+
+class TestPinnedBuilders:
+    """Resource tuples and schedule JSON of every builder, pinned bit for bit
+    so that a change to schedule construction shows in what it emits."""
+
+    @pytest.mark.parametrize("build, tup, digest", [
+        (lambda: mod3_protocol(4), (21, 6, 5, 3),
+         "298da49bd1468d9f6e71946710fc1c30a2a21a4c6b07e8073ce068ecf4af45eb"),
+        (lambda: modp_protocol(5, 2, 3, qsp.reference_angles(5)),
+         (71, 5, 18, 3),
+         "8a2f21ff3a2e797db90c1550ec2dda58145cecc06cee10f9572ba4366543ad5d"),
+        (lambda: qsp_symmetric_protocol(
+            boolean.from_profile([0, 1, 1], 2), 2,
+            qsp.synthesize_symmetric([0, 1, 1], 2)), (53, 2, 18, 3),
+         "765d5dd2df16bea64c8657fe4daf80b856ec5e1e93d8bd2efb4f578f10148abe"),
+        (lambda: or_protocol(6), (57, 32, 3, 3),
+         "f6d41bb24cfaafa4b47d753fe39dfe84005e66838a668c5594c892f691f77fb5"),
+        (_pfd_and3, (7, 7, 1, 3),
+         "d9335c7b0a1c2a1e2491a08e056328d68489188cbbef1d1ea4d697cb0abbb2c3"),
+        (lambda: lift_ghz_to_cluster(_pfd_and3()), (15, 7, 2, 3),
+         "b814085b7946b8b13c4bce5615d7dc1b68bfa8a0ec9e60772d36f0094325cea0"),
+    ], ids=["mod3-4", "modp-5-2-3", "symmetric-011", "or-6", "pfd-and3",
+            "lift-and3"])
+    def test_resources_and_json_digest(self, build, tup, digest):
+        s = build()
+        assert resources(s).as_tuple() == tup
+        assert hashlib.sha256(s.to_json().encode()).hexdigest() == digest
 
 
 class TestCompositeResource:
