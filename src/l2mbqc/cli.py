@@ -9,13 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import pathlib
 import re
 import sys
 
 from . import boolean, mbqc, pfd, qsp, sim
-
-DEFAULT_SEED_ENV = "L2MBQC_SEED"
 
 
 def parse_function_spec(spec: str, n: int) -> boolean.BooleanFunction:
@@ -115,28 +113,30 @@ def cmd_pfd(args, out) -> int:
 
 
 QSP_DEFAULTS = {"p": 3, "j": 0, "sweep": 20}
+SIMULATE_DEFAULTS = {"shots": 100}
 
 
-def _qsp_options(args) -> None:
-    """Refuse a qsp option that the chosen mode would not read, then fill in
-    the defaults.  Modes: --profile (synthesis of a symmetric profile),
-    --phi (the reference unitary at one phase, of --p) and mod-p synthesis
-    (--p, --j, --sweep, --table2)."""
-    mode, used = (("profile", {"profile"}) if args.profile is not None else
-                  ("phi", {"phi", "p"}) if args.phi is not None else
-                  ("", {"p", "j", "sweep", "table2"}))
-    for name in ("p", "j", "phi", "sweep", "table2"):
+def _mode_options(args, options: tuple[str, ...], mode: str, used: set[str],
+                  defaults: dict) -> None:
+    """Refuse one of ``options`` that the chosen mode, named as in "with
+    --phi", would not read (any value but the parser's None or False);
+    then fill in the defaults."""
+    for name in options:
         value = getattr(args, name)
         if name not in used and value is not None and value is not False:
-            raise ValueError(f"--{name} is not used with --{mode}")
-    for name, value in QSP_DEFAULTS.items():
+            raise ValueError(f"--{name} is not used {mode}")
+    for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
 
 
 def cmd_qsp(args, out) -> int:
     code = 0
-    _qsp_options(args)
+    mode, used = (("with --profile", {"profile"}) if args.profile is not None
+                  else ("with --phi", {"phi", "p"}) if args.phi is not None
+                  else ("", {"p", "j", "sweep", "table2"}))
+    _mode_options(args, ("p", "j", "phi", "sweep", "table2"), mode, used,
+                  QSP_DEFAULTS)
     if args.profile is not None:
         profile = parse_profile(args.profile)
         n = len(profile) - 1
@@ -248,7 +248,12 @@ def _target_function(s: mbqc.MeasurementSchedule, spec: str | None):
 
 
 def cmd_simulate(args, out) -> int:
-    text = open(args.schedule).read() if args.schedule else sys.stdin.read()
+    mode, used = (("with --all", {"exact", "fn", "shots"}) if args.all
+                  else ("without --all", {"x"}))
+    _mode_options(args, ("exact", "fn", "shots", "x"), mode, used,
+                  SIMULATE_DEFAULTS)
+    text = (pathlib.Path(args.schedule).read_text() if args.schedule
+            else sys.stdin.read())
     s = mbqc.MeasurementSchedule.from_json(text)
     seed = args.seed
     if args.all:
@@ -326,13 +331,12 @@ def cmd_table2(args, out) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="l2mbqc", description=__doc__)
-    default_seed = int(os.environ.get(DEFAULT_SEED_ENV, "2024"))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="table")
-        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--seed", type=int, default=2024)
 
     p = sub.add_parser("analyze", help="ANF, Fourier spectrum, linear bound")
     p.add_argument("--fn", required=True)
@@ -377,9 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--exact", action="store_true",
                    help="with --all, run the exact DP at any register size")
-    p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--x")
-    p.add_argument("--fn")
+    p.add_argument("--shots", type=int, help="with --all; default "
+                   f"{SIMULATE_DEFAULTS['shots']} per input")
+    p.add_argument("--x", help="without --all; default all zeros")
+    p.add_argument("--fn", help="with --all; default from the schedule meta")
     common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -1,12 +1,13 @@
 """Measurement schedules on GHZ and 1D cluster resources, and their compilers.
 
-A schedule lists, per physical qubit, the measurement round, the basis, a
-mask over the classical input bits, and the set of earlier qubits whose
-outcomes flip the basis sign; those come earlier both in round order and
-in id order.  The measured observable of an XY-plane qubit with setting bit
-s = P.x xor A.m is X(offset + (-1)^(s xor bias) * theta); Pauli-Z qubits
-carry no conditioning.  The computational output is the parity of the
-outcomes selected by ``o_ids`` plus the constant ``c``.
+A schedule lists, per physical qubit, the basis, a mask over the classical
+input bits, and the set of lower-id qubits whose outcomes flip the basis
+sign; id order and those sets are its only statement of causality, and a
+qubit's measurement round is derived as its depth in the adaptation DAG.
+The measured observable of an XY-plane qubit with setting bit s = P.x xor
+A.m is X(offset + (-1)^(s xor bias) * theta); Pauli-Z qubits carry no
+conditioning.  The computational output is the parity of the outcomes
+selected by ``o_ids`` plus the constant ``c``.
 
 Canonical adaptation (``canonical_a_ids``) cancels every byproduct, which
 leaves a branch-independent single-qubit circuit; a schedule derives its
@@ -93,7 +94,6 @@ def canonical_a_ids(qid: int, first: int = 1) -> range:
 @dataclass(frozen=True)
 class QubitSpec:
     id: int
-    round: int
     basis: "XYBasis | PauliZBasis"
     p_mask: int = 0
     a_ids: frozenset[int] = frozenset()
@@ -108,6 +108,7 @@ class MeasurementSchedule:
     c: int
     declared_l_c: int | None = None
     compiled: bool = field(init=False, compare=False)  # see _canonical
+    rounds: tuple[int, ...] = field(init=False, compare=False)  # by id - 1
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -120,7 +121,6 @@ class MeasurementSchedule:
         if (len(ids) != self.resource.n_qubits
                 or set(ids) != set(range(1, len(ids) + 1))):
             raise ValueError("qubit ids must cover 1..n_qubits")
-        rounds = {q.id: q.round for q in self.qubits}
         for i, q in enumerate(self.qubits):
             # the simulator packs these into numpy arrays, which would take a
             # float mask or bias silently (bias 2 would act as bias 0)
@@ -134,23 +134,20 @@ class MeasurementSchedule:
                 raise ValueError(f"schedule field 'qubits[{i}].p_mask' must be "
                                  f"in [0, 2**arity = 2**{self.arity}), got "
                                  f"{q.p_mask}")
-            if q.round < 1:
-                raise ValueError("rounds start at 1")
-            for a in q.a_ids:
-                if a not in rounds:
-                    raise ValueError(f"qubit {q.id} adapts on unknown qubit {a}")
-                if rounds[a] >= q.round:
-                    raise ValueError(
-                        f"qubit {q.id} (round {q.round}) adapts on qubit {a} "
-                        f"(round {rounds[a]}): violates causal ordering")
             if isinstance(q.basis, PauliZBasis) and (q.p_mask or q.a_ids):
                 raise ValueError("Pauli-Z qubits carry no conditioning")
-        # the simulator measures in id order, so adaptation must point down
-        for q in self.qubits:
-            top = max(q.a_ids, default=0)
-            if top > q.id:
-                raise ValueError(f"qubit {q.id} adapts on qubit {top}, "
-                                 f"which is not lower in id order")
+        # the simulator measures in id order, so adaptation must point down;
+        # a qubit's round is one past the latest round it waits on
+        qubits = tuple(sorted(self.qubits, key=lambda q: q.id))
+        depth = [0] * (len(qubits) + 1)
+        for q in qubits:
+            if q.a_ids and not 0 < min(q.a_ids) <= max(q.a_ids) < q.id:
+                bad = next(a for a in sorted(q.a_ids) if not 0 < a < q.id)
+                raise ValueError(f"qubit {q.id} adapts on qubit {bad}, which "
+                                 f"is not lower: violates causal ordering")
+            depth[q.id] = 1 + max(map(depth.__getitem__, q.a_ids), default=0)
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "rounds", tuple(depth[1:]))
         if not self.o_ids <= set(ids):
             raise ValueError("output mask references unknown qubits")
         object.__setattr__(self, "compiled", self._canonical())
@@ -199,9 +196,9 @@ class MeasurementSchedule:
         return json.dumps({
             "resource": enc_resource(self.resource),
             "arity": self.arity,
-            "qubits": [{"id": q.id, "round": q.round, "basis": enc_basis(q.basis),
+            "qubits": [{"id": q.id, "round": r, "basis": enc_basis(q.basis),
                         "p_mask": q.p_mask, "a_ids": sorted(q.a_ids)}
-                       for q in sorted(self.qubits, key=lambda q: q.id)],
+                       for q, r in zip(self.qubits, self.rounds)],
             "o_ids": sorted(self.o_ids),
             "c": self.c,
             "l_c": self.declared_l_c,
@@ -218,6 +215,7 @@ class MeasurementSchedule:
         and the message names the offending field; the structural rules,
         the width of ``p_mask`` and the types of the masks, biases and
         angles that the simulator packs into arrays are the constructor's.
+        ``round`` and ``compiled`` are derived, so they are not read.
         """
         try:
             return cls._decode(json.loads(text))
@@ -310,8 +308,7 @@ def _decode_qubit(o, path: str) -> QubitSpec:
                         _field(b, "bias", "0 or 1", bpath, 0),
                         float(_field(b, "offset", "a finite number", bpath, 0.0)),
                         _field(b, "exact", "a string or null", bpath, None))
-    return QubitSpec(_field(o, "id", "a positive integer", path),
-                     _field(o, "round", "a positive integer", path), basis,
+    return QubitSpec(_field(o, "id", "a positive integer", path), basis,
                      _field(o, "p_mask", "a non-negative integer", path, 0),
                      frozenset(_field(o, "a_ids", "a list of positive integers",
                                       path, [])))
@@ -323,7 +320,6 @@ class ResourceReport:
     l_c: int
     t_q: int
     t_c: int
-    structural_l_c: int
 
     @property
     def volume(self) -> int:
@@ -336,17 +332,17 @@ class ResourceReport:
 def resources(s: MeasurementSchedule) -> ResourceReport:
     """Resource tuple: qubit count, classical bits, prep depth, and rounds.
 
-    The round count is the highest round index (the output parity is formed
-    in the final measurement round).  The classical-bit count is the value
-    declared by the protocol constructor when present; the structural count
-    of distinct nonzero input masks is always reported alongside.
+    The round count is the depth of the adaptation DAG, the highest derived
+    round (the output parity is formed in the final measurement round).  The
+    classical-bit count is the value declared by the protocol constructor
+    when present, else the number of distinct nonzero input masks.
     """
     l_q = s.n_qubits
-    t_c = max((q.round for q in s.qubits), default=0)
+    t_c = max(s.rounds, default=0)
     t_q = PREP_DEPTH if s.qubits else 0
-    structural = len({q.p_mask for q in s.qubits if q.p_mask})
-    l_c = s.declared_l_c if s.declared_l_c is not None else structural
-    return ResourceReport(l_q, l_c, t_q, t_c, structural)
+    masks = {q.p_mask for q in s.qubits if q.p_mask}
+    l_c = s.declared_l_c if s.declared_l_c is not None else len(masks)
+    return ResourceReport(l_q, l_c, t_q, t_c)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +389,12 @@ def compile_to_cluster(prog: OneQubitProgram) -> MeasurementSchedule:
         slots.append(Gate("X", 0.0))
 
     qubits: list[QubitSpec] = []
-    rounds: dict[int, int] = {}
     for qid, g in enumerate(slots, 1):
         exempt = is_pi_multiple(g.angle)
         bias, mask = (0, 0) if exempt else (g.cond.bias, g.cond.mask)
         a_ids = frozenset(() if exempt else canonical_a_ids(qid))
-        rounds[qid] = 1 + max((rounds[a] for a in a_ids), default=0)
         basis = XYBasis(g.angle, bias, exact=_angle_tag(g.angle))
-        qubits.append(QubitSpec(qid, rounds[qid], basis, mask, a_ids))
+        qubits.append(QubitSpec(qid, basis, mask, a_ids))
 
     o_ids = frozenset(q.id for q in qubits if q.id % 2 == 1)
     return MeasurementSchedule(cluster1d(len(slots)), prog.n, tuple(qubits),
@@ -420,8 +414,8 @@ def compile_pfd_to_ghz(d: PeriodicDecomposition, f0: int) -> MeasurementSchedule
     for t, mask in enumerate(masks, 1):
         half = math.pi * float(d.angles[mask]) / 2
         tag = _angle_tag(2 * half)
-        qubits.append(QubitSpec(t, 1, XYBasis(half, bias=1, offset=half,
-                                              exact=tag), mask, frozenset()))
+        qubits.append(QubitSpec(t, XYBasis(half, bias=1, offset=half,
+                                           exact=tag), mask))
     return MeasurementSchedule(ghz(len(masks)), d.n, tuple(qubits),
                                frozenset(range(1, len(masks) + 1)), f0 & 1,
                                declared_l_c=len(masks),
@@ -442,21 +436,20 @@ def lift_ghz_to_cluster(s: MeasurementSchedule) -> MeasurementSchedule:
     if N == 0:
         return MeasurementSchedule(cluster1d(0), s.arity, (), frozenset(), s.c,
                                    declared_l_c=0)
-    src = sorted(s.qubits, key=lambda q: q.id)
     # GHZ qubit t measures mid + (-1)^(s+1) * halfdiff; the odd cluster site
     # carries the signed half and the final site absorbs the accumulated mids
     mids, halves = [], []
-    for q in src:
+    for q in s.qubits:
         mids.append(q.basis.offset)
         halves.append(q.basis.theta if q.basis.bias else -q.basis.theta)
     qubits: list[QubitSpec] = []
-    for t, q in enumerate(src):
+    for t, q in enumerate(s.qubits):
         odd_id = 2 * t + 1
-        qubits.append(QubitSpec(odd_id, 2, XYBasis(halves[t], bias=1),
-                                q.p_mask, frozenset(canonical_a_ids(odd_id))))
-        qubits.append(QubitSpec(2 * t + 2, 1, XYBasis(0.0)))
+        qubits.append(QubitSpec(odd_id, XYBasis(halves[t], bias=1), q.p_mask,
+                                frozenset(canonical_a_ids(odd_id))))
+        qubits.append(QubitSpec(2 * t + 2, XYBasis(0.0)))
     last = 2 * N + 1
-    qubits.append(QubitSpec(last, 2, XYBasis(sum(mids), bias=0), 0,
+    qubits.append(QubitSpec(last, XYBasis(sum(mids), bias=0), 0,
                             frozenset(canonical_a_ids(last))))
     o_ids = frozenset(range(1, last + 1, 2))
     return MeasurementSchedule(cluster1d(last), s.arity, tuple(qubits), o_ids,
@@ -533,12 +526,12 @@ def or_protocol(n: int) -> MeasurementSchedule:
     offset = 0
     for blk in blocks:
         id_of = {q.id: q.id + offset for q in blk.qubits}
-        for q in sorted(blk.qubits, key=lambda q: q.id):
-            qubits.append(QubitSpec(id_of[q.id], q.round, q.basis, q.p_mask,
+        for q in blk.qubits:
+            qubits.append(QubitSpec(id_of[q.id], q.basis, q.p_mask,
                                     frozenset(id_of[a] for a in q.a_ids)))
         block_outputs.append(frozenset(id_of[o] for o in blk.o_ids))
         cut = offset + seg_len + 1
-        qubits.append(QubitSpec(cut, 1, PauliZBasis()))
+        qubits.append(QubitSpec(cut, PauliZBasis()))
         cut_ids.append(cut)
         offset = cut
 
@@ -563,12 +556,12 @@ def or_protocol(n: int) -> MeasurementSchedule:
                 wired ^= block_outputs[b]
                 wired ^= consumers_toggle[b]
         half = math.pi * float(strategy.angles[mask]) / 2
-        stage2.append(QubitSpec(odd_id, 3, XYBasis(half, bias=1), 0,
+        stage2.append(QubitSpec(odd_id, XYBasis(half, bias=1), 0,
                                 frozenset(wired)))
-        stage2.append(QubitSpec(odd_id + 1, 1, XYBasis(0.0)))
+        stage2.append(QubitSpec(odd_id + 1, XYBasis(0.0)))
     last = stage2_base + 2 * K + 1
     total_half = math.pi * float(sum(strategy.angles.values())) / 2
-    stage2.append(QubitSpec(last, 2, XYBasis(total_half, bias=0), 0,
+    stage2.append(QubitSpec(last, XYBasis(total_half, bias=0), 0,
                             frozenset(canonical_a_ids(last, stage2_base + 1))))
     qubits.extend(stage2)
 

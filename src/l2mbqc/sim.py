@@ -203,7 +203,6 @@ def _chain_tensors(resource: Resource) -> list[np.ndarray]:
 
 class SiteTable(NamedTuple):
     """A schedule's per-site data, sites in id order (``_site_table``)."""
-    qubits: tuple[QubitSpec, ...]
     angles: np.ndarray   # (N, setting)
     vectors: np.ndarray  # (N, setting, outcome, 2)
     kernels: np.ndarray  # (N, l, setting * outcome * r)
@@ -223,26 +222,25 @@ def _site_table(s: MeasurementSchedule) -> SiteTable:
 
 
 def _build_site_table(s: MeasurementSchedule) -> SiteTable:
-    """The qubits, the (N, setting) angles offset + (-1)^(setting xor bias)
-    * theta, their (N, setting, outcome, 2) eigenvectors (the Z basis on
-    Pauli-Z sites), the kernels v^H A, each an (l, setting * outcome * r)
-    matrix, bonds padded to 2, and each site's a_ids as an index array."""
-    qubits = tuple(sorted(s.qubits, key=lambda q: q.id))
-    z = np.array([isinstance(q.basis, PauliZBasis) for q in qubits], bool)
-    xy = [XYBasis(0.0) if zq else q.basis for zq, q in zip(z, qubits)]
+    """The (N, setting) angles offset + (-1)^(setting xor bias) * theta,
+    their (N, setting, outcome, 2) eigenvectors (the Z basis on Pauli-Z
+    sites), the kernels v^H A, each an (l, setting * outcome * r) matrix,
+    bonds padded to 2, and each site's a_ids as an index array."""
+    z = np.array([isinstance(q.basis, PauliZBasis) for q in s.qubits], bool)
+    xy = [XYBasis(0.0) if zq else q.basis for zq, q in zip(z, s.qubits)]
     bias = np.array([b.bias for b in xy], dtype=np.int64)[:, None]
     sign = 1.0 - 2.0 * ((np.arange(2) ^ bias) & 1)
     angles = (np.array([b.offset for b in xy], dtype=float)[:, None]
               + sign * np.array([b.theta for b in xy], dtype=float)[:, None])
     vectors = np.stack(xy_basis_vectors(angles), axis=2)
     vectors[z] = np.eye(2)
-    A = np.zeros((len(qubits), 2, 2, 2), dtype=complex)
+    A = np.zeros((s.n_qubits, 2, 2, 2), dtype=complex)
     for a, T in zip(A, _chain_tensors(s.resource)):
         a[:T.shape[0], :, :T.shape[2]] = T
     # einsum, not a BLAS product, keeps exactly cancelling branches at 0
     kernels = np.einsum("isoc,ilcr->ilsor", vectors.conj(), A)
-    table = SiteTable(qubits, angles, vectors, kernels.reshape(-1, 2, 8),
-                      tuple(_id_rows(q.a_ids) for q in qubits))
+    table = SiteTable(angles, vectors, kernels.reshape(-1, 2, 8),
+                      tuple(_id_rows(q.a_ids) for q in s.qubits))
     for a in (table.angles, table.vectors, table.kernels, *table.a_rows):
         a.flags.writeable = False
     return table
@@ -306,12 +304,12 @@ def _drive(s: MeasurementSchedule, xs: np.ndarray, rng,
     largest dense-chain marginal gap.
     """
     table = _site_table(s)
-    px = input_parities(table.qubits, xs)
+    px = input_parities(s.qubits, xs)
     rows2 = 2 * np.arange(len(xs))
     outcomes = np.zeros((s.n_qubits + 1, len(xs)), dtype=np.uint8)
     F = np.zeros((len(xs), 1, 2), dtype=complex) + (1, 0)
     gap = 0.0
-    for q, K, V, a in zip(table.qubits, table.kernels, table.vectors,
+    for q, K, V, a in zip(s.qubits, table.kernels, table.vectors,
                           table.a_rows):
         setting = setting_bits(q, px, _row_parity(outcomes, a))
         B, w, _ = _branches(F, K, setting)
@@ -393,8 +391,8 @@ def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], floa
     result: dict = {}
     table = _site_table(s)
     _walk(DenseEngine(s.resource),
-          list(zip(table.qubits, table.vectors, table.a_rows)),
-          input_parities(table.qubits, xs), outcomes, 1.0, result)
+          list(zip(s.qubits, table.vectors, table.a_rows)),
+          input_parities(s.qubits, xs), outcomes, 1.0, result)
     return result
 
 
@@ -444,9 +442,8 @@ def exact_distributions(s: MeasurementSchedule, xs) -> list[OutputDistribution]:
     # (inputs, keys, bond, bond), bonds padded to 2 as in the kernels
     F = np.zeros((len(xs), 1, 1, 2), dtype=complex) + (1, 0)
     peak, dev = 1, 0.0
-    table = _site_table(s)
-    px = input_parities(table.qubits, xs[:, None])
-    for q, kernel in zip(table.qubits, table.kernels):
+    px = input_parities(s.qubits, xs[:, None])
+    for q, kernel in zip(s.qubits, _site_table(s).kernels):
         n, K, k, l = F.shape
         bits = np.array([(key >> q.id) & 1 for key in keys], dtype=np.int64)
         B, w, gap = _branches(F.reshape(n * K, k, l), kernel,
@@ -507,11 +504,10 @@ def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
                          "GHZ or odd cluster chain) have an effective circuit")
     xs = np.asarray(xs, dtype=np.int64)
     ghz_chain = s.resource.kind == "ghz"
-    table = _site_table(s)
-    px = input_parities(table.qubits, xs)
+    px = input_parities(s.qubits, xs)
     return rotation_product([("X" if ghz_chain or q.id % 2 else "Z",
                               a[setting_bits(q, px, 0)])
-                             for q, a in zip(table.qubits, table.angles)])
+                             for q, a in zip(s.qubits, _site_table(s).angles)])
 
 
 def effective_circuit(s: MeasurementSchedule, x) -> EffectiveCircuit:

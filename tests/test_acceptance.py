@@ -222,7 +222,7 @@ def test_criterion_10_correspondence_identities():
     from l2mbqc.qsp import rot_x, rot_z
     for N in range(2, 11):
         thetas = rng.uniform(0, 2 * np.pi, N)
-        qubits = tuple(QubitSpec(i + 1, 1, XYBasis(float(th)))
+        qubits = tuple(QubitSpec(i + 1, XYBasis(float(th)))
                        for i, th in enumerate(thetas))
         s = MeasurementSchedule(ghz(N), 0, qubits,
                                 frozenset(range(1, N + 1)), 0)
@@ -234,7 +234,7 @@ def test_criterion_10_correspondence_identities():
     for N in (1, 3, 5):
         L = 2 * N + 1
         thetas = rng.uniform(0, 2 * np.pi, L)
-        qubits = tuple(QubitSpec(i + 1, 1, XYBasis(float(th)))
+        qubits = tuple(QubitSpec(i + 1, XYBasis(float(th)))
                        for i, th in enumerate(thetas))
         s = MeasurementSchedule(cluster1d(L), 0, qubits,
                                 frozenset(range(1, L + 1, 2)), 0)

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,31 @@ class TestCompileSimulate:
                                  "--all", "--shots", "-1")
         assert code == 1 and out == ""
         assert err == "error: shots_per_input must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv, flag, mode", [
+        (("--exact",), "--exact", "without --all"),
+        (("--fn", "or"), "--fn", "without --all"),
+        (("--shots", "0"), "--shots", "without --all"),
+        (("--exact", "--fn", "or", "--shots", "0"), "--exact",
+         "without --all"),
+        (("--all", "--x", "1"), "--x", "with --all"),
+    ])
+    def test_unused_option_exits_1(self, tmp_path, argv, flag, mode):
+        # an option the mode would not read is refused, not dropped
+        path = tmp_path / "mod3.json"
+        path.write_text(mbqc.mod3_protocol(1).to_json())
+        code, out, err = run_main("simulate", "--schedule", str(path), *argv)
+        assert_one_error_line(code, out, err, flag)
+        assert err == f"error: {flag} is not used {mode}\n"
+
+    def test_schedule_file_is_closed(self, tmp_path):
+        path = tmp_path / "mod3.json"
+        path.write_text(mbqc.mod3_protocol(1).to_json())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code, _, _ = run_main("simulate", "--schedule", str(path))
+        assert code == 0
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_stats_line(self, capsys, tmp_path):
         path = tmp_path / "sched.json"
@@ -424,6 +450,14 @@ class TestInputHardening:
 
 
 class TestTables:
+    def test_seed_default_ignores_environment(self, monkeypatch):
+        # the seed comes from --seed alone; a stray variable cannot crash
+        # the parser before main's error handling
+        monkeypatch.setenv("L2MBQC_SEED", "abc")
+        assert cli.build_parser().parse_args(["table2"]).seed == 2024
+        assert cli.build_parser().parse_args(
+            ["table2", "--seed", "7"]).seed == 7
+
     def test_table1_runs(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--n", "2", "--p", "3")
         assert code == 0

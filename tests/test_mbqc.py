@@ -29,7 +29,7 @@ json_values = st.recursive(
 
 @st.composite
 def random_schedules(draw):
-    """Valid schedules: adaptation on lower ids in strictly earlier rounds."""
+    """Valid schedules: adaptation on lower ids."""
     n = draw(st.integers(0, 7))
     arity = draw(st.integers(0, 4))
     kind = draw(st.sampled_from(["ghz", "cluster1d", "composite"]))
@@ -39,17 +39,15 @@ def random_schedules(draw):
     else:
         resource = Resource(kind, n)
     angles = st.floats(-10, 10, allow_nan=False)
-    rounds = [draw(st.integers(1, 4)) for _ in range(n)]
     qubits = []
     for qid in range(1, n + 1):
         if draw(st.booleans()):
-            qubits.append(QubitSpec(qid, rounds[qid - 1], PauliZBasis()))
+            qubits.append(QubitSpec(qid, PauliZBasis()))
             continue
-        earlier = [a for a in range(1, qid) if rounds[a - 1] < rounds[qid - 1]]
-        a_ids = draw(st.sets(st.sampled_from(earlier))) if earlier else set()
+        a_ids = draw(st.sets(st.integers(1, qid - 1))) if qid > 1 else set()
         basis = XYBasis(draw(angles), draw(st.integers(0, 1)), draw(angles),
                         draw(st.none() | st.text(min_size=1, max_size=6)))
-        qubits.append(QubitSpec(qid, rounds[qid - 1], basis,
+        qubits.append(QubitSpec(qid, basis,
                                 draw(st.integers(0, (1 << arity) - 1)),
                                 frozenset(a_ids)))
     o_ids = draw(st.sets(st.integers(1, n))) if n else set()
@@ -61,18 +59,15 @@ def random_schedules(draw):
 
 def chain_schedule(on_ghz, specs, arity=0, c=0, o_ids=None):
     """Schedule on a GHZ or cluster chain from one (basis, p_mask, a_ids) per
-    site; each site's round follows its a_ids, and the readout defaults to
-    every site on GHZ and the odd sites on a cluster."""
-    rounds, qubits = {}, []
-    for qid, (basis, p_mask, a_ids) in enumerate(specs, 1):
-        rounds[qid] = 1 + max((rounds[a] for a in a_ids), default=0)
-        qubits.append(QubitSpec(qid, rounds[qid], basis, p_mask,
-                                frozenset(a_ids)))
+    site; the readout defaults to every site on GHZ and the odd sites on a
+    cluster."""
+    qubits = tuple(QubitSpec(qid, basis, p_mask, frozenset(a_ids))
+                   for qid, (basis, p_mask, a_ids) in enumerate(specs, 1))
     n = len(specs)
     if o_ids is None:
         o_ids = range(1, n + 1, 1 if on_ghz else 2)
     return MeasurementSchedule((ghz if on_ghz else cluster1d)(n), arity,
-                               tuple(qubits), frozenset(o_ids), c)
+                               qubits, frozenset(o_ids), c)
 
 
 @st.composite
@@ -113,29 +108,49 @@ def with_site(specs, qid, spec):
 
 class TestScheduleModel:
     def test_duplicate_ids_rejected(self):
-        qs = (QubitSpec(1, 1, XYBasis(0.0)), QubitSpec(1, 1, XYBasis(0.0)))
+        qs = (QubitSpec(1, XYBasis(0.0)), QubitSpec(1, XYBasis(0.0)))
         with pytest.raises(ValueError):
             MeasurementSchedule(cluster1d(2), 1, qs, frozenset(), 0)
 
     def test_causality_violation_rejected(self):
-        qs = (QubitSpec(1, 1, XYBasis(1.0), 0, frozenset({2})),
-              QubitSpec(2, 1, XYBasis(0.0)))
+        qs = (QubitSpec(1, XYBasis(1.0), 0, frozenset({2})),
+              QubitSpec(2, XYBasis(0.0)))
         with pytest.raises(ValueError, match="causal"):
             MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
 
     def test_upward_adaptation_rejected(self):
-        # causal in rounds, but qubit 1 adapts on the higher id 2
-        qs = (QubitSpec(1, 2, XYBasis(1.0), 0, frozenset({2})),
-              QubitSpec(2, 1, XYBasis(0.0)))
+        # qubit 1 adapts on the higher id 2
+        qs = (QubitSpec(1, XYBasis(1.0), 0, frozenset({2})),
+              QubitSpec(2, XYBasis(0.0)))
         with pytest.raises(ValueError, match="qubit 1 adapts on qubit 2"):
+            MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
+
+    @pytest.mark.parametrize("a_ids", [{2}, {1, 2}, {0}, {-2, 1}, {3}])
+    def test_self_and_unknown_adaptation_rejected(self, a_ids):
+        qs = (QubitSpec(1, XYBasis(0.3)),
+              QubitSpec(2, XYBasis(1.0), 0, frozenset(a_ids)))
+        with pytest.raises(ValueError, match="causal"):
+            MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
+
+    def test_unsorted_qubits_build_the_same_schedule(self):
+        s = or_protocol(3)
+        shuffled = s.qubits[1::2] + s.qubits[::2]
+        t = MeasurementSchedule(s.resource, s.arity, shuffled, s.o_ids, s.c,
+                                s.declared_l_c, s.meta)
+        assert t == s and t.rounds == s.rounds
+
+    def test_bad_field_named_at_the_callers_index(self):
+        # qubit 1 sits at index 1 of the caller's tuple, and is named so
+        qs = (QubitSpec(2, XYBasis(0.3)), QubitSpec(1, XYBasis(0.3), p_mask=4))
+        with pytest.raises(ValueError, match=r"'qubits\[1\]\.p_mask'"):
             MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
 
     @pytest.mark.parametrize("p_mask", [1 << 70, 4, -1])
     def test_p_mask_width_checked(self, p_mask):
         # inputs are packed into int64: a mask wider than the arity (or
         # negative) would fail only later, inside the simulator
-        qs = (QubitSpec(1, 1, XYBasis(0.3), p_mask=3),
-              QubitSpec(2, 2, XYBasis(0.3), p_mask=p_mask))
+        qs = (QubitSpec(1, XYBasis(0.3), p_mask=3),
+              QubitSpec(2, XYBasis(0.3), p_mask=p_mask))
         with pytest.raises(ValueError, match=r"'qubits\[1\]\.p_mask'"):
             MeasurementSchedule(cluster1d(2), 2, qs, frozenset({1}), 0)
 
@@ -154,36 +169,36 @@ class TestScheduleModel:
     def test_field_types_checked(self, edit, field):
         # the simulator packs masks, biases and angles into numpy arrays,
         # which would coerce these silently (a float mask, bias 2 as bias 0)
-        qs = (QubitSpec(1, 1, XYBasis(0.3), p_mask=1),
-              replace(QubitSpec(2, 2, XYBasis(0.3), p_mask=1), **edit))
+        qs = (QubitSpec(1, XYBasis(0.3), p_mask=1),
+              replace(QubitSpec(2, XYBasis(0.3), p_mask=1), **edit))
         with pytest.raises(ValueError, match=field):
             MeasurementSchedule(cluster1d(2), 1, qs, frozenset({1}), 0)
 
     def test_real_angles_of_any_type_accepted(self):
-        qs = (QubitSpec(1, 1, XYBasis(np.float64(0.3), 1, 2)),
-              QubitSpec(2, 2, XYBasis(np.float32(0.5), offset=np.int64(1))))
+        qs = (QubitSpec(1, XYBasis(np.float64(0.3), 1, 2)),
+              QubitSpec(2, XYBasis(np.float32(0.5), offset=np.int64(1))))
         dist = sim.exact_distribution(
             MeasurementSchedule(cluster1d(2), 0, qs, frozenset({1}), 0), 0)
         assert dist[0] + dist[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_pauli_z_carries_no_conditioning(self):
-        qs = (QubitSpec(1, 1, PauliZBasis(), p_mask=1),)
+        qs = (QubitSpec(1, PauliZBasis(), p_mask=1),)
         with pytest.raises(ValueError):
             MeasurementSchedule(cluster1d(1), 1, qs, frozenset(), 0)
 
     def test_measured_angle(self):
         # offset + (-1)^(s xor bias) * theta with s = P.x xor A.m, per row;
         # rows: (x=1, m1=0), (x=0, m1=0), (x=1, m1=1)
-        q = QubitSpec(2, 2, XYBasis(0.5, bias=1, offset=0.5), p_mask=1,
+        q = QubitSpec(2, XYBasis(0.5, bias=1, offset=0.5), p_mask=1,
                       a_ids=frozenset({1}))
         outcomes = np.array([[0, 0, 0], [0, 0, 1]], dtype=np.uint8)
         px = sim.input_parities([q], [1, 0, 1])
         setting = sim.setting_bits(q, px, outcomes[1])
         assert setting.tolist() == [1, 0, 0]
         s = MeasurementSchedule(cluster1d(2), 1,
-                                (QubitSpec(1, 1, XYBasis(0.2)), q),
+                                (QubitSpec(1, XYBasis(0.2)), q),
                                 frozenset({1}), 0)
-        angles = sim._site_table(s)[1]  # (qubit, setting)
+        angles = sim._site_table(s).angles  # (qubit, setting)
         assert angles[1, setting] == pytest.approx([1.0, 0.0, 0.0])
 
 
@@ -270,6 +285,22 @@ class TestSerialization:
         s = MeasurementSchedule.from_json(
             (DATA / "mod3_n4_schedule.json").read_text())
         assert s == mod3_protocol(4)
+
+    @pytest.mark.parametrize("forged", [99, "x", None])
+    def test_round_is_output_only(self, forged):
+        # rounds are derived from a_ids, so a forged round can neither
+        # inflate nor hide T_C; None drops the key
+        s = or_protocol(3)
+        obj = json.loads(s.to_json())
+        for q in obj["qubits"]:
+            if forged is None:
+                del q["round"]
+            else:
+                q["round"] = forged
+        t = MeasurementSchedule.from_json(json.dumps(obj))
+        assert t == s and t.rounds == s.rounds
+        assert resources(t) == resources(s)
+        assert t.to_json() == s.to_json()
 
     @pytest.mark.parametrize("edit, field", [
         (lambda o: o.update(c=5), "'c'"),
@@ -428,7 +459,7 @@ class TestGhzCompile:
 
     def test_nonadaptive(self):
         s = compile_pfd_to_ghz(pfd.solve_pfd(boolean.or_n(2)), 0)
-        assert all(q.round == 1 and not q.a_ids for q in s.qubits)
+        assert all(r == 1 and not q.a_ids for q, r in zip(s.qubits, s.rounds))
 
 
 class TestLift:
@@ -546,14 +577,23 @@ class TestOrProtocol:
 
 
 class TestResources:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rounds_are_adaptation_depth(self, data):
+        s = data.draw(random_schedules())
+        for q, r in zip(s.qubits, s.rounds):
+            assert r == 1 + max((s.rounds[a - 1] for a in q.a_ids), default=0)
+        assert resources(s).t_c == max(s.rounds, default=0)
+
     def test_empty_schedule(self):
         s = MeasurementSchedule(cluster1d(0), 1, (), frozenset(), 0)
         rep = resources(s)
         assert (rep.l_q, rep.l_c, rep.t_q, rep.t_c) == (0, 0, 0, 0)
 
     def test_structural_count_distinct_masks(self):
+        # with no declared count, L_C is the number of distinct input masks
         s = compile_pfd_to_ghz(pfd.solve_pfd(boolean.or_n(2)), 0)
-        assert resources(s).structural_l_c == 3
+        assert resources(replace(s, declared_l_c=None)).l_c == 3
 
     def test_volume(self):
         rep = resources(mod3_protocol(4))
@@ -583,8 +623,9 @@ class TestPinnedBuilders:
          "f6d41bb24cfaafa4b47d753fe39dfe84005e66838a668c5594c892f691f77fb5"),
         (_pfd_and3, (7, 7, 1, 3),
          "d9335c7b0a1c2a1e2491a08e056328d68489188cbbef1d1ea4d697cb0abbb2c3"),
+        # site 1 waits on no outcome, so its round is 1
         (lambda: lift_ghz_to_cluster(_pfd_and3()), (15, 7, 2, 3),
-         "b814085b7946b8b13c4bce5615d7dc1b68bfa8a0ec9e60772d36f0094325cea0"),
+         "0a32a6f692bafa3aaf1f6a8c4cec15cc7637e03d92f5f14c21ee5e2955d5a9c0"),
     ], ids=["mod3-4", "modp-5-2-3", "symmetric-011", "or-6", "pfd-and3",
             "lift-and3"])
     def test_resources_and_json_digest(self, build, tup, digest):

@@ -19,9 +19,8 @@ from l2mbqc.sim import (DenseEngine, bell_score,
                         verify_protocol, xy_basis_vectors)
 
 
-def fixed_angle_schedule(resource, thetas, o_ids=None, rounds=None):
-    qubits = tuple(QubitSpec(i + 1, 1 if rounds is None else rounds[i],
-                             XYBasis(float(t)))
+def fixed_angle_schedule(resource, thetas, o_ids=None):
+    qubits = tuple(QubitSpec(i + 1, XYBasis(float(t)))
                    for i, t in enumerate(thetas))
     o = frozenset(o_ids) if o_ids else frozenset(range(1, len(thetas) + 1))
     return MeasurementSchedule(resource, 0, qubits, o, 0)
@@ -40,8 +39,8 @@ class TestEngines:
         z1 = np.array([[0, 1]], dtype=complex)
         p0, _ = DenseEngine(ghz(4)).marginal(1, z0, z1)
         assert p0[0] == pytest.approx(0.5, abs=1e-12)
-        qubits = (QubitSpec(1, 1, PauliZBasis()),) + tuple(
-            QubitSpec(i, 1, XYBasis(0.0)) for i in (2, 3, 4))
+        qubits = (QubitSpec(1, PauliZBasis()),) + tuple(
+            QubitSpec(i, XYBasis(0.0)) for i in (2, 3, 4))
         table = sim._site_table(
             MeasurementSchedule(ghz(4), 0, qubits, frozenset({2, 3, 4}), 0))
         vectors, kernels = table.vectors, table.kernels
@@ -83,11 +82,11 @@ class TestEngines:
         assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cluster_marginals_any_order(self):
-        # rounds put mid-chain sites first; both engines step in id order
+        # qubits given out of id order; both engines step in id order
         rng = np.random.default_rng(5)
         thetas = rng.uniform(0, 2 * np.pi, 5)
-        qubits = tuple(QubitSpec(i + 1, r, XYBasis(float(t)))
-                       for i, (t, r) in enumerate(zip(thetas, [2, 3, 1, 2, 1])))
+        qubits = tuple(QubitSpec(i, XYBasis(float(thetas[i - 1])))
+                       for i in (3, 5, 1, 4, 2))
         s = MeasurementSchedule(cluster1d(5), 0, qubits, frozenset({1, 3, 5}), 0)
         assert compare_engines(s, 0, seed=3) < 1e-12
 
@@ -352,13 +351,13 @@ def pauli_z_cut_schedule():
     rng = np.random.default_rng(40)
     th = rng.uniform(0, 2 * np.pi, 7)
     qubits = (
-        QubitSpec(1, 1, XYBasis(th[0], 0), 1),
-        QubitSpec(2, 2, XYBasis(th[1], 1), 2, frozenset({1})),
-        QubitSpec(3, 3, XYBasis(th[2], 0, 0.3), 3, frozenset({2})),
-        QubitSpec(4, 1, PauliZBasis()),
-        QubitSpec(5, 2, XYBasis(th[4], 1), 1, frozenset({4})),
-        QubitSpec(6, 3, XYBasis(th[5], 0), 0, frozenset({1, 4, 5})),
-        QubitSpec(7, 4, XYBasis(th[6], 0), 2, frozenset({2, 6})),
+        QubitSpec(1, XYBasis(th[0], 0), 1),
+        QubitSpec(2, XYBasis(th[1], 1), 2, frozenset({1})),
+        QubitSpec(3, XYBasis(th[2], 0, 0.3), 3, frozenset({2})),
+        QubitSpec(4, PauliZBasis()),
+        QubitSpec(5, XYBasis(th[4], 1), 1, frozenset({4})),
+        QubitSpec(6, XYBasis(th[5], 0), 0, frozenset({1, 4, 5})),
+        QubitSpec(7, XYBasis(th[6], 0), 2, frozenset({2, 6})),
     )
     return MeasurementSchedule(cluster1d(7), 2, qubits,
                                frozenset({1, 3, 4, 7}), 1)
@@ -371,8 +370,8 @@ def dead_on_one_input_schedule():
     reads it in Y, where both outcomes are alive.  So the DP key of outcome
     1 lives on input 0 only, and site 2 meets it as a zero row on input 1.
     """
-    qubits = (QubitSpec(1, 1, XYBasis(math.pi / 4, 0, math.pi / 4), 1),
-              QubitSpec(2, 2, XYBasis(0.7), 0, frozenset({1})))
+    qubits = (QubitSpec(1, XYBasis(math.pi / 4, 0, math.pi / 4), 1),
+              QubitSpec(2, XYBasis(0.7), 0, frozenset({1})))
     return MeasurementSchedule(composite(cluster1d(1), cluster1d(1)), 1,
                                qubits, frozenset({1, 2}), 0)
 
@@ -666,10 +665,10 @@ class TestComposite:
         qubits = []
         for t, mask in enumerate(sorted(d1.angles), 1):
             half = math.pi * float(d1.angles[mask]) / 2
-            qubits.append(QubitSpec(t, 1, XYBasis(half, 1, half), mask))
+            qubits.append(QubitSpec(t, XYBasis(half, 1, half), mask))
         for t, mask in enumerate(sorted(d2.angles), 4):
             half = math.pi * float(d2.angles[mask]) / 2
-            qubits.append(QubitSpec(t, 1, XYBasis(half, 1, half), mask << 2))
+            qubits.append(QubitSpec(t, XYBasis(half, 1, half), mask << 2))
         return MeasurementSchedule(composite(ghz(3), ghz(3)), 4,
                                    tuple(qubits), frozenset(range(1, 7)), 0)
 
