@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .boolean import BooleanFunction
@@ -362,12 +362,15 @@ def _angle_tag(angle: float) -> str | None:
     return None
 
 
-def compile_to_cluster(prog: OneQubitProgram) -> MeasurementSchedule:
+def compile_to_cluster(prog: OneQubitProgram, declared_l_c: int | None = None,
+                       meta: dict | None = None) -> MeasurementSchedule:
     """Lay a sign-form program onto a 1D chain with canonical adaptation.
 
     Odd sites carry the X rotations and even sites the Z rotations; filler
     zero rotations keep the alternation, and leading or trailing Z rotations
     are dropped since they only dephase the preparation or the readout.
+    ``declared_l_c`` and ``meta`` go to the schedule, so that a named
+    protocol is built once; an empty ``meta`` records the program's source.
     """
     prog = normalize_sign_form(prog)
     gates = list(prog.gates)
@@ -377,7 +380,8 @@ def compile_to_cluster(prog: OneQubitProgram) -> MeasurementSchedule:
         gates.pop()
     if not gates:
         return MeasurementSchedule(cluster1d(0), prog.n, (), frozenset(),
-                                   prog.flip_output, meta={"source": prog.meta})
+                                   prog.flip_output, declared_l_c,
+                                   meta=meta or {"source": prog.meta})
 
     slots: list[Gate] = []
     for g in gates:
@@ -398,8 +402,8 @@ def compile_to_cluster(prog: OneQubitProgram) -> MeasurementSchedule:
 
     o_ids = frozenset(q.id for q in qubits if q.id % 2 == 1)
     return MeasurementSchedule(cluster1d(len(slots)), prog.n, tuple(qubits),
-                               o_ids, prog.flip_output,
-                               meta={"source": prog.meta.get("builder")})
+                               o_ids, prog.flip_output, declared_l_c,
+                               meta=meta or {"source": prog.meta.get("builder")})
 
 
 def compile_pfd_to_ghz(d: PeriodicDecomposition, f0: int) -> MeasurementSchedule:
@@ -463,12 +467,12 @@ def lift_ghz_to_cluster(s: MeasurementSchedule) -> MeasurementSchedule:
 
 def mod3_protocol(n: int) -> MeasurementSchedule:
     """Five-round cluster protocol for the weight-mod-3 test on 4n+5 qubits."""
-    s = compile_to_cluster(build_mod3_clifford(n))
+    s = compile_to_cluster(build_mod3_clifford(n), n + 2,
+                           {"builder": "mod3_protocol", "n": n})
     assert s.n_qubits == 4 * n + 5
     rep = resources(s)
     assert rep.t_c == 5, rep
-    return replace(s, declared_l_c=n + 2,
-                   meta={"builder": "mod3_protocol", "n": n})
+    return s
 
 
 def _weight_protocol(prog: OneQubitProgram, q: int, l_c: int,
@@ -480,11 +484,11 @@ def _weight_protocol(prog: OneQubitProgram, q: int, l_c: int,
     a multiple of pi (a residue rotation of 2*pi, the 0/pi padding of a
     deflated target) is measured in round 1, which can leave fewer rounds.
     """
-    s = compile_to_cluster(prog)
+    s = compile_to_cluster(prog, l_c, meta)
     assert s.n_qubits == (4 * q - 2) * (prog.n + 1) - 1
     rep = resources(s)
     assert rep.t_c <= 4 * q - 2, rep
-    return replace(s, declared_l_c=l_c, meta=meta)
+    return s
 
 
 def modp_protocol(p: int, j: int, n: int, angles: QspAngles) -> MeasurementSchedule:

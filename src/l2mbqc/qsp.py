@@ -102,9 +102,9 @@ class QspAngles:
 
     ``stats`` is the synthesis certificate (empty for loaded tables):
     ``interp_residual``, ``grid_zeros`` (circle zeros divided out, 2q),
-    ``quotient_degree`` (degree handed to the root finder),
-    ``division_remainder`` (relative), ``root_seed_dev`` (largest distance
-    from a root to its float starting point) and ``reconstruction_residual``.
+    ``quotient_degree`` (handed to the root finder), ``division_remainder``
+    (relative), ``root_seed_dev`` (largest distance of a root from its seed),
+    ``peel_residual`` (see ``_peel_angles``) and ``reconstruction_residual``.
     """
 
     length: int
@@ -333,7 +333,7 @@ def _complete(pair: LaurentPair):
     # to; mpmath starts the roots of dropped non-finite seeds at its defaults
     seeds = _seed_roots(quot[::-1])
     seeds = seeds[np.isfinite(seeds)]
-    roots = mp.polyroots(quot[::-1], maxsteps=600, extraprec=400,
+    roots = mp.polyroots(quot[::-1], maxsteps=600, extraprec=60,
                          roots_init=[mp.mpc(s) for s in seeds]) if qdeg else []
     gaps = np.abs(np.array(roots, dtype=complex)[:, None] - seeds)
     seed_dev = float(np.max(np.min(gaps, axis=1, initial=np.inf), initial=0.0))
@@ -350,7 +350,7 @@ def _complete(pair: LaurentPair):
     shift = -(deg + 1) // 2  # ghat[k] multiplies w^(k + shift)
 
     def at(coeffs, low, t):
-        return sum(c * t ** (k + low) for k, c in enumerate(coeffs))
+        return mp.polyval(list(coeffs[::-1]), t) * t ** low
 
     for ut in (mp.mpc("0.7311", "0.211"), mp.mpc("1.3917", "-0.4101")):
         lhs = at(ghat, shift, ut) * at(ghat, shift, 1 / ut)
@@ -370,59 +370,58 @@ def _complete(pair: LaurentPair):
 def _peel_angles(pair: LaurentPair, G):
     """Factor the matrix Laurent polynomial into XY-plane rotation layers.
 
-    ``E[i]`` is the 2x2 coefficient of z^(2i - m) for the current degree m,
-    an object array of ``mpc``: [[A + iD, iB - iC], [iB + iC, A - iD]] from
-    A, iB (``_z_series``) and the even and odd parts D, C of the factor G,
-    all in one layout.  A layer's projectors are rank one, Q = v v^H and
-    P = I - Q for the unit axis vector v, so stripping it, E[1:] P +
-    E[:-1] Q, is E[1:] + (E[:-1] - E[1:]) v v^H: one matrix-vector product
-    and one outer product per coefficient.
+    Every 2x2 coefficient has the SU(2) shape [[P, Q*], [Q, P*]], with P =
+    A + iD and Q = iB + iC from A, iB (``_z_series``) and the even and odd
+    parts D, C of G; so have the XY-plane projectors v v^H = [[1/2, c*],
+    [c, 1/2]] (c = v1 v0*) and all products.  Only ``P[i]`` and ``Q[i]``, at
+    z^(2i - m) for the current degree m, are carried: stripping a layer,
+    E[1:] + (E[:-1] - E[1:]) v v^H, is P[1:] + dP/2 + c dQ* and Q[1:] +
+    dQ/2 + c dP*, with dP = P[:-1] - P[1:] and dQ alike.  Returns the float
+    angles and the peel residual: the largest clearing residue of a layer or
+    deviation of the last layer from the identity.
     """
     import mpmath as mp
 
     L = pair.degree
-    A = _z_series(pair.a, 1)
-    iB = _z_series(pair.b, -1)
     D, C = (G + G[::-1]) / 2, (G - G[::-1]) / 2
-    E = np.empty((L + 1, 2, 2), dtype=object)
-    E[:, 0, 0], E[:, 0, 1] = A + 1j * D, iB - 1j * C
-    E[:, 1, 0], E[:, 1, 1] = iB + 1j * C, A - 1j * D
+    P, Q = _z_series(pair.a, 1) + 1j * D, _z_series(pair.b, -1) + 1j * C
+
+    def times_projector(p, q, c):
+        # [[p, q*], [q, p*]] v v^H; array first (mpc * ndarray reprs it)
+        return p / 2 + np.conj(q) * c, q / 2 + np.conj(p) * c
 
     tiny = mp.mpf(10) ** (-SYNTHESIS_DPS + 12)
     # deflated targets factor into fewer genuine layers; identity pairs of
     # opposed axes pad the sequence back to the declared rotation count
-    eff = max((abs(2 * i - L) for i, M in enumerate(E)
-               if max(abs(x) for x in M.flat) > tiny), default=0)
+    eff = max((abs(2 * i - L) for i, pq in enumerate(zip(P, Q))
+               if max(map(abs, pq)) > tiny), default=0)
     if (L - eff) % 2:
         raise SynthesisError("degree deflation changed parity")
-    E = E[(L - eff) // 2:(L + eff) // 2 + 1]
-    xis = []
+    P, Q = (x[(L - eff) // 2:(L + eff) // 2 + 1] for x in (P, Q))
+    xis, worst = [], mp.mpf(0)
     for m in range(eff, 0, -1):
-        Cm = E[-1]
-        if abs(Cm[0, 0]) + abs(Cm[0, 1]) > abs(Cm[1, 0]) + abs(Cm[1, 1]):
-            v = (-Cm[0, 1], Cm[0, 0])
-        else:
-            v = (-Cm[1, 1], Cm[1, 0])
-        nv = mp.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+        nv = mp.sqrt(abs(P[-1]) ** 2 + abs(Q[-1]) ** 2)  # v = (-P*, Q) / nv
         if nv < mp.mpf("1e-30"):
             raise SynthesisError(f"vanishing leading coefficient at degree {m}")
-        v = np.array([v[0] / nv, v[1] / nv], dtype=object)
-        if abs(abs(v[0]) ** 2 - mp.mpf("0.5")) > mp.mpf("1e-18"):
+        v0, v1 = -mp.conj(P[-1]) / nv, Q[-1] / nv
+        if abs(abs(v0) ** 2 - mp.mpf("0.5")) > mp.mpf("1e-18"):
             raise SynthesisError("rotation axis left the XY plane during peeling")
-        vh = np.array([mp.conj(x) for x in v], dtype=object)
-        xis.append(-mp.arg(2 * v[0] * vh[1]))
+        c = v1 * mp.conj(v0)
+        xis.append(-mp.arg(mp.conj(c)))
         # the layer must clear z^(-m-1) and z^(m+1) exactly
-        for end in (E[0] - np.outer(E[0] @ v, vh), np.outer(E[-1] @ v, vh)):
-            resid = max(abs(x) for x in end.flat)
-            if resid > mp.mpf("1e-18"):
-                raise SynthesisError(f"peel residue {float(resid):.1e} at degree {m}")
-        E = E[1:] + ((E[:-1] - E[1:]) @ v)[:, :, None] * vh
-    dev = max(abs(x) for x in (E[0] - np.eye(2)).flat)
+        low = times_projector(P[0], Q[0], c)
+        resid = max(abs(P[0] - low[0]), abs(Q[0] - low[1]),
+                    *map(abs, times_projector(P[-1], Q[-1], c)))
+        if resid > mp.mpf("1e-18"):
+            raise SynthesisError(f"peel residue {float(resid):.1e} at degree {m}")
+        worst = max(worst, resid)
+        dP, dQ = times_projector(P[:-1] - P[1:], Q[:-1] - Q[1:], c)
+        P, Q = P[1:] + dP, Q[1:] + dQ
+    dev = max(abs(P[0] - 1), abs(Q[0]))
     if dev > mp.mpf("1e-18"):
         raise SynthesisError("nonidentity residual layer after peeling")
-    out = list(reversed(xis))
-    out += [mp.mpf(0), mp.pi] * ((L - eff) // 2)
-    return out
+    out = list(reversed(xis)) + [mp.mpf(0), mp.pi] * ((L - eff) // 2)
+    return tuple(float(x) for x in out), float(max(worst, dev))
 
 
 def complete_and_extract_angles(pair: LaurentPair) -> QspAngles:
@@ -434,13 +433,14 @@ def complete_and_extract_angles(pair: LaurentPair) -> QspAngles:
         if feas < -1e-12:
             raise SynthesisError(f"pair is infeasible: min remainder {feas:.3e}")
         G, stats = _complete(pair)
-        xi = tuple(float(x) for x in _peel_angles(pair, G))
+        xi, peel_residual = _peel_angles(pair, G)
     worst = _reconstruction_residual(xi, pair)
     if worst > 1e-10:
         raise SynthesisError(f"reconstruction residual {worst:.2e}")
     return QspAngles(pair.degree, xi, pair.grid_period,
                      target={"values": list(pair.target_values)}, residual=worst,
                      stats={"interp_residual": pair.residual, **stats,
+                            "peel_residual": peel_residual,
                             "reconstruction_residual": worst})
 
 

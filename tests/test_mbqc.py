@@ -540,6 +540,24 @@ class TestNamedProtocols:
         for x in range(4):
             assert sim.analytic_success(s, f, x) > 1 - 1e-9
 
+    @pytest.mark.parametrize("build", [
+        lambda: mod3_protocol(4),
+        lambda: modp_protocol(5, 2, 3, qsp.reference_angles(5)),
+    ], ids=["mod3-4", "modp-5-2-3"])
+    def test_schedule_is_built_once(self, monkeypatch, build):
+        # every field check, the id sort and the round derivation run once
+        calls = []
+        real = MeasurementSchedule.__post_init__
+
+        def counting(self):
+            calls.append(self.n_qubits)
+            real(self)
+
+        monkeypatch.setattr(MeasurementSchedule, "__post_init__", counting)
+        s = build()
+        assert calls == [s.n_qubits]
+        assert s.declared_l_c is not None and s.meta["builder"]
+
 
 class TestOrProtocol:
     def test_zero_input_always_zero(self):

@@ -218,9 +218,13 @@ class TestGridZeroDivision:
         lambda coeffs: np.full(len(coeffs) - 1, 0.3 + 0.2j),
     ], ids=["nan", "all-equal"])
     def test_root_seeds_change_speed_only(self, monkeypatch, bad_seeds):
-        # useless starting points cost polish steps, never a different root
+        # useless starting points cost polish steps, never a different root;
+        # p = 7 and 9 (quotient degrees 12 and 16) polish from mpmath's own
+        # starts, where the extra working precision is tightest
         builds = [lambda: qsp.synthesize_mod_p(5, 2),
-                  lambda: qsp.synthesize_symmetric([0, 1, 0], 2)]
+                  lambda: qsp.synthesize_symmetric([0, 1, 0], 2),
+                  lambda: qsp.synthesize_mod_p(7, 0),
+                  lambda: qsp.synthesize_mod_p(9, 0)]
         seeded = [build() for build in builds]
         monkeypatch.setattr(qsp, "_seed_roots", bad_seeds)
         for build, good in zip(builds, seeded):
@@ -241,6 +245,18 @@ class TestGridZeroDivision:
             -0.7845085666681999, -2.1947324005126103, -1.4525015721219354,
             -1.5342674828469243, -0.5582595374448357, 0.2389600672085269],
             rtol=0, atol=1e-12)
+
+    def test_perturbed_roots_fail_identity_check(self, monkeypatch):
+        # a 1e-20 relative error in every root is far past the 1e-25 check
+        real = mpmath.polyroots
+
+        def scaled(coeffs, *args, **kwargs):
+            return [r * (1 + mpmath.mpf("1e-20"))
+                    for r in real(coeffs, *args, **kwargs)]
+
+        monkeypatch.setattr(mpmath, "polyroots", scaled)
+        with pytest.raises(SynthesisError, match="failed identity check"):
+            qsp.synthesize_mod_p(5, 0)
 
     def test_remainder_without_grid_zeros_rejected(self):
         # feasible (1 - A^2 >= 3/4), but nothing vanishes at the grid points
@@ -350,6 +366,25 @@ class TestPinnedAngles:
     ])
     def test_pinned_angles_beyond_13(self, p, digest):
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)], ()) == digest
+
+
+class TestPeel:
+    @pytest.mark.parametrize("target", [3, 5, 7, (0, 1, 0)])
+    def test_peel_residual_reported(self, target, modp_angles, symmetric_angles):
+        angles = (symmetric_angles[target] if isinstance(target, tuple)
+                  else modp_angles[target])
+        residual = angles.stats["peel_residual"]
+        assert isinstance(residual, float) and 0 <= residual <= 1e-18
+
+    def test_off_plane_axis_rejected(self):
+        # a factor off by 1e-12 no longer completes the pair to SU(2), so the
+        # leading coefficient's kernel vector leaves the XY plane
+        pair = solve_mod_p_coeffs(5, 0)
+        with mpmath.workdps(qsp.SYNTHESIS_DPS):
+            G, _ = qsp._complete(pair)
+            G[len(G) // 2] += mpmath.mpf("1e-12")
+            with pytest.raises(SynthesisError, match="left the XY plane"):
+                qsp._peel_angles(pair, G)
 
 
 class TestCompletion:
