@@ -651,6 +651,21 @@ class TestPinnedBuilders:
         assert resources(s).as_tuple() == tup
         assert hashlib.sha256(s.to_json().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n, digest", [
+        (6, "4ef1be04716e844d942bc4750ec253a5faac0f8351ab4fc3be64d7b9d9ddc7bb"),
+        (8, "28a59c6e533f5216dad813dbd8ef174af1d31846c098a6f904aecc2233c0e533"),
+        (20, "89d7f894e1b982e4d1641ee43a9c828112c02298e90849c1c9abc62f5da0fc39"),
+        (63, "120771ec460d393c16404ec55396c92cf17dd1673fdd94693f85409ce8f2120b"),
+    ])
+    def test_or_protocol_digest_without_audit_tags(self, n, digest):
+        # every angle, mask, adaptation set and the output parity, bit for
+        # bit; the `exact` audit tags are left out of the digest
+        obj = json.loads(or_protocol(n).to_json())
+        for q in obj["qubits"]:
+            q["basis"].pop("exact", None)
+        text = json.dumps(obj, indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestCompositeResource:
     def test_composite_sizes(self):
