@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .boolean import BooleanFunction
-from .onequbit import (Gate, OneQubitProgram, build_mod3_clifford,
+from .onequbit import (Condition, Gate, OneQubitProgram, build_mod3_clifford,
                        build_qsp_program, build_symmetric_program,
                        normalize_sign_form, or_reduction_bank)
 from .pfd import PeriodicDecomposition, or_decomposition
@@ -85,10 +85,10 @@ def is_pi_multiple(theta: float, offset: float = 0.0) -> bool:
     return abs(r) < PI_MULTIPLE_TOL
 
 
-def canonical_a_ids(qid: int, first: int = 1) -> range:
-    """Chain sites down to ``first`` whose byproducts flip site qid's sign:
-    the lower sites of opposite parity (one-way byproduct propagation)."""
-    return range(qid - 1, first - 1, -2)
+def canonical_a_ids(qid: int) -> range:
+    """Chain sites whose byproducts flip site qid's sign: the lower sites of
+    opposite parity (one-way byproduct propagation)."""
+    return range(qid - 1, 0, -2)
 
 
 @dataclass(frozen=True)
@@ -378,18 +378,13 @@ def compile_to_cluster(prog: OneQubitProgram, declared_l_c: int | None = None,
         gates.pop(0)
     while gates and gates[-1].axis == "Z":
         gates.pop()
-    if not gates:
-        return MeasurementSchedule(cluster1d(0), prog.n, (), frozenset(),
-                                   prog.flip_output, declared_l_c,
-                                   meta=meta or {"source": prog.meta})
-
     slots: list[Gate] = []
     for g in gates:
         want = "X" if len(slots) % 2 == 0 else "Z"
         if g.axis != want:
             slots.append(Gate(want, 0.0))
         slots.append(g)
-    if len(slots) % 2 == 0:
+    if slots and len(slots) % 2 == 0:
         slots.append(Gate("X", 0.0))
 
     qubits: list[QubitSpec] = []
@@ -429,36 +424,20 @@ def compile_pfd_to_ghz(d: PeriodicDecomposition, f0: int) -> MeasurementSchedule
 def lift_ghz_to_cluster(s: MeasurementSchedule) -> MeasurementSchedule:
     """Two-round cluster realization of a compiled GHZ schedule.
 
-    Even sites are measured in the Pauli-X basis first; odd site t then
-    carries half of GHZ qubit t's full angle with sign adaptation on the
-    even outcomes, and the final site absorbs the summed halves.
+    GHZ qubit t measures offset + (-1)^(s xor bias) * theta: its signed half
+    becomes a sign-conditioned X rotation and the offsets one final rotation,
+    so ``compile_to_cluster`` lays the chain out, with Pauli-X spacers measured
+    first and pi-multiple halves exempt.  The offsets are summed with
+    ``math.fsum`` so that the absorbing angle is rounded once.
     """
     if s.resource.kind != "ghz" or not s.compiled:
         raise ValueError("input must be a compiled GHZ schedule: every site "
                          "read out, adaptation only on pi-multiple sites")
-    N = s.n_qubits
-    if N == 0:
-        return MeasurementSchedule(cluster1d(0), s.arity, (), frozenset(), s.c,
-                                   declared_l_c=0)
-    # GHZ qubit t measures mid + (-1)^(s+1) * halfdiff; the odd cluster site
-    # carries the signed half and the final site absorbs the accumulated mids
-    mids, halves = [], []
-    for q in s.qubits:
-        mids.append(q.basis.offset)
-        halves.append(q.basis.theta if q.basis.bias else -q.basis.theta)
-    qubits: list[QubitSpec] = []
-    for t, q in enumerate(s.qubits):
-        odd_id = 2 * t + 1
-        qubits.append(QubitSpec(odd_id, XYBasis(halves[t], bias=1), q.p_mask,
-                                frozenset(canonical_a_ids(odd_id))))
-        qubits.append(QubitSpec(2 * t + 2, XYBasis(0.0)))
-    last = 2 * N + 1
-    qubits.append(QubitSpec(last, XYBasis(sum(mids), bias=0), 0,
-                            frozenset(canonical_a_ids(last))))
-    o_ids = frozenset(range(1, last + 1, 2))
-    return MeasurementSchedule(cluster1d(last), s.arity, tuple(qubits), o_ids,
-                               s.c, declared_l_c=N,
-                               meta={"builder": "ghz_lift"})
+    gates = [Gate("X", q.basis.theta, Condition("sign", q.p_mask, q.basis.bias))
+             for q in s.qubits]
+    gates.append(Gate("X", math.fsum(q.basis.offset for q in s.qubits)))
+    prog = OneQubitProgram(s.arity, tuple(gates), s.c)
+    return compile_to_cluster(prog, s.n_qubits, {"builder": "ghz_lift"})
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +508,10 @@ def or_protocol(n: int) -> MeasurementSchedule:
     cut_ids: list[int] = []
     offset = 0
     for blk in blocks:
-        id_of = {q.id: q.id + offset for q in blk.qubits}
         for q in blk.qubits:
-            qubits.append(QubitSpec(id_of[q.id], q.basis, q.p_mask,
-                                    frozenset(id_of[a] for a in q.a_ids)))
-        block_outputs.append(frozenset(id_of[o] for o in blk.o_ids))
+            qubits.append(QubitSpec(q.id + offset, q.basis, q.p_mask,
+                                    frozenset(a + offset for a in q.a_ids)))
+        block_outputs.append(frozenset(o + offset for o in blk.o_ids))
         cut = offset + seg_len + 1
         qubits.append(QubitSpec(cut, PauliZBasis()))
         cut_ids.append(cut)
@@ -547,32 +525,22 @@ def or_protocol(n: int) -> MeasurementSchedule:
         if b > 0:
             consumers_toggle[b].add(cut_ids[b - 1])  # left cut, first site
 
+    # stage 2 is the lifted GHZ strategy for OR over the kappa counter bits;
+    # a site's mask bit b becomes adaptation on block b's output parity
     stage2_base = offset
-    strategy = or_decomposition(kappa)
-    masks = strategy.support
-    K = len(masks)
-    stage2: list[QubitSpec] = []
-    for t, mask in enumerate(masks):
-        odd_id = stage2_base + 2 * t + 1
-        wired = set(canonical_a_ids(odd_id, stage2_base + 1))
+    lifted = lift_ghz_to_cluster(compile_pfd_to_ghz(or_decomposition(kappa), 0))
+    for q in lifted.qubits:
+        wired = {a + stage2_base for a in q.a_ids}
         for b in range(kappa):
-            if (mask >> b) & 1:
+            if (q.p_mask >> b) & 1:
                 wired ^= block_outputs[b]
                 wired ^= consumers_toggle[b]
-        half = math.pi * float(strategy.angles[mask]) / 2
-        stage2.append(QubitSpec(odd_id, XYBasis(half, bias=1), 0,
+        qubits.append(QubitSpec(q.id + stage2_base, q.basis, 0,
                                 frozenset(wired)))
-        stage2.append(QubitSpec(odd_id + 1, XYBasis(0.0)))
-    last = stage2_base + 2 * K + 1
-    total_half = math.pi * float(sum(strategy.angles.values())) / 2
-    stage2.append(QubitSpec(last, XYBasis(total_half, bias=0), 0,
-                            frozenset(canonical_a_ids(last, stage2_base + 1))))
-    qubits.extend(stage2)
+    total = stage2_base + lifted.n_qubits
 
     # the last cut flips stage-2's first outcome, which feeds the output parity
-    o_ids = set(range(stage2_base + 1, last + 1, 2))
-    o_ids ^= {cut_ids[-1]}
-    total = last
+    o_ids = {o + stage2_base for o in lifted.o_ids} ^ {cut_ids[-1]}
     assert total == 2 * kappa * (n + 1) + (1 << (kappa + 1)) - 1
     return MeasurementSchedule(
         cluster1d(total), n, tuple(qubits), frozenset(o_ids), 0,

@@ -346,7 +346,7 @@ def _complete(pair: LaurentPair):
     selected += [mp.expjpi(mp.mpf(2 * k) / q) for k in range(q)]
 
     sigma = functools.reduce(np.convolve, ([-r, 1] for r in selected), [mp.mpc(1)])
-    ghat = mp.sqrt(qc[-1] / (sigma[deg] * sigma[0])) * sigma
+    ghat = sigma * mp.sqrt(qc[-1] / (sigma[deg] * sigma[0]))
     shift = -(deg + 1) // 2  # ghat[k] multiplies w^(k + shift)
 
     def at(coeffs, low, t):

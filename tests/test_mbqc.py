@@ -378,6 +378,14 @@ class TestCompileToCluster:
         assert all(not q.a_ids for q in s.qubits)
         assert resources(s).t_c == 1
 
+    def test_empty_chain_records_builder_name(self):
+        # an all-Z program compiles to no site; its meta names the builder
+        # as every other compiled program's does
+        prog = OneQubitProgram(1, (Gate("Z", 0.3),), meta={"builder": "zz", "k": 1})
+        s = compile_to_cluster(prog)
+        assert s.n_qubits == 0
+        assert json.loads(s.to_json())["meta"] == {"source": "zz"}
+
     def test_commuting_or2_two_rounds(self):
         prog = build_commuting_program(pfd.solve_pfd(boolean.or_n(2)))
         s = compile_to_cluster(prog)
@@ -462,7 +470,46 @@ class TestGhzCompile:
         assert all(r == 1 and not q.a_ids for q, r in zip(s.qubits, s.rounds))
 
 
+@st.composite
+def ghz_schedules(draw):
+    """Compiled GHZ schedules of 1 to 6 sites: every site read out, nonzero
+    offsets, any bias and mask (mask 0 too), and half-angles at pi, at zero
+    or anywhere."""
+    n = draw(st.integers(1, 6))
+    arity = draw(st.integers(0, 3))
+    thetas = st.sampled_from([math.pi, 0.0]) | st.floats(-4, 4)
+    offsets = st.floats(0.05, 4) | st.floats(-4, -0.05)
+    specs = [(XYBasis(draw(thetas), draw(st.integers(0, 1)), draw(offsets)),
+              draw(st.integers(0, (1 << arity) - 1)), ())
+             for _ in range(n)]
+    return chain_schedule(True, specs, arity, draw(st.integers(0, 1)))
+
+
 class TestLift:
+    @settings(max_examples=60, deadline=None)
+    @given(ghz_schedules())
+    def test_lift_preserves_outputs(self, g):
+        lifted = lift_ghz_to_cluster(g)
+        xs = range(1 << g.arity)
+        for want, got in zip(sim.exact_distributions(g, xs),
+                             sim.exact_distributions(lifted, xs)):
+            assert abs(got[1] - want[1]) < 1e-12
+        rep = resources(lifted)
+        N = g.n_qubits
+        assert (rep.l_q, rep.l_c) == (2 * N + 1, N) and rep.t_c <= 2
+
+    def test_pi_multiple_site_exempt(self):
+        # parity_2 has angle 2 on mask 3: its half-angle is pi, so the lifted
+        # site measures the same observable on either sign and waits on none
+        f = boolean.parity_n(2)
+        lifted = lift_ghz_to_cluster(compile_pfd_to_ghz(pfd.solve_pfd(f), 0))
+        site = lifted.qubits[4]
+        assert site.id == 5 and site.basis.theta == pytest.approx(math.pi)
+        assert (site.p_mask, site.a_ids, lifted.rounds[4]) == (0, frozenset(), 1)
+        assert lifted.compiled
+        for x, d in enumerate(sim.exact_distributions(lifted, range(4))):
+            assert d[f(x)] > 1 - 1e-9
+
     def test_single_qubit_lift(self):
         f = boolean.parity_n(1)
         g = compile_pfd_to_ghz(pfd.solve_pfd(f), 0)
@@ -638,12 +685,12 @@ class TestPinnedBuilders:
             qsp.synthesize_symmetric([0, 1, 1], 2)), (53, 2, 18, 3),
          "765d5dd2df16bea64c8657fe4daf80b856ec5e1e93d8bd2efb4f578f10148abe"),
         (lambda: or_protocol(6), (57, 32, 3, 3),
-         "f6d41bb24cfaafa4b47d753fe39dfe84005e66838a668c5594c892f691f77fb5"),
+         "ef1048c7d684233feb81cd212c20b687adc3a62d7151dac59d445b7ae6ea0817"),
         (_pfd_and3, (7, 7, 1, 3),
          "d9335c7b0a1c2a1e2491a08e056328d68489188cbbef1d1ea4d697cb0abbb2c3"),
         # site 1 waits on no outcome, so its round is 1
         (lambda: lift_ghz_to_cluster(_pfd_and3()), (15, 7, 2, 3),
-         "0a32a6f692bafa3aaf1f6a8c4cec15cc7637e03d92f5f14c21ee5e2955d5a9c0"),
+         "e2f39caafa7d743513cd7e5b5640ff4737ea2f5a120f6fa8e31827480c4affc6"),
     ], ids=["mod3-4", "modp-5-2-3", "symmetric-011", "or-6", "pfd-and3",
             "lift-and3"])
     def test_resources_and_json_digest(self, build, tup, digest):
