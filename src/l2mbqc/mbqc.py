@@ -11,9 +11,11 @@ selected by ``o_ids`` plus the constant ``c``.
 
 Canonical adaptation (``canonical_a_ids``) cancels every byproduct, which
 leaves a branch-independent single-qubit circuit; a schedule derives its
-``compiled`` flag from that structure, and no input can set it.  Sites whose
-base angle is an integer multiple of pi are exempt: the sign flip only
-changes a global phase, so compilers drop their rows and measure them first.
+``compiled`` flag from that structure, and no input can set it.
+``compile_to_cluster`` is the one chain layout: the GHZ lift and the stage
+2 of ``or_protocol`` go through it.  Sites whose base angle is an integer
+multiple of pi are exempt: the sign flip only changes a global phase, so
+the compiler drops their rows and measures them first, on lifts too.
 """
 from __future__ import annotations
 
@@ -422,7 +424,7 @@ def compile_pfd_to_ghz(d: PeriodicDecomposition, f0: int) -> MeasurementSchedule
 
 
 def lift_ghz_to_cluster(s: MeasurementSchedule) -> MeasurementSchedule:
-    """Two-round cluster realization of a compiled GHZ schedule.
+    """Cluster realization of a compiled GHZ schedule in at most two rounds.
 
     GHZ qubit t measures offset + (-1)^(s xor bias) * theta: its signed half
     becomes a sign-conditioned X rotation and the offsets one final rotation,
