@@ -367,6 +367,16 @@ class TestPinnedAngles:
     def test_pinned_angles_beyond_13(self, p, digest):
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)], ()) == digest
 
+    # the mod-p family at the scale of the certification targets, with the
+    # solver and reconstruction residuals
+    @pytest.mark.parametrize("p, digest", [
+        (23, "dd5e6abd209d79a3f47f3aab25713d80e215724edd20eef6497e1b1b9ef3b83a"),
+        (31, "4961429ab6cea9f35b3253482ce73bb4090623230b59065a0b9e1768aa19d20a"),
+        (41, "9ac348d8325183c66f7d7a0135f5280fe1f8514687742817931ade707754a10c"),
+    ])
+    def test_pinned_angle_digests_at_scale(self, p, digest):
+        assert _angle_digest([qsp.synthesize_mod_p(p, 0)]) == digest
+
 
 class TestPeel:
     @pytest.mark.parametrize("target", [3, 5, 7, (0, 1, 0)])
