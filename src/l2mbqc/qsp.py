@@ -10,7 +10,9 @@ three exact stages, all in extended precision:
    zero slope so the remainder has double zeros on the circle; on the
    equispaced grid this is a closed-form cosine/sine transform, not a solve;
 2. complete the pair to a unitary by spectral factorization of the
-   remainder 1 - A^2 - B^2;
+   remainder 1 - A^2 - B^2: its double grid zeros are divided out exactly,
+   and the self-reciprocal quotient is root-found at half its degree, as a
+   polynomial in u = w + 1/w with w = z^2;
 3. extract the rotation angles by peeling rank-one projector factors off
    the matrix Laurent polynomial.
 
@@ -35,6 +37,7 @@ import numpy as np
 SYNTHESIS_DPS = 50
 SOLVE_RESIDUAL_TOL = 1e-12
 COMPLETION_TOL = 1e-12
+RECIPROCAL_TOL = 1e-30
 FAILURE_TOL_OWN = 1e-9
 FAILURE_TOL_REFERENCE = 1e-10
 
@@ -102,9 +105,11 @@ class QspAngles:
 
     ``stats`` is the synthesis certificate (empty for loaded tables):
     ``interp_residual``, ``grid_zeros`` (circle zeros divided out, 2q),
-    ``quotient_degree`` (handed to the root finder), ``division_remainder``
-    (relative), ``root_seed_dev`` (largest distance of a root from its seed),
-    ``peel_residual`` (see ``_peel_angles``) and ``reconstruction_residual``.
+    ``quotient_degree`` (2d; the root finder sees its degree-d reduction),
+    ``division_remainder`` (relative), ``reciprocal_dev`` (relative gap
+    between the quotient and its reversal), ``root_seed_dev`` (largest
+    distance of a reduced root from its seed), ``peel_residual`` (see
+    ``_peel_angles``) and ``reconstruction_residual``.
     """
 
     length: int
@@ -271,9 +276,10 @@ def _divide_grid_zeros(poly, q: int):
 def _seed_roots(coeffs) -> np.ndarray:
     """Float starting points for ``mp.polyroots`` on ``coeffs`` (highest
     degree first): a Weierstrass (Jacobi Durand-Kerner) iteration in
-    complex128, started on the unit circle off the real axis.  mpmath's own
-    start spirals in from 1 and needs tens of sweeps at 400 extra bits; from
-    these it needs a few.
+    complex128, started on the unit circle off the real axis.  ``_complete``
+    maps the inside ones to u = s + 1/s to seed the reduced polynomial.
+    mpmath's own start spirals in from 1 and needs 11 to 19 sweeps at 60
+    extra bits for p = 9 to 17; from these it needs three.
     """
     c = np.array([complex(x) for x in coeffs])
     c /= c[0]
@@ -290,20 +296,44 @@ def _seed_roots(coeffs) -> np.ndarray:
     return z
 
 
+def _reciprocal_reduction(quot):
+    """R with quot(w) = w^d R(w + 1/w), for a self-reciprocal quotient.
+
+    ``quot`` lists the 2d + 1 coefficients from the constant term up; the
+    upper half is read.  w^k + w^-k is the Dickson polynomial D_k(u), with
+    D_0 = 2, D_1 = u and D_(k+1) = u D_k - D_(k-1), so R = quot[d] +
+    sum_k quot[d+k] D_k.  Returns R from the constant term up.
+    """
+    d = (len(quot) - 1) // 2
+    R = np.zeros(d + 1, dtype=object)
+    R[0] = quot[d]
+    prev = np.array([2] + [0] * d, dtype=object)
+    cur = np.array([0, 1] + [0] * (d - 1), dtype=object)
+    for c in quot[d + 1:]:
+        R = R + cur * c
+        prev, cur = cur, np.concatenate(([0], cur[:-1])) - prev
+    return R
+
+
 def _complete(pair: LaurentPair):
     """Spectral factorization of the remainder into the Y and Z components.
 
     The remainder 1 - A^2 - B^2 = 1 - A^2 + (iB)^2 is two convolutions of
     ``_z_series`` arrays, a series in w = z^2.  It vanishes doubly at each
     grid point, the q-th roots of unity, so it is divided exactly by
-    (w^q - 1)^2 first.  The root finder then sees only the quotient, whose
-    roots are simple and off the circle; the factor takes its roots
-    strictly inside the unit circle plus one copy of each grid point.
-    Conjugation symmetry of that set keeps the factor real, and the double
-    grid zeros make the readout deterministic.  Returns (G, stats): the
-    real factor G laid out like A, then the division certificate and
-    ``root_seed_dev``, the largest distance from a polished root to its
-    nearest float seed (``_seed_roots``).
+    (w^q - 1)^2 first.  The quotient, of degree 2d (``quotient_degree``),
+    is real and self-reciprocal, so its roots, simple and off the circle,
+    come in pairs w, 1/w; the root finder sees only the degree-d polynomial
+    R in u = w + 1/w (``_reciprocal_reduction``), and each root u gives back
+    the inside root of its pair.  The factor takes those d roots plus one
+    copy of each grid point, the exact factor w^q - 1.  Conjugation
+    symmetry of that set keeps the factor real, and the double grid zeros
+    make the readout deterministic.  Returns (G, stats): the real factor G
+    laid out like A, then the division certificate, ``reciprocal_dev``
+    (the relative gap between the quotient and its reversal) and
+    ``root_seed_dev``, the largest distance from a polished root u to its
+    nearest float seed (``_seed_roots`` on the quotient, each inside seed
+    s mapped to s + 1/s).
     """
     import mpmath as mp
 
@@ -318,7 +348,8 @@ def _complete(pair: LaurentPair):
     if all(abs(c) < tiny for c in rho):
         # exactly unitary pair: nothing to complete
         return G, {"grid_zeros": 0, "quotient_degree": 0,
-                   "division_remainder": 0.0, "root_seed_dev": 0.0}
+                   "division_remainder": 0.0, "reciprocal_dev": 0.0,
+                   "root_seed_dev": 0.0}
     # the remainder may deflate below the full degree budget (for instance a
     # pure-cosine interpolant leaves sin^2 of a single harmonic)
     deg = max(abs(k - L) for k, c in enumerate(rho) if abs(c) > tiny)
@@ -328,24 +359,36 @@ def _complete(pair: LaurentPair):
     if leftover > COMPLETION_TOL:
         raise SynthesisError(f"remainder lacks its double grid zeros "
                              f"(division remainder {leftover:.1e})")
+    gap = float(max(abs(x - y) for x, y in zip(quot, quot[::-1]))
+                / max(abs(c) for c in quot))
+    if gap > RECIPROCAL_TOL:
+        raise SynthesisError(f"quotient is not self-reciprocal "
+                             f"(relative gap {gap:.1e})")
     qdeg = len(quot) - 1
     # the seeds move only where the polish starts, not what it converges
-    # to; mpmath starts the roots of dropped non-finite seeds at its defaults
+    # to; each inside float root s of the quotient seeds u = s + 1/s, and
+    # mpmath starts the roots of missing (outside or non-finite) seeds at
+    # its defaults
     seeds = _seed_roots(quot[::-1])
-    seeds = seeds[np.isfinite(seeds)]
-    roots = mp.polyroots(quot[::-1], maxsteps=600, extraprec=60,
-                         roots_init=[mp.mpc(s) for s in seeds]) if qdeg else []
-    gaps = np.abs(np.array(roots, dtype=complex)[:, None] - seeds)
+    seeds = seeds[np.abs(seeds) < 1]
+    seeds = seeds + 1 / seeds
+    us = mp.polyroots(_reciprocal_reduction(quot)[::-1], maxsteps=600,
+                      extraprec=60,
+                      roots_init=[mp.mpc(s) for s in seeds]) if qdeg else []
+    gaps = np.abs(np.array(us, dtype=complex)[:, None] - seeds)
     seed_dev = float(np.max(np.min(gaps, axis=1, initial=np.inf), initial=0.0))
-    if any(abs(abs(r) - 1) < mp.mpf("1e-15") for r in roots):
-        raise SynthesisError("remainder has a zero on the circle off the grid")
-    selected = [r for r in roots if abs(r) < 1]
-    if 2 * len(selected) != qdeg:
-        raise SynthesisError(f"{len(selected)} quotient roots inside the circle, "
-                             f"expected {qdeg // 2}")
-    selected += [mp.expjpi(mp.mpf(2 * k) / q) for k in range(q)]
+    selected = []
+    for u in us:
+        # w = (u +- sqrt(u^2 - 4)) / 2; the sign with the larger modulus
+        # avoids cancellation, and its partner is 1/w
+        r = mp.sqrt(u * u - 4)
+        big = (u + r) / 2 if abs(u + r) >= abs(u - r) else (u - r) / 2
+        if abs(abs(big) - 1) < mp.mpf("1e-15"):
+            raise SynthesisError("remainder has a zero on the circle off the grid")
+        selected.append(1 / big)
 
-    sigma = functools.reduce(np.convolve, ([-r, 1] for r in selected), [mp.mpc(1)])
+    unity = np.array([-1] + [0] * (q - 1) + [1], dtype=object)  # w^q - 1
+    sigma = functools.reduce(np.convolve, ([-r, 1] for r in selected), unity)
     ghat = sigma * mp.sqrt(qc[-1] / (sigma[deg] * sigma[0]))
     shift = -(deg + 1) // 2  # ghat[k] multiplies w^(k + shift)
 
@@ -364,7 +407,8 @@ def _complete(pair: LaurentPair):
     lo = (L + 1) // 2 + shift
     G[lo:lo + deg + 1] = [mp.re(c) for c in ghat]
     return G, {"grid_zeros": 2 * q, "quotient_degree": qdeg,
-               "division_remainder": leftover, "root_seed_dev": seed_dev}
+               "division_remainder": leftover, "reciprocal_dev": gap,
+               "root_seed_dev": seed_dev}
 
 
 def _peel_angles(pair: LaurentPair, G):

@@ -180,6 +180,7 @@ class TestGridZeroDivision:
         assert stats["division_remainder"] < qsp.COMPLETION_TOL
         assert stats["grid_zeros"] == 2 * p
         assert stats["quotient_degree"] == 2 * deg - 2 * p
+        assert stats["reciprocal_dev"] < qsp.RECIPROCAL_TOL
         # the float seeds land next to every polished root
         assert stats["root_seed_dev"] < 1e-8
         if p == 7:
@@ -195,6 +196,7 @@ class TestGridZeroDivision:
         assert stats["division_remainder"] < qsp.COMPLETION_TOL
         assert stats["grid_zeros"] == 2 * q
         assert stats["quotient_degree"] == 2 * deg - 2 * q
+        assert stats["reciprocal_dev"] < qsp.RECIPROCAL_TOL
         assert verify_symmetric(angles, list(profile)) < 1e-9
 
     def test_root_finder_sees_only_the_quotient(self, monkeypatch):
@@ -206,8 +208,10 @@ class TestGridZeroDivision:
             return real(coeffs, *args, **kwargs)
 
         monkeypatch.setattr(mpmath, "polyroots", counting)
+        # the degree-12 quotient at p = 7 is self-reciprocal: the root finder
+        # sees its degree-6 reduction in u = w + 1/w
         qsp.synthesize_mod_p(7, 0)
-        assert degrees == [12]
+        assert degrees == [6]
         degrees.clear()
         # the constant-zero profile leaves a constant quotient: no root finding
         qsp.synthesize_symmetric([0, 0, 0], 2)
@@ -219,7 +223,7 @@ class TestGridZeroDivision:
     ], ids=["nan", "all-equal"])
     def test_root_seeds_change_speed_only(self, monkeypatch, bad_seeds):
         # useless starting points cost polish steps, never a different root;
-        # p = 7 and 9 (quotient degrees 12 and 16) polish from mpmath's own
+        # p = 7 and 9 (reduced degrees 6 and 8) polish from mpmath's own
         # starts, where the extra working precision is tightest
         builds = [lambda: qsp.synthesize_mod_p(5, 2),
                   lambda: qsp.synthesize_symmetric([0, 1, 0], 2),
@@ -256,6 +260,30 @@ class TestGridZeroDivision:
 
         monkeypatch.setattr(mpmath, "polyroots", scaled)
         with pytest.raises(SynthesisError, match="failed identity check"):
+            qsp.synthesize_mod_p(5, 0)
+
+    def test_quotient_off_reciprocal_rejected(self, monkeypatch):
+        # a 1e-20 relative error in one coefficient is far past the tolerance
+        real = qsp._divide_grid_zeros
+
+        def perturbed(poly, q):
+            quot, rest = real(poly, q)
+            quot[1] *= 1 + mpmath.mpf("1e-20")
+            return quot, rest
+
+        monkeypatch.setattr(qsp, "_divide_grid_zeros", perturbed)
+        with pytest.raises(SynthesisError, match="self-reciprocal"):
+            qsp.synthesize_mod_p(5, 0)
+
+    def test_zero_on_circle_rejected(self, monkeypatch):
+        # a real root u in (-2, 2) is a pair of quotient roots on the circle
+        real = mpmath.polyroots
+
+        def on_circle(coeffs, *args, **kwargs):
+            return [mpmath.mpf("0.5")] + real(coeffs, *args, **kwargs)[1:]
+
+        monkeypatch.setattr(mpmath, "polyroots", on_circle)
+        with pytest.raises(SynthesisError, match="zero on the circle off the grid"):
             qsp.synthesize_mod_p(5, 0)
 
     def test_remainder_without_grid_zeros_rejected(self):
@@ -334,12 +362,12 @@ class TestPinnedAngles:
     # division, which follows the summation order of the remainder; the
     # angles and the other residuals must not move with it
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "5fb61fac2d1fef1686593227afc3ed242a96dc96ec1868bf396b01db70853b41",
-        "p5-all-j": "e5be7aa1f6fdceeb18df3bebc337a3aba26c73ff58e712a0d7945af600faeb8e",
-        "p7-all-j": "5a69bc568ddf5f62b0864f466ee551d87c1942cc996add526411635acf56191f",
-        "p9-11-13": "65cd21afe679aea16493e31f101318185fd0d0495f10846777047bfcc749fcd1",
-        "profiles-n2": "5e200e466f59fd9b401a8b504cf17db9525db9311ca6313e9bf4e4083ab40c19",
-        "profiles-n3": "dbb5a82b6ce2efb1199b85473b8fe8deb62e7d76174b5a96cd20028625543842",
+        "p3-all-j": "a93ef1fe14317448618b1f3a6851724b0bcb36e18aec0879113627de118732fb",
+        "p5-all-j": "e8aabd889426f6d2b2c0e3a456d54fb6a67c7e2907cece761974567d5898b205",
+        "p7-all-j": "9593e7c0825783dc512769026653d038fa477de9a609e49471159fcd7dc5f751",
+        "p9-11-13": "05b2b011bfad33a5e7909bcff8fd258519755883b46e8ccd3009482743b64702",
+        "profiles-n2": "0b2da8c0b218e6f5669e2326b5aafdc954ab76c703c7a361144608290e9b67b2",
+        "profiles-n3": "333fea6f9e2300560b8a844361952a79aa9923fc6a1d03deb79705f619011987",
     }))
     def test_pinned_angles_and_seed_deviation(self, name, digest):
         keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
@@ -348,12 +376,12 @@ class TestPinnedAngles:
     # the float outputs alone, free of the 1e-50 residues of the exact
     # stages: a different interpolation or division order must not move them
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "acc044e3ce2b9c88ae997f80ae5fb6929c80984215c841b0c7b5cb928599efff",
-        "p5-all-j": "b1c6e7654e9e9becffe7ed5969beed3949ff52a98c7a5c58eae562cabd691262",
-        "p7-all-j": "15e69ba95109e673bcfc985ad13782e964c4dc85c9c9fe1daf2364475fb1854e",
-        "p9-11-13": "72ca13d6304a9db5868c233fbcefef624afb33d56cc4740ea359ebb9ffdbcaf8",
-        "profiles-n2": "60bedd45780f0b1cce4428ecd1cc5f229570c5984a19dd0766c222eaf0185352",
-        "profiles-n3": "1ca700dff56d5d52ab6e0f2ab0ec4095d8c14a8c4f748b47079795774b397e06",
+        "p3-all-j": "52013a4ed188d98d11eade4d011bdfb409c7ec4036d44dbd20530e0e144a543c",
+        "p5-all-j": "894b7910941d7cc6c300ca4c2773cc372c6fe54d5a6c9a2b4d2c22dc4ef188e9",
+        "p7-all-j": "d745f3cb1227ecc3520164c0bbb771bd6d13a0ef4a4e404f242553f52627f112",
+        "p9-11-13": "90d051af6bc0113e2a2089339ece1e0f5b6cec994f3402f454c42d20a87dce61",
+        "profiles-n2": "776e7392a7b59bc9cfd23376e5b8da3f77e3057b17497fb7c9d2fd53d0d3edc6",
+        "profiles-n3": "0ee8709f31a1196126ad48d402f0fc04d67bfd8e25eb0cb86c474e038db1840d",
     }))
     def test_pinned_angles_and_float_certificates(self, name, digest):
         keys = ("reconstruction_residual", "root_seed_dev")
