@@ -714,6 +714,36 @@ class TestPinnedBuilders:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _without_audit_tags(text):
+    obj = json.loads(text)
+    for q in obj["qubits"]:
+        q["basis"].pop("exact", None)
+    return json.dumps(obj, indent=1)
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: mod3_protocol(4),
+     "9eacf5c7d392220eb74c4329f8592cbee2549c7fcce39f55af603c5fb35396f1"),
+    (lambda: modp_protocol(5, 2, 3, qsp.reference_angles(5)),
+     "c939df27826e96a3dcfaaa31cbb65409bfbf6b30da068f9dc4996c6cbbe2021f"),
+    (lambda: qsp_symmetric_protocol(
+        boolean.from_profile([0, 1, 1], 2), 2,
+        qsp.synthesize_symmetric([0, 1, 1], 2)),
+     "6ab724a460d6a3b20849cf536a7b1ef0561145b782ca3ab7bbfb1c6d1108173d"),
+    (lambda: or_protocol(6),
+     "4ef1be04716e844d942bc4750ec253a5faac0f8351ab4fc3be64d7b9d9ddc7bb"),
+    (_pfd_and3,
+     "266a06f220764d4559c8c158fdeef23364f556e9f505a7bfd7314d39b390b9df"),
+    (lambda: lift_ghz_to_cluster(_pfd_and3()),
+     "0a32a6f692bafa3aaf1f6a8c4cec15cc7637e03d92f5f14c21ee5e2955d5a9c0"),
+], ids=["mod3-4", "modp-5-2-3", "symmetric-011", "or-6", "pfd-and3",
+        "lift-and3"])
+def test_pinned_builder_json_without_audit_tags(build, digest):
+    # guard pin: the builders' JSON with every basis `exact` key removed
+    text = _without_audit_tags(build().to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestCompositeResource:
     def test_composite_sizes(self):
         r = composite(ghz(3), cluster1d(5))

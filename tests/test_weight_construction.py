@@ -67,6 +67,31 @@ def test_pinned_program_and_schedule_json(build, digest):
     assert _digest(build()) == digest
 
 
+
+def _without_audit_tags(text):
+    # schedule texts lose every basis `exact` key; program texts pass as is
+    obj = json.loads(text)
+    if "qubits" not in obj:
+        return text
+    for q in obj["qubits"]:
+        q["basis"].pop("exact", None)
+    return json.dumps(obj, indent=1)
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: _modp_outputs(3),
+     "821a29cd1fe6bd2a08eb6a050ff2f57db430e1026f27aabf17dd6e1784d91841"),
+    (lambda: _modp_outputs(5),
+     "5089cf092bbf331061a898296a2f3fcc7713d0a328ce6bad10871679d1d403fe"),
+    (lambda: _modp_outputs(7),
+     "cb5eb99d598636ab57f7b0920f54a844160ee757438d8ef4626f70ec6c7b976c"),
+    (lambda: _symmetric_outputs(2),
+     "2a5d84ec0b528807492ae216d98cd191e7aa3ec90185a9b1b9a04825bc8cb1de"),
+], ids=["modp-p3", "modp-p5", "modp-p7", "symmetric-n2"])
+def test_pinned_json_without_audit_tags(build, digest):
+    # guard pin: as above, with every basis `exact` key removed
+    assert _digest(map(_without_audit_tags, build())) == digest
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_mod_p_is_the_symmetric_construction_at_q_equal_p(p):
     h = (p - 1) // 2
