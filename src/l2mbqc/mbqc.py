@@ -5,9 +5,10 @@ input bits, and the set of lower-id qubits whose outcomes flip the basis
 sign; id order and those sets are its only statement of causality, and a
 qubit's measurement round is derived as its depth in the adaptation DAG.
 The measured observable of an XY-plane qubit with setting bit s = P.x xor
-A.m is X(offset + (-1)^(s xor bias) * theta); Pauli-Z qubits carry no
-conditioning.  The computational output is the parity of the outcomes
-selected by ``o_ids`` plus the constant ``c``.
+A.m is X(offset + (-1)^(s xor bias) * theta), with both angles stored as
+float radians and nothing else; Pauli-Z qubits carry no conditioning.  The
+computational output is the parity of the outcomes selected by ``o_ids``
+plus the constant ``c``.
 
 Canonical adaptation (``canonical_a_ids``) cancels every byproduct, which
 leaves a branch-independent single-qubit circuit; a schedule derives its
@@ -23,7 +24,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .boolean import BooleanFunction
 from .onequbit import (Condition, Gate, OneQubitProgram, build_mod3_clifford,
@@ -70,7 +70,6 @@ class XYBasis:
     theta: float
     bias: int = 0
     offset: float = 0.0
-    exact: str | None = None  # audit tag, e.g. "pi*1/3" or "alpha"
 
     kind = "xy"
 
@@ -191,8 +190,6 @@ class MeasurementSchedule:
             out = {"type": "xy", "theta": b.theta, "bias": b.bias}
             if b.offset:
                 out["offset"] = b.offset
-            if b.exact:
-                out["exact"] = b.exact
             return out
 
         return json.dumps({
@@ -217,7 +214,8 @@ class MeasurementSchedule:
         and the message names the offending field; the structural rules,
         the width of ``p_mask`` and the types of the masks, biases and
         angles that the simulator packs into arrays are the constructor's.
-        ``round`` and ``compiled`` are derived, so they are not read.
+        ``round`` and ``compiled`` are derived, so they are not read; nor
+        is a basis ``exact`` key, which older files carry.
         """
         try:
             return cls._decode(json.loads(text))
@@ -261,7 +259,6 @@ _CHECKS = {
     "a positive integer": lambda v: type(v) is int and v >= 1,
     "0 or 1": lambda v: type(v) is int and v in (0, 1),
     "a finite number": _is_finite,
-    "a string or null": lambda v: v is None or isinstance(v, str),
     "a non-negative integer or null":
         lambda v: v is None or (type(v) is int and v >= 0),
     "a list of positive integers":
@@ -308,8 +305,7 @@ def _decode_qubit(o, path: str) -> QubitSpec:
     else:
         basis = XYBasis(float(_field(b, "theta", "a finite number", bpath)),
                         _field(b, "bias", "0 or 1", bpath, 0),
-                        float(_field(b, "offset", "a finite number", bpath, 0.0)),
-                        _field(b, "exact", "a string or null", bpath, None))
+                        float(_field(b, "offset", "a finite number", bpath, 0.0)))
     return QubitSpec(_field(o, "id", "a positive integer", path), basis,
                      _field(o, "p_mask", "a non-negative integer", path, 0),
                      frozenset(_field(o, "a_ids", "a list of positive integers",
@@ -351,19 +347,6 @@ def resources(s: MeasurementSchedule) -> ResourceReport:
 # compilers
 
 
-def _angle_tag(angle: float) -> str | None:
-    from .onequbit import ALPHA
-    for mult in (1, 2):
-        if abs(angle - mult * ALPHA) < 1e-12:
-            return "alpha" if mult == 1 else "2*alpha"
-        if abs(angle + mult * ALPHA) < 1e-12:
-            return "-alpha" if mult == 1 else "-2*alpha"
-    frac = Fraction(angle / math.pi).limit_denominator(720)
-    if abs(angle - float(frac) * math.pi) < 1e-12:
-        return f"pi*{frac}"
-    return None
-
-
 def compile_to_cluster(prog: OneQubitProgram, declared_l_c: int | None = None,
                        meta: dict | None = None) -> MeasurementSchedule:
     """Lay a sign-form program onto a 1D chain with canonical adaptation.
@@ -394,8 +377,7 @@ def compile_to_cluster(prog: OneQubitProgram, declared_l_c: int | None = None,
         exempt = is_pi_multiple(g.angle)
         bias, mask = (0, 0) if exempt else (g.cond.bias, g.cond.mask)
         a_ids = frozenset(() if exempt else canonical_a_ids(qid))
-        basis = XYBasis(g.angle, bias, exact=_angle_tag(g.angle))
-        qubits.append(QubitSpec(qid, basis, mask, a_ids))
+        qubits.append(QubitSpec(qid, XYBasis(g.angle, bias), mask, a_ids))
 
     o_ids = frozenset(q.id for q in qubits if q.id % 2 == 1)
     return MeasurementSchedule(cluster1d(len(slots)), prog.n, tuple(qubits),
@@ -414,9 +396,7 @@ def compile_pfd_to_ghz(d: PeriodicDecomposition, f0: int) -> MeasurementSchedule
     qubits = []
     for t, mask in enumerate(masks, 1):
         half = math.pi * float(d.angles[mask]) / 2
-        tag = _angle_tag(2 * half)
-        qubits.append(QubitSpec(t, XYBasis(half, bias=1, offset=half,
-                                           exact=tag), mask))
+        qubits.append(QubitSpec(t, XYBasis(half, 1, half), mask))
     return MeasurementSchedule(ghz(len(masks)), d.n, tuple(qubits),
                                frozenset(range(1, len(masks) + 1)), f0 & 1,
                                declared_l_c=len(masks),

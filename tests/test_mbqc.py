@@ -45,8 +45,7 @@ def random_schedules(draw):
             qubits.append(QubitSpec(qid, PauliZBasis()))
             continue
         a_ids = draw(st.sets(st.integers(1, qid - 1))) if qid > 1 else set()
-        basis = XYBasis(draw(angles), draw(st.integers(0, 1)), draw(angles),
-                        draw(st.none() | st.text(min_size=1, max_size=6)))
+        basis = XYBasis(draw(angles), draw(st.integers(0, 1)), draw(angles))
         qubits.append(QubitSpec(qid, basis,
                                 draw(st.integers(0, (1 << arity) - 1)),
                                 frozenset(a_ids)))
@@ -301,6 +300,19 @@ class TestSerialization:
         assert t == s and t.rounds == s.rounds
         assert resources(t) == resources(s)
         assert t.to_json() == s.to_json()
+
+    @pytest.mark.parametrize("tag", ["pi*1/3", None, 7, 0.5, [1], {"x": 1}])
+    def test_old_exact_tags_are_ignored(self, tag):
+        # older files carry a per-site `exact` key; it loads as nothing
+        s = or_protocol(3)
+        obj = json.loads(s.to_json())
+        for q in obj["qubits"]:
+            if q["basis"]["type"] == "xy":
+                q["basis"]["exact"] = tag
+        t = MeasurementSchedule.from_json(json.dumps(obj))
+        assert t == s
+        assert t.to_json() == s.to_json()
+        assert '"exact"' not in t.to_json()
 
     @pytest.mark.parametrize("edit, field", [
         (lambda o: o.update(c=5), "'c'"),
@@ -676,21 +688,21 @@ class TestPinnedBuilders:
 
     @pytest.mark.parametrize("build, tup, digest", [
         (lambda: mod3_protocol(4), (21, 6, 5, 3),
-         "298da49bd1468d9f6e71946710fc1c30a2a21a4c6b07e8073ce068ecf4af45eb"),
+         "9eacf5c7d392220eb74c4329f8592cbee2549c7fcce39f55af603c5fb35396f1"),
         (lambda: modp_protocol(5, 2, 3, qsp.reference_angles(5)),
          (71, 5, 18, 3),
-         "8a2f21ff3a2e797db90c1550ec2dda58145cecc06cee10f9572ba4366543ad5d"),
+         "c939df27826e96a3dcfaaa31cbb65409bfbf6b30da068f9dc4996c6cbbe2021f"),
         (lambda: qsp_symmetric_protocol(
             boolean.from_profile([0, 1, 1], 2), 2,
             qsp.synthesize_symmetric([0, 1, 1], 2)), (53, 2, 18, 3),
-         "765d5dd2df16bea64c8657fe4daf80b856ec5e1e93d8bd2efb4f578f10148abe"),
+         "6ab724a460d6a3b20849cf536a7b1ef0561145b782ca3ab7bbfb1c6d1108173d"),
         (lambda: or_protocol(6), (57, 32, 3, 3),
-         "ef1048c7d684233feb81cd212c20b687adc3a62d7151dac59d445b7ae6ea0817"),
+         "4ef1be04716e844d942bc4750ec253a5faac0f8351ab4fc3be64d7b9d9ddc7bb"),
         (_pfd_and3, (7, 7, 1, 3),
-         "d9335c7b0a1c2a1e2491a08e056328d68489188cbbef1d1ea4d697cb0abbb2c3"),
+         "266a06f220764d4559c8c158fdeef23364f556e9f505a7bfd7314d39b390b9df"),
         # site 1 waits on no outcome, so its round is 1
         (lambda: lift_ghz_to_cluster(_pfd_and3()), (15, 7, 2, 3),
-         "e2f39caafa7d743513cd7e5b5640ff4737ea2f5a120f6fa8e31827480c4affc6"),
+         "0a32a6f692bafa3aaf1f6a8c4cec15cc7637e03d92f5f14c21ee5e2955d5a9c0"),
     ], ids=["mod3-4", "modp-5-2-3", "symmetric-011", "or-6", "pfd-and3",
             "lift-and3"])
     def test_resources_and_json_digest(self, build, tup, digest):
@@ -712,36 +724,6 @@ class TestPinnedBuilders:
             q["basis"].pop("exact", None)
         text = json.dumps(obj, indent=1)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def _without_audit_tags(text):
-    obj = json.loads(text)
-    for q in obj["qubits"]:
-        q["basis"].pop("exact", None)
-    return json.dumps(obj, indent=1)
-
-
-@pytest.mark.parametrize("build, digest", [
-    (lambda: mod3_protocol(4),
-     "9eacf5c7d392220eb74c4329f8592cbee2549c7fcce39f55af603c5fb35396f1"),
-    (lambda: modp_protocol(5, 2, 3, qsp.reference_angles(5)),
-     "c939df27826e96a3dcfaaa31cbb65409bfbf6b30da068f9dc4996c6cbbe2021f"),
-    (lambda: qsp_symmetric_protocol(
-        boolean.from_profile([0, 1, 1], 2), 2,
-        qsp.synthesize_symmetric([0, 1, 1], 2)),
-     "6ab724a460d6a3b20849cf536a7b1ef0561145b782ca3ab7bbfb1c6d1108173d"),
-    (lambda: or_protocol(6),
-     "4ef1be04716e844d942bc4750ec253a5faac0f8351ab4fc3be64d7b9d9ddc7bb"),
-    (_pfd_and3,
-     "266a06f220764d4559c8c158fdeef23364f556e9f505a7bfd7314d39b390b9df"),
-    (lambda: lift_ghz_to_cluster(_pfd_and3()),
-     "0a32a6f692bafa3aaf1f6a8c4cec15cc7637e03d92f5f14c21ee5e2955d5a9c0"),
-], ids=["mod3-4", "modp-5-2-3", "symmetric-011", "or-6", "pfd-and3",
-        "lift-and3"])
-def test_pinned_builder_json_without_audit_tags(build, digest):
-    # guard pin: the builders' JSON with every basis `exact` key removed
-    text = _without_audit_tags(build().to_json())
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCompositeResource:

@@ -55,31 +55,6 @@ def _symmetric_outputs(n):
 
 @pytest.mark.parametrize("build, digest", [
     (lambda: _modp_outputs(3),
-     "10aa9f12adc427b8529d80f1cfcb76a41d7c16231561873b9c8fa9df57fda7ca"),
-    (lambda: _modp_outputs(5),
-     "6a88ba0e0af4910eef398cd7815c8af205165782dd01bd03b231d65ff2b3762c"),
-    (lambda: _modp_outputs(7),
-     "1da9d81dda32f1eab0227ec7bf66c96c3378c747bd1e1811437196ded4d0c575"),
-    (lambda: _symmetric_outputs(2),
-     "a249fb59e2004bf3b111c2b4f01eafb39aacffe2683ab1daafcd80345edb5481"),
-], ids=["modp-p3", "modp-p5", "modp-p7", "symmetric-n2"])
-def test_pinned_program_and_schedule_json(build, digest):
-    assert _digest(build()) == digest
-
-
-
-def _without_audit_tags(text):
-    # schedule texts lose every basis `exact` key; program texts pass as is
-    obj = json.loads(text)
-    if "qubits" not in obj:
-        return text
-    for q in obj["qubits"]:
-        q["basis"].pop("exact", None)
-    return json.dumps(obj, indent=1)
-
-
-@pytest.mark.parametrize("build, digest", [
-    (lambda: _modp_outputs(3),
      "821a29cd1fe6bd2a08eb6a050ff2f57db430e1026f27aabf17dd6e1784d91841"),
     (lambda: _modp_outputs(5),
      "5089cf092bbf331061a898296a2f3fcc7713d0a328ce6bad10871679d1d403fe"),
@@ -88,9 +63,9 @@ def _without_audit_tags(text):
     (lambda: _symmetric_outputs(2),
      "2a5d84ec0b528807492ae216d98cd191e7aa3ec90185a9b1b9a04825bc8cb1de"),
 ], ids=["modp-p3", "modp-p5", "modp-p7", "symmetric-n2"])
-def test_pinned_json_without_audit_tags(build, digest):
-    # guard pin: as above, with every basis `exact` key removed
-    assert _digest(map(_without_audit_tags, build())) == digest
+def test_pinned_program_and_schedule_json(build, digest):
+    assert _digest(build()) == digest
+
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_mod_p_is_the_symmetric_construction_at_q_equal_p(p):
