@@ -622,10 +622,13 @@ def verify_protocol(s: MeasurementSchedule, f: BooleanFunction,
     exact DP when ``use_exact`` is set (by default on registers of at most
     ENUM_CAP qubits, at any size when asked; one sweep per SAMPLE_CHUNK
     inputs), and seeded sampling always.
-    Sampling is a smoke test; the determinism claims rest on the analytic
-    and exact values.  The sampled rows are input-major (every shot of input
-    0, then of input 1, ...) and share one generator seeded with ``seed``,
-    swept SAMPLE_CHUNK rows at a time.
+    Sampling counts as a certificate in ``SimulationReport.failure``: a run
+    with neither the analytic nor the exact value (a non-compiled schedule
+    above ENUM_CAP qubits without ``use_exact``) passes on every shot being
+    correct alone (ROADMAP item 13 plans exact certificates in its place).
+    The sampled rows are input-major (every shot of input 0, then of input
+    1, ...) and share one generator seeded with ``seed``, swept SAMPLE_CHUNK
+    rows at a time.
     """
     if f.n != s.arity:
         raise ValueError("arity mismatch")
