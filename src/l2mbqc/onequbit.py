@@ -243,21 +243,23 @@ def normalize_sign_form(prog: OneQubitProgram) -> OneQubitProgram:
 
     Each select gate of angle t splits into a signed half rotation and an
     unconditioned half; unconditioned residues of a same-axis run commute and
-    merge into a single trailing rotation, preserving the exact unitary.
+    merge into a single trailing rotation, preserving the exact unitary.  The
+    residue is summed with ``math.fsum``, so it is rounded once.
     """
     out: list[Gate] = []
     for axis, run in itertools.groupby(prog.gates, key=lambda g: g.axis):
         signed: list[Gate] = []
-        residue = 0.0
+        parts: list[float] = []
         for g in run:
             if g.cond.kind == "select":
                 signed.append(Gate(axis, g.angle / 2,
                                    Condition("sign", g.cond.mask, 1)))
-                residue += g.angle / 2
+                parts.append(g.angle / 2)
             elif g.cond.kind == "none":
-                residue += g.angle
+                parts.append(g.angle)
             else:
                 signed.append(g)
+        residue = math.fsum(parts)
         out += signed
         if signed or residue != 0.0:
             out.append(Gate(axis, residue))

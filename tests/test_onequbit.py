@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ class TestNormalizeSignForm:
         for x in range(1 << prog.n):
             U, V = prog.unitary(x), ns.unitary(x)
             assert abs(abs(np.trace(U.conj().T @ V)) - 2) < 1e-10
+
+    @pytest.mark.parametrize("kappa", [4, 5, 6])
+    def test_residue_is_the_exactly_rounded_sum(self, kappa):
+        # a running float sum was off by up to 2.2e-15 here
+        prog = build_commuting_program(pfd.or_decomposition(kappa))
+        residue = normalize_sign_form(prog).gates[-1]
+        halves = [Fraction(g.angle / 2) for g in prog.gates]
+        assert residue.cond.kind == "none"
+        assert residue.angle == float(sum(halves))
 
 
 class TestOrReductionBank:
