@@ -136,18 +136,23 @@ def solve_pfd(f: BooleanFunction,
     return PeriodicDecomposition(f.n, angles)
 
 
-def verify_pfd(f: BooleanFunction, d: PeriodicDecomposition,
-               tol: float = 1e-9) -> tuple[bool, float]:
-    """Check cos(pi * phase(x)) = (-1)^{f(x)+f(0)} on every input."""
+def verify_pfd(f: BooleanFunction, d: PeriodicDecomposition) -> tuple[bool, float]:
+    """Check cos(pi * phase(x)) = (-1)^{f(x)+f(0)} on every input.
+
+    The verdict is exact: every phase must be an integer with the parity of
+    f(x) xor f(0).  The float residual, the largest gap between the cosine
+    and the sign, is returned beside it for reports.
+    """
     if f.n != d.n:
         raise ValueError("arity mismatch")
     f0 = f.table[0]
-    worst = 0.0
+    ok, worst = True, 0.0
     for x in range(1 << f.n):
-        lhs = math.cos(math.pi * float(d.phase_in_pi(x)))
-        rhs = -1.0 if (f.table[x] ^ f0) else 1.0
-        worst = max(worst, abs(lhs - rhs))
-    return worst < tol, worst
+        phase, flip = d.phase_in_pi(x), f.table[x] ^ f0
+        ok = ok and phase.denominator == 1 and phase.numerator % 2 == flip
+        worst = max(worst, abs(math.cos(math.pi * float(phase))
+                               - (-1.0 if flip else 1.0)))
+    return ok, worst
 
 
 @dataclass(frozen=True)

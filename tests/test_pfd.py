@@ -121,6 +121,15 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_pfd(or_n(3), or_decomposition(2))
 
+    def test_verdict_sees_what_the_cosine_cannot(self):
+        # 1-bit parity wants phase 1 at x = 1; the cosine of pi * (1 + 2^-40)
+        # rounds to -1, but the phase is not an integer
+        d = PeriodicDecomposition(1, {1: 1 + Fraction(1, 2**40)})
+        ok, resid = verify_pfd(parity_n(1), d)
+        assert not ok and resid == 0.0
+        odd = PeriodicDecomposition(1, {1: Fraction(-3)})
+        assert verify_pfd(parity_n(1), odd) == (True, 0.0)
+
 
 class TestSparsityCertificate:
     def test_and2(self):
