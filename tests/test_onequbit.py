@@ -174,7 +174,7 @@ class TestNormalizeSignForm:
 
     @pytest.mark.parametrize("kappa", [4, 5, 6])
     def test_residue_is_the_exactly_rounded_sum(self, kappa):
-        # a running float sum was off by up to 2.2e-15 here
+        # at these kappa a per-gate running sum is off by up to 2.2e-15
         prog = build_commuting_program(pfd.or_decomposition(kappa))
         residue = normalize_sign_form(prog).gates[-1]
         halves = [Fraction(g.angle / 2) for g in prog.gates]
