@@ -405,6 +405,17 @@ class TestPinnedAngles:
     def test_pinned_angle_digests_at_scale(self, p, digest):
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)]) == digest
 
+    # the same sets without division_remainder, which follows the remainder
+    # arithmetic; the angles and the float certificates must not move with it
+    @pytest.mark.parametrize("p, digest", [
+        (23, "46e463ad4ac2a1a654e8260f373d5765e288b958f5ac45c2554bb1117d1f7f0e"),
+        (31, "85967f0f3b57135447c05c8dc50984cb82e65ada33793ade9a1e16da4363e547"),
+        (41, "d2890085405250c19eb3cced8a380ddca1e242d6318546fedec2a8246b4bc275"),
+    ])
+    def test_pinned_angles_and_seed_deviation_at_scale(self, p, digest):
+        keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
+        assert _angle_digest([qsp.synthesize_mod_p(p, 0)], keys) == digest
+
 
 class TestPeel:
     @pytest.mark.parametrize("target", [3, 5, 7, (0, 1, 0)])
