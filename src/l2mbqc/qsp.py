@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -40,6 +41,10 @@ COMPLETION_TOL = 1e-12
 RECIPROCAL_TOL = 1e-30
 FAILURE_TOL_OWN = 1e-9
 FAILURE_TOL_REFERENCE = 1e-10
+# completion and peeling run on Python ints at scale 2^_FRAC_BITS: the bits
+# of SYNTHESIS_DPS digits plus 20 guard bits
+_FRAC_BITS = int(SYNTHESIS_DPS * math.log2(10)) + 20
+_ONE = 1 << _FRAC_BITS
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -244,27 +249,48 @@ def solve_symmetric_coeffs(profile, n: int) -> LaurentPair:
 # stage 2 + 3: completion and angle extraction
 
 
+def _fixed(x, bits: int = _FRAC_BITS) -> int:
+    """round(x * 2^bits) for an mpf x, read exactly off its mantissa."""
+    man, exp = x.man_exp  # man is |mantissa|
+    man = -man if x < 0 else man
+    shift = exp + bits
+    return man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+
+
+def _abs(re, im) -> int:
+    """|re + i im| of a fixed-point complex number, rounded down."""
+    return math.isqrt(re * re + im * im)
+
+
+def _cmul(x, y):
+    """x y for fixed-point complex pairs (re, im), y at scale 2^F."""
+    return ((x[0] * y[0] - x[1] * y[1]) >> _FRAC_BITS,
+            (x[0] * y[1] + x[1] * y[0]) >> _FRAC_BITS)
+
+
 def _z_series(coeffs, sign: int) -> np.ndarray:
     """sum_h c_h (z^h + sign z^-h) / 2 for a ``LaurentPair`` series of degree L.
 
     The one coefficient layout of completion and peeling: an object array
-    with z^e (e odd, |e| <= L) at index (e + L) // 2.  ``np.convolve`` of
-    two such arrays holds w^m, w = z^2, at index m + L.
+    of Python ints at scale 2^F (F = ``_FRAC_BITS``), each c_h / 2 rounded
+    once, with z^e (e odd, |e| <= L) at index (e + L) // 2.  ``np.convolve``
+    of two such arrays holds w^m, w = z^2, at index m + L, exactly, at
+    scale 2^(2F).
     """
-    return np.concatenate([sign * coeffs[::-1], coeffs]) / 2
+    half = np.array([_fixed(c, _FRAC_BITS - 1) for c in coeffs], dtype=object)
+    return np.concatenate([sign * half[::-1], half])
 
 
 def _divide_grid_zeros(poly, q: int):
     """Divide a real polynomial by (w^q - 1)^2 = w^(2q) - 2 w^q + 1.
 
-    ``poly`` lists coefficients from the constant term up.  Returns the
-    quotient in the same order and the 2q low coefficients left over, which
-    vanish when every q-th root of unity is a double zero of ``poly``.
+    ``poly`` lists coefficients from the constant term up; on the integers
+    of the fixed-point layout the division is exact.  Returns the quotient
+    in the same order and the 2q low coefficients left over, which vanish
+    when every q-th root of unity is a double zero of ``poly``.
     """
-    import mpmath as mp
-
     rest = list(poly)
-    quot = [mp.mpf(0)] * max(len(rest) - 2 * q, 0)
+    quot = [0] * max(len(rest) - 2 * q, 0)
     for k in range(len(rest) - 1, 2 * q - 1, -1):
         c = rest[k]
         quot[k - 2 * q] = c
@@ -319,21 +345,23 @@ def _complete(pair: LaurentPair):
     """Spectral factorization of the remainder into the Y and Z components.
 
     The remainder 1 - A^2 - B^2 = 1 - A^2 + (iB)^2 is two convolutions of
-    ``_z_series`` arrays, a series in w = z^2.  It vanishes doubly at each
-    grid point, the q-th roots of unity, so it is divided exactly by
-    (w^q - 1)^2 first.  The quotient, of degree 2d (``quotient_degree``),
-    is real and self-reciprocal, so its roots, simple and off the circle,
-    come in pairs w, 1/w; the root finder sees only the degree-d polynomial
-    R in u = w + 1/w (``_reciprocal_reduction``), and each root u gives back
-    the inside root of its pair.  The factor takes those d roots plus one
-    copy of each grid point, the exact factor w^q - 1.  Conjugation
-    symmetry of that set keeps the factor real, and the double grid zeros
-    make the readout deterministic.  Returns (G, stats): the real factor G
-    laid out like A, then the division certificate, ``reciprocal_dev``
-    (the relative gap between the quotient and its reversal) and
-    ``root_seed_dev``, the largest distance from a polished root u to its
-    nearest float seed (``_seed_roots`` on the quotient, each inside seed
-    s mapped to s + 1/s).
+    ``_z_series`` arrays, a series in w = z^2 whose integer coefficients at
+    scale 2^(2F) are exact.  It vanishes doubly at each grid point, the
+    q-th roots of unity, so it is divided exactly by (w^q - 1)^2 first.  The
+    quotient, of degree 2d (``quotient_degree``), is real and
+    self-reciprocal, so its roots, simple and off the circle, come in pairs
+    w, 1/w; the root finder sees only the degree-d integer polynomial R in
+    u = w + 1/w (``_reciprocal_reduction``), and each root u gives back the
+    inside root of its pair.  The factor takes those d roots plus one copy
+    of each grid point, the exact factor w^q - 1.  Conjugation symmetry of
+    that set keeps the factor real, and the double grid zeros make the
+    readout deterministic.  The factor is rounded to the fixed-point layout
+    and checked against the remainder by complex Horner at two points off
+    the circle.  Returns (G, stats): the real factor G laid out like A, then
+    the division certificate, ``reciprocal_dev`` (the relative gap between
+    the quotient and its reversal) and ``root_seed_dev``, the largest
+    distance from a polished root u to its nearest float seed
+    (``_seed_roots`` on the quotient, each inside seed s mapped to s + 1/s).
     """
     import mpmath as mp
 
@@ -342,9 +370,9 @@ def _complete(pair: LaurentPair):
     A = _z_series(pair.a, 1)
     iB = _z_series(pair.b, -1)
     rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
-    rho[L] += 1
-    G = np.full(L + 1, mp.mpf(0), dtype=object)
-    tiny = mp.mpf(10) ** (-SYNTHESIS_DPS + 10)
+    rho[L] += _ONE * _ONE
+    G = np.zeros(L + 1, dtype=object)
+    tiny = _ONE * _ONE // 10 ** (SYNTHESIS_DPS - 10)
     if all(abs(c) < tiny for c in rho):
         # exactly unitary pair: nothing to complete
         return G, {"grid_zeros": 0, "quotient_degree": 0,
@@ -389,23 +417,36 @@ def _complete(pair: LaurentPair):
 
     unity = np.array([-1] + [0] * (q - 1) + [1], dtype=object)  # w^q - 1
     sigma = functools.reduce(np.convolve, ([-r, 1] for r in selected), unity)
-    ghat = sigma * mp.sqrt(qc[-1] / (sigma[deg] * sigma[0]))
+    # qc is at scale 2^(2F), so the factor comes out at 2^F
+    ghat = [(_fixed(mp.re(c), 0), _fixed(mp.im(c), 0)) for c in
+            sigma * mp.sqrt(mp.mpf(qc[-1]) / (sigma[deg] * sigma[0]))]
     shift = -(deg + 1) // 2  # ghat[k] multiplies w^(k + shift)
 
-    def at(coeffs, low, t):
-        return mp.polyval(list(coeffs[::-1]), t) * t ** low
+    def at(coeffs, low, t, t_inv):
+        # sum_k coeffs[k] t^(k + low) for low <= 0, by complex Horner
+        acc = (0, 0)
+        for re, im in reversed(coeffs):
+            acc = _cmul(acc, t)
+            acc = (acc[0] + re, acc[1] + im)
+        for _ in range(-low):
+            acc = _cmul(acc, t_inv)
+        return acc
 
-    for ut in (mp.mpc("0.7311", "0.211"), mp.mpc("1.3917", "-0.4101")):
-        lhs = at(ghat, shift, ut) * at(ghat, shift, 1 / ut)
-        rhs = at(rho, -L, ut)
-        if abs(lhs - rhs) > mp.mpf("1e-25") * (1 + abs(rhs)):
+    for t in (((7311 * _ONE) // 10000, (211 * _ONE) // 1000),
+              ((13917 * _ONE) // 10000, -(4101 * _ONE) // 10000)):
+        n = t[0] * t[0] + t[1] * t[1]
+        t_inv = (t[0] * _ONE * _ONE // n, -t[1] * _ONE * _ONE // n)
+        lhs = _cmul(at(ghat, shift, t, t_inv), at(ghat, shift, t_inv, t))
+        rhs = [x >> _FRAC_BITS for x in at([(c, 0) for c in rho], -L, t, t_inv)]
+        if (_abs(lhs[0] - rhs[0], lhs[1] - rhs[1]) * 10 ** 25
+                > _ONE + _abs(*rhs)):
             raise SynthesisError("spectral factor failed identity check")
-    max_imag = max(abs(mp.im(c)) for c in ghat)
-    if max_imag > mp.mpf("1e-25"):
-        raise SynthesisError(f"completion not real (imag {float(max_imag):.1e}); "
+    max_imag = max(abs(im) for _, im in ghat)
+    if max_imag > _ONE // 10 ** 25:
+        raise SynthesisError(f"completion not real (imag {max_imag / _ONE:.1e}); "
                              "remainder is negative somewhere on the circle")
     lo = (L + 1) // 2 + shift
-    G[lo:lo + deg + 1] = [mp.re(c) for c in ghat]
+    G[lo:lo + deg + 1] = [re for re, _ in ghat]
     return G, {"grid_zeros": 2 * q, "quotient_degree": qdeg,
                "division_remainder": leftover, "reciprocal_dev": gap,
                "root_seed_dev": seed_dev}
@@ -417,55 +458,68 @@ def _peel_angles(pair: LaurentPair, G):
     Every 2x2 coefficient has the SU(2) shape [[P, Q*], [Q, P*]], with P =
     A + iD and Q = iB + iC from A, iB (``_z_series``) and the even and odd
     parts D, C of G; so have the XY-plane projectors v v^H = [[1/2, c*],
-    [c, 1/2]] (c = v1 v0*) and all products.  Only ``P[i]`` and ``Q[i]``, at
-    z^(2i - m) for the current degree m, are carried: stripping a layer,
+    [c, 1/2]] (c = v1 v0*) and all products.  Only the real and imaginary
+    parts of ``P[i]`` and ``Q[i]``, at z^(2i - m) for the current degree m,
+    are carried, as four int series at scale 2^F: stripping a layer,
     E[1:] + (E[:-1] - E[1:]) v v^H, is P[1:] + dP/2 + c dQ* and Q[1:] +
-    dQ/2 + c dP*, with dP = P[:-1] - P[1:] and dQ alike.  Returns the float
-    angles and the peel residual: the largest clearing residue of a layer or
-    deviation of the last layer from the identity.
+    dQ/2 + c dP*, with dP = P[:-1] - P[1:] and dQ alike, in int products
+    and shifts.  Each layer takes one ``mp.atan2`` for its angle.  Returns
+    the float angles and the peel residual: the largest clearing residue of
+    a layer or deviation of the last layer from the identity.
     """
     import mpmath as mp
 
     L = pair.degree
-    D, C = (G + G[::-1]) / 2, (G - G[::-1]) / 2
-    P, Q = _z_series(pair.a, 1) + 1j * D, _z_series(pair.b, -1) + 1j * C
+    # Re P, Im P, Re Q, Im Q
+    PQ = [_z_series(pair.a, 1), (G + G[::-1]) >> 1,
+          _z_series(pair.b, -1), (G - G[::-1]) >> 1]
 
-    def times_projector(p, q, c):
-        # [[p, q*], [q, p*]] v v^H; array first (mpc * ndarray reprs it)
-        return p / 2 + np.conj(q) * c, q / 2 + np.conj(p) * c
+    def times_projector(pr, pi, qr, qi, cr, ci):
+        # [[p, q*], [q, p*]] v v^H = (p/2 + q* c, q/2 + p* c)
+        return ((pr >> 1) + ((qr * cr + qi * ci) >> _FRAC_BITS),
+                (pi >> 1) + ((qr * ci - qi * cr) >> _FRAC_BITS),
+                (qr >> 1) + ((pr * cr + pi * ci) >> _FRAC_BITS),
+                (qi >> 1) + ((pr * ci - pi * cr) >> _FRAC_BITS))
 
-    tiny = mp.mpf(10) ** (-SYNTHESIS_DPS + 12)
+    tiny = _ONE // 10 ** (SYNTHESIS_DPS - 12)
     # deflated targets factor into fewer genuine layers; identity pairs of
     # opposed axes pad the sequence back to the declared rotation count
-    eff = max((abs(2 * i - L) for i, pq in enumerate(zip(P, Q))
-               if max(map(abs, pq)) > tiny), default=0)
+    pr, pi, qr, qi = PQ
+    norms = np.maximum(pr * pr + pi * pi, qr * qr + qi * qi)
+    eff = max((abs(2 * i - L) for i, n in enumerate(norms) if n > tiny * tiny),
+              default=0)
     if (L - eff) % 2:
         raise SynthesisError("degree deflation changed parity")
-    P, Q = (x[(L - eff) // 2:(L + eff) // 2 + 1] for x in (P, Q))
-    xis, worst = [], mp.mpf(0)
+    PQ = [x[(L - eff) // 2:(L + eff) // 2 + 1] for x in PQ]
+    xis, worst = [], 0
     for m in range(eff, 0, -1):
-        nv = mp.sqrt(abs(P[-1]) ** 2 + abs(Q[-1]) ** 2)  # v = (-P*, Q) / nv
-        if nv < mp.mpf("1e-30"):
+        pr, pi, qr, qi = (x[-1] for x in PQ)
+        p2 = pr * pr + pi * pi
+        n2 = p2 + qr * qr + qi * qi
+        if math.isqrt(n2) < _ONE // 10 ** 30:  # nv, v = (-P*, Q) / nv
             raise SynthesisError(f"vanishing leading coefficient at degree {m}")
-        v0, v1 = -mp.conj(P[-1]) / nv, Q[-1] / nv
-        if abs(abs(v0) ** 2 - mp.mpf("0.5")) > mp.mpf("1e-18"):
+        if abs(2 * p2 - n2) * 10 ** 18 > 2 * n2:  # | |v0|^2 - 1/2 | > 1e-18
             raise SynthesisError("rotation axis left the XY plane during peeling")
-        c = v1 * mp.conj(v0)
-        xis.append(-mp.arg(mp.conj(c)))
+        # c = v1 v0* = -P Q / nv^2
+        cr = -((pr * qr - pi * qi) << _FRAC_BITS) // n2
+        ci = -((pr * qi + pi * qr) << _FRAC_BITS) // n2
+        xis.append(-mp.atan2(-ci, cr))  # -arg(c*)
         # the layer must clear z^(-m-1) and z^(m+1) exactly
-        low = times_projector(P[0], Q[0], c)
-        resid = max(abs(P[0] - low[0]), abs(Q[0] - low[1]),
-                    *map(abs, times_projector(P[-1], Q[-1], c)))
-        if resid > mp.mpf("1e-18"):
-            raise SynthesisError(f"peel residue {float(resid):.1e} at degree {m}")
+        low = times_projector(*(x[0] for x in PQ), cr, ci)
+        clear = [x[0] - y for x, y in zip(PQ, low)]
+        clear += times_projector(pr, pi, qr, qi, cr, ci)
+        resid = max(_abs(clear[k], clear[k + 1]) for k in range(0, 8, 2))
+        if resid > _ONE // 10 ** 18:
+            raise SynthesisError(f"peel residue {resid / _ONE:.1e} at degree {m}")
         worst = max(worst, resid)
-        dP, dQ = times_projector(P[:-1] - P[1:], Q[:-1] - Q[1:], c)
-        P, Q = P[1:] + dP, Q[1:] + dQ
-    dev = max(abs(P[0] - 1), abs(Q[0]))
-    if dev > mp.mpf("1e-18"):
+        dPQ = times_projector(*(x[:-1] - x[1:] for x in PQ), cr, ci)
+        PQ = [x[1:] + d for x, d in zip(PQ, dPQ)]
+    pr, pi, qr, qi = (x[0] for x in PQ)
+    dev = max(_abs(pr - _ONE, pi), _abs(qr, qi))
+    if dev > _ONE // 10 ** 18:
         raise SynthesisError("nonidentity residual layer after peeling")
     out = list(reversed(xis)) + [mp.mpf(0), mp.pi] * ((L - eff) // 2)
-    return tuple(float(x) for x in out), float(max(worst, dev))
+    return tuple(float(x) for x in out), max(worst, dev) / _ONE
 
 
 def complete_and_extract_angles(pair: LaurentPair) -> QspAngles:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -166,8 +167,8 @@ def _remainder_degree(pair):
     A = qsp._z_series(pair.a, 1)
     iB = qsp._z_series(pair.b, -1)
     rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
-    rho[L] += 1
-    return max(abs(k - L) for k, c in enumerate(rho) if abs(c) > 1e-40)
+    rho[L] += qsp._ONE ** 2  # at scale 2^(2F)
+    return max(abs(k - L) for k, c in enumerate(rho) if abs(c) > qsp._ONE ** 2 * 1e-40)
 
 
 class TestGridZeroDivision:
@@ -333,12 +334,12 @@ class TestPinnedAngles:
     # the synthesized angles are part of the reproducibility contract: a
     # faster root finder or solver must give the same floats bit for bit
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "2e14547a6d5fab66120787307a4930b1834cd2dedc436ff8fcd439fb75715947",
-        "p5-all-j": "a35eab31a188f803d6942f598c6917b1861dfec23b3c60d1e0cad860ac72762d",
-        "p7-all-j": "43bb3eaaf91e2963ff278cde89dfbad6ec165beb58f7771b391a24da782c09e7",
-        "p9-11-13": "125a6a7ba1c1bfbc07183ce398f01e10cca1b6c55a0614bd16b2b47911daaa15",
-        "profiles-n2": "520f87966a59cc199e2c223bf8c68cb8dfd6f49be83e0f80d6e8cad683f5147c",
-        "profiles-n3": "89c88d90a40ab9796d54bb785b53818a97a2d91b34ef8ca9f0379264997f025f",
+        "p3-all-j": "611b75868b304be1d8b07206d55e9d2a8e425acac4aa54de52939b2d1f83499d",
+        "p5-all-j": "898540977a50e6bb081e2927c9f14463d01e3cf172aa8eec4ff17b5f80af6b97",
+        "p7-all-j": "115edeb37eafe422a0ec02ae5e6860ca9601680fb06e185552e68cfbfe17b4d4",
+        "p9-11-13": "d166e086d1b849ef4287c6e1073817b9ca90c1d37b289a397e866262dfe2fd7b",
+        "profiles-n2": "b0c0ff12aa259e0e63721e97ad050c41748d17c2037a1fc2905a328fea966dbf",
+        "profiles-n3": "1070ab763b6a8c59cfce3e908c6a6affaa13e41f635252fe952f877eeaf5e31c",
     }))
     def test_pinned_angles_and_solver_residuals(self, name, digest):
         # division_remainder follows the summation order of the remainder
@@ -346,12 +347,12 @@ class TestPinnedAngles:
         assert _angle_digest(_pinned_set(name), _RESIDUALS) == digest
 
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "33117e3dd2c81126254868edfd0023af6ef4903e2ff0588d6f531827b0df7f11",
-        "p5-all-j": "0815f667c4fe113894d65a1d23f1e22bf20501b5f20ec9efebd1cc544922a911",
-        "p7-all-j": "0b95fd5ccfbb2a2a7f43a2f345f1f54dc4fb97ba9c023d7e9f93dcd7482b1243",
-        "p9-11-13": "99c6a17632041c94c8fafc51d473ea153ef8fd60586788bd160fb09d573f494a",
-        "profiles-n2": "4d12e510f8c31537c16c0ee1ea21c6a3b225100be5116f9d6f0fb7c03a905765",
-        "profiles-n3": "248064626bf3a0df5d97c9e904257da4b055eaaf0f6c8ec60c6c92651d6c3185",
+        "p3-all-j": "17671979c13c9ae20eea2c8e0619b501fc6fdaebfae32e48d63f2ad0b65176a8",
+        "p5-all-j": "9df0e601b393da8f2fd678357a096eed160cfbad4d98e9b9ff7666dc05dfed28",
+        "p7-all-j": "8eb19d02bceca698c87da7c54af1cb4307eb2022d7f5eee273a8550ce472911d",
+        "p9-11-13": "31a4bddaf699cb4ef0148796d9bb3f7f9a990a7219ec64159ceabca950a0c3ee",
+        "profiles-n2": "ed89ded74fd51631e169af568edbb22c1aad9083976bd8468213378ff31cf7d7",
+        "profiles-n3": "8b82f215ed2f18660b417720f168c5f1643521a74456c79b5050e08e00cabb84",
     }))
     def test_pinned_angle_digests(self, name, digest):
         # also pins the float reconstruction residual, which follows the
@@ -398,9 +399,9 @@ class TestPinnedAngles:
     # the mod-p family at the scale of the certification targets, with the
     # solver and reconstruction residuals
     @pytest.mark.parametrize("p, digest", [
-        (23, "dd5e6abd209d79a3f47f3aab25713d80e215724edd20eef6497e1b1b9ef3b83a"),
-        (31, "4961429ab6cea9f35b3253482ce73bb4090623230b59065a0b9e1768aa19d20a"),
-        (41, "9ac348d8325183c66f7d7a0135f5280fe1f8514687742817931ade707754a10c"),
+        (23, "1a561a35c6c6e2a4454a4633cbe3bb1ad7510f7a0c610c7f7d92e8156acda797"),
+        (31, "f8d35c0f1701602ce4d17441b7706286afe1e52a4eedfafbdaf7a1c2eb6ee848"),
+        (41, "d09ea834b5062df9fc1aef8c2cb2da4c205c0db6f65942ddf0a094e2d577c6bf"),
     ])
     def test_pinned_angle_digests_at_scale(self, p, digest):
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)]) == digest
@@ -417,6 +418,86 @@ class TestPinnedAngles:
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)], keys) == digest
 
 
+def _mp_angles(pair):
+    """Float angles from the completion and peel in mpf/mpc objects.
+
+    An oracle independent of the fixed-point layout, as ``_lu_interpolant``
+    is for the closed form: the remainder, the grid-zero division, the
+    spectral factor and the peel all run on mpmath numbers at
+    SYNTHESIS_DPS.  The root finding is shared; the checks are left out.
+    """
+    mp = mpmath
+    with mp.workdps(qsp.SYNTHESIS_DPS):
+        L, q = pair.degree, pair.grid_period
+        A = np.concatenate([pair.a[::-1], pair.a]) / 2
+        iB = np.concatenate([-pair.b[::-1], pair.b]) / 2
+        rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
+        rho[L] += 1
+        G = np.full(L + 1, mp.mpf(0), dtype=object)
+        degs = [abs(k - L) for k, c in enumerate(rho) if abs(c) > mp.mpf(10) ** -40]
+        if degs:
+            deg = max(degs)
+            qc = rho[L - deg:L + deg + 1]
+            rest, quot = list(qc), [None] * (2 * deg - 2 * q + 1)
+            for k in range(2 * deg, 2 * q - 1, -1):  # divide by (w^q - 1)^2
+                quot[k - 2 * q] = rest[k]
+                rest[k - q] += 2 * rest[k]
+                rest[k - 2 * q] -= rest[k]
+            seeds = qsp._seed_roots(quot[::-1])
+            seeds = seeds[np.abs(seeds) < 1]
+            seeds = seeds + 1 / seeds
+            us = mp.polyroots(qsp._reciprocal_reduction(quot)[::-1], maxsteps=600,
+                              extraprec=60, roots_init=[mp.mpc(s) for s in seeds]
+                              ) if len(quot) > 1 else []
+            inside = []
+            for u in us:
+                r = mp.sqrt(u * u - 4)
+                inside.append(2 / (u + r) if abs(u + r) >= abs(u - r) else 2 / (u - r))
+            unity = np.array([-1] + [0] * (q - 1) + [1], dtype=object)
+            sigma = functools.reduce(np.convolve, ([-r, 1] for r in inside), unity)
+            ghat = sigma * mp.sqrt(qc[-1] / (sigma[deg] * sigma[0]))
+            lo = (L + 1) // 2 - (deg + 1) // 2
+            G[lo:lo + deg + 1] = [mp.re(c) for c in ghat]
+        P = A + 1j * (G + G[::-1]) / 2
+        Q = iB + 1j * (G - G[::-1]) / 2
+        eff = max((abs(2 * i - L) for i, pq in enumerate(zip(P, Q))
+                   if max(map(abs, pq)) > mp.mpf(10) ** -38), default=0)
+        P, Q = (x[(L - eff) // 2:(L + eff) // 2 + 1] for x in (P, Q))
+        xis = []
+        for _ in range(eff):
+            nv = mp.sqrt(abs(P[-1]) ** 2 + abs(Q[-1]) ** 2)
+            c = Q[-1] / nv * mp.conj(-mp.conj(P[-1]) / nv)
+            xis.append(-mp.arg(mp.conj(c)))
+            dP, dQ = P[:-1] - P[1:], Q[:-1] - Q[1:]
+            # array first: mpc * ndarray reprs the array
+            P, Q = P[1:] + dP / 2 + np.conj(dQ) * c, Q[1:] + dQ / 2 + np.conj(dP) * c
+        xi = list(reversed(xis)) + [mp.mpf(0), mp.pi] * ((L - eff) // 2)
+    return tuple(float(x) for x in xi)
+
+
+_RNG = random.Random(23)
+ORACLE_PROFILES = [(0, *bits) for n in (1, 2, 3, 4)
+                   for bits in itertools.product((0, 1), repeat=n)]
+# a seeded sample at n = 5..8, plus two whose float root seeds do not converge
+ORACLE_PROFILES += [(0, *(_RNG.randint(0, 1) for _ in range(n)))
+                    for n in (5, 6, 7, 8) for _ in range(3)]
+ORACLE_PROFILES += [(0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(functools.partial(solve_mod_p_coeffs, p), id=f"mod{p}")
+      for p in (3, 5, 7, 9, 13, 23, 41)),
+    *(pytest.param(functools.partial(solve_symmetric_coeffs, list(f), len(f) - 1),
+                   id="".join(map(str, f))) for f in ORACLE_PROFILES),
+])
+def test_fixed_point_matches_mp_oracle(build):
+    pair = build()
+    angles = complete_and_extract_angles(pair)
+    xi = _mp_angles(pair)
+    assert [x.hex() for x in angles.xi] == [x.hex() for x in xi]
+    assert angles.residual == qsp._reconstruction_residual(xi, pair)
+
+
 class TestPeel:
     @pytest.mark.parametrize("target", [3, 5, 7, (0, 1, 0)])
     def test_peel_residual_reported(self, target, modp_angles, symmetric_angles):
@@ -431,9 +512,42 @@ class TestPeel:
         pair = solve_mod_p_coeffs(5, 0)
         with mpmath.workdps(qsp.SYNTHESIS_DPS):
             G, _ = qsp._complete(pair)
-            G[len(G) // 2] += mpmath.mpf("1e-12")
+            G[len(G) // 2] += qsp._ONE // 10 ** 12
             with pytest.raises(SynthesisError, match="left the XY plane"):
                 qsp._peel_angles(pair, G)
+
+    def test_peel_residual_at_scale(self):
+        # the remainder is exact, so only the roots' 50 digits reach the peel
+        assert qsp.synthesize_mod_p(41, 0).stats["peel_residual"] <= 1e-45
+
+    def test_all_zero_series_rejected(self):
+        # nothing survives the deflation, which leaves an odd degree gap
+        pair = _pair(3, [0, 0], [0, 0], 3)
+        with pytest.raises(SynthesisError, match="deflation changed parity"):
+            qsp._peel_angles(pair, np.zeros(4, dtype=object))
+
+    def test_vanishing_leading_coefficient_rejected(self):
+        # 1e-35 counts as a layer (above 1e-38) but is no axis (below 1e-30)
+        pair = _pair(1, ["1e-35"], [0], 3)
+        with pytest.raises(SynthesisError, match="vanishing leading coefficient"):
+            qsp._peel_angles(pair, np.zeros(2, dtype=object))
+
+    def test_uncleared_layer_rejected(self):
+        # |P| and |Q| agree to 1e-22, so the axis lies in the XY plane, but
+        # at a norm of 1e6 the projector leaves a residue of 5e-17
+        with mpmath.workdps(qsp.SYNTHESIS_DPS):
+            pair = _pair(1, ["2e6"], ["2000000.0000000000000002"], 3)
+            with pytest.raises(SynthesisError, match="peel residue 5.0e-17"):
+                qsp._peel_angles(pair, np.zeros(2, dtype=object))
+
+    def test_negated_unitary_rejected(self):
+        # -U peels through the same layers and leaves -I behind
+        pair = solve_mod_p_coeffs(5, 0)
+        with mpmath.workdps(qsp.SYNTHESIS_DPS):
+            G, _ = qsp._complete(pair)
+            neg = LaurentPair(pair.degree, -pair.a, -pair.b, 5, (0,), 0.0)
+            with pytest.raises(SynthesisError, match="nonidentity residual layer"):
+                qsp._peel_angles(neg, -G)
 
 
 class TestCompletion:
@@ -450,6 +564,14 @@ class TestCompletion:
         pair = _pair(1, [2], [0], 3)
         with pytest.raises(SynthesisError):
             complete_and_extract_angles(pair)
+
+    def test_negative_remainder_gives_no_real_factor(self):
+        # A = cos(3 phi/2), B = 3 sin(3 phi/2): 1 - A^2 - B^2 = -8 sin^2(3 phi/2)
+        # = 2 w^-3 (w^3 - 1)^2 has its grid zeros, but its factor is imaginary
+        pair = _pair(3, [0, 1], [0, 3], 3)
+        with mpmath.workdps(qsp.SYNTHESIS_DPS):
+            with pytest.raises(SynthesisError, match=r"completion not real \(imag 1.4e\+00\)"):
+                qsp._complete(pair)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 9])
     def test_reconstruction_residual(self, p, modp_angles):
