@@ -3,18 +3,26 @@
 A sequence of L rotations R_Z(xi_j) R_X(phi) R_Z(xi_j)^dag applied to |0>
 realizes a unitary whose Pauli components are Laurent polynomials in
 z = e^{i phi/2} of degree at most L with fixed parity.  Synthesis proceeds in
-three exact stages, all in extended precision:
+three exact stages:
 
 1. interpolate the I and X components (cosine and sine series) on a grid of
    phase values so the measured bit equals the target function there, with
    zero slope so the remainder has double zeros on the circle; on the
-   equispaced grid this is a closed-form cosine/sine transform, not a solve;
+   equispaced grid this is a closed-form cosine/sine transform, not a solve,
+   in mpmath at SYNTHESIS_DPS digits;
 2. complete the pair to a unitary by spectral factorization of the
    remainder 1 - A^2 - B^2: its double grid zeros are divided out exactly,
    and the self-reciprocal quotient is root-found at half its degree, as a
    polynomial in u = w + 1/w with w = z^2;
 3. extract the rotation angles by peeling rank-one projector factors off
    the matrix Laurent polynomial.
+
+Every series coefficient is bounded by 1 in modulus, so stages 2 and 3 run
+in fixed point: the interpolant is rounded once to Python ints at scale
+2^F (``_FRAC_BITS``, the bits of SYNTHESIS_DPS digits plus guard bits), and
+the remainder, the division, the identity check and the peel are int
+products and shifts.  Only the root finding, the root square roots and the
+product of the root factors use mpmath numbers.
 
 The grid is phi_w = 4*pi*w/q with an odd period q and L = 2q-1: q = 2n+1
 for a symmetric profile on n bits, and the weight-counting functions are
@@ -263,7 +271,8 @@ def _abs(re, im) -> int:
 
 
 def _cmul(x, y):
-    """x y for fixed-point complex pairs (re, im), y at scale 2^F."""
+    """x y for fixed-point complex pairs (re, im): y at scale 2^F, x y at
+    the scale of x."""
     return ((x[0] * y[0] - x[1] * y[1]) >> _FRAC_BITS,
             (x[0] * y[1] + x[1] * y[0]) >> _FRAC_BITS)
 
@@ -277,7 +286,10 @@ def _z_series(coeffs, sign: int) -> np.ndarray:
     of two such arrays holds w^m, w = z^2, at index m + L, exactly, at
     scale 2^(2F).
     """
-    half = np.array([_fixed(c, _FRAC_BITS - 1) for c in coeffs], dtype=object)
+    import mpmath as mp
+
+    half = np.array([_fixed(mp.mpf(c), _FRAC_BITS - 1) for c in coeffs],
+                    dtype=object)
     return np.concatenate([sign * half[::-1], half])
 
 
@@ -432,8 +444,8 @@ def _complete(pair: LaurentPair):
             acc = _cmul(acc, t_inv)
         return acc
 
-    for t in (((7311 * _ONE) // 10000, (211 * _ONE) // 1000),
-              ((13917 * _ONE) // 10000, -(4101 * _ONE) // 10000)):
+    for ut in (("0.7311", "0.211"), ("1.3917", "-0.4101")):
+        t = tuple(_fixed(mp.mpf(x)) for x in ut)
         n = t[0] * t[0] + t[1] * t[1]
         t_inv = (t[0] * _ONE * _ONE // n, -t[1] * _ONE * _ONE // n)
         lhs = _cmul(at(ghat, shift, t, t_inv), at(ghat, shift, t_inv, t))
@@ -508,7 +520,7 @@ def _peel_angles(pair: LaurentPair, G):
         low = times_projector(*(x[0] for x in PQ), cr, ci)
         clear = [x[0] - y for x, y in zip(PQ, low)]
         clear += times_projector(pr, pi, qr, qi, cr, ci)
-        resid = max(_abs(clear[k], clear[k + 1]) for k in range(0, 8, 2))
+        resid = max(map(_abs, clear[::2], clear[1::2]))
         if resid > _ONE // 10 ** 18:
             raise SynthesisError(f"peel residue {resid / _ONE:.1e} at degree {m}")
         worst = max(worst, resid)

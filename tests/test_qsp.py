@@ -168,7 +168,8 @@ def _remainder_degree(pair):
     iB = qsp._z_series(pair.b, -1)
     rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
     rho[L] += qsp._ONE ** 2  # at scale 2^(2F)
-    return max(abs(k - L) for k, c in enumerate(rho) if abs(c) > qsp._ONE ** 2 * 1e-40)
+    tiny = qsp._ONE ** 2 // 10 ** 40
+    return max(abs(k - L) for k, c in enumerate(rho) if abs(c) > tiny)
 
 
 class TestGridZeroDivision:
@@ -342,8 +343,9 @@ class TestPinnedAngles:
         "profiles-n3": "1070ab763b6a8c59cfce3e908c6a6affaa13e41f635252fe952f877eeaf5e31c",
     }))
     def test_pinned_angles_and_solver_residuals(self, name, digest):
-        # division_remainder follows the summation order of the remainder
-        # convolution, so these and the full digests move with it
+        # division_remainder is the exact leftover of the interpolant as
+        # rounded to the fixed-point layout, so these and the full digests
+        # move with that rounding
         assert _angle_digest(_pinned_set(name), _RESIDUALS) == digest
 
     @pytest.mark.parametrize("name, digest", _pins({
@@ -359,9 +361,9 @@ class TestPinnedAngles:
         # rounding of the rotation-product kernel
         assert _angle_digest(_pinned_set(name)) == digest
 
-    # leaves out division_remainder, the 1e-50 rounding residue of the exact
-    # division, which follows the summation order of the remainder; the
-    # angles and the other residuals must not move with it
+    # leaves out division_remainder, the 1e-50 leftover of the exact
+    # division, which follows the rounding of the interpolant; the angles
+    # and the other residuals must not move with it
     @pytest.mark.parametrize("name, digest", _pins({
         "p3-all-j": "a93ef1fe14317448618b1f3a6851724b0bcb36e18aec0879113627de118732fb",
         "p5-all-j": "e8aabd889426f6d2b2c0e3a456d54fb6a67c7e2907cece761974567d5898b205",
@@ -570,7 +572,8 @@ class TestCompletion:
         # = 2 w^-3 (w^3 - 1)^2 has its grid zeros, but its factor is imaginary
         pair = _pair(3, [0, 1], [0, 3], 3)
         with mpmath.workdps(qsp.SYNTHESIS_DPS):
-            with pytest.raises(SynthesisError, match=r"completion not real \(imag 1.4e\+00\)"):
+            with pytest.raises(SynthesisError,
+                               match=r"completion not real \(imag 1.4e\+00\)"):
                 qsp._complete(pair)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 9])
