@@ -240,17 +240,23 @@ class AnfPolynomial:
         return tuple(coef)  # type: ignore[arg-type]
 
 
+def yates(vals: list, kernel) -> list:
+    """In-place Yates butterfly over the subset lattice: for each bit, each pair
+    (v[x], v[x | bit]) with x lacking the bit becomes kernel(v[x], v[x | bit]),
+    e.g. (a, a ^ b) for the Moebius transform, (a + b, b) for the superset sum."""
+    step = 1
+    while step < len(vals):
+        for lo in range(0, len(vals), step << 1):
+            for i in range(lo, lo + step):
+                vals[i], vals[i + step] = kernel(vals[i], vals[i + step])
+        step <<= 1
+    return vals
+
+
 def anf(f: BooleanFunction) -> AnfPolynomial:
     """Moebius transform over the subset lattice."""
-    coef = list(f.table)
-    size = 1 << f.n
-    step = 1
-    while step < size:
-        for lo in range(0, size, step << 1):
-            for i in range(lo, lo + step):
-                coef[i + step] ^= coef[i]
-        step <<= 1
-    return AnfPolynomial(f.n, frozenset(m for m in range(size) if coef[m]))
+    coef = yates(list(f.table), lambda a, b: (a, a ^ b))
+    return AnfPolynomial(f.n, frozenset(m for m, c in enumerate(coef) if c))
 
 
 def walsh_hadamard(f: BooleanFunction, k: "int | str | Sequence[int]") -> float:
@@ -262,16 +268,8 @@ def walsh_hadamard(f: BooleanFunction, k: "int | str | Sequence[int]") -> float:
 
 def walsh_spectrum(f: BooleanFunction) -> list[float]:
     """All 2^n Fourier coefficients via the fast transform."""
-    vals = [(-1) ** b for b in f.table]
-    size = 1 << f.n
-    step = 1
-    while step < size:
-        for lo in range(0, size, step << 1):
-            for i in range(lo, lo + step):
-                a, b = vals[i], vals[i + step]
-                vals[i], vals[i + step] = a + b, a - b
-        step <<= 1
-    return [v / size for v in vals]
+    vals = yates([(-1) ** b for b in f.table], lambda a, b: (a + b, a - b))
+    return [v / len(vals) for v in vals]
 
 
 def f_max(f: BooleanFunction) -> float:

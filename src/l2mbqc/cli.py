@@ -7,6 +7,7 @@ verification fails, 2 on usage errors (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import pathlib
@@ -50,9 +51,9 @@ def emit(payload: dict, fmt: str, out) -> None:
     if fmt == "json":
         out.write(json.dumps(payload, indent=1) + "\n")
     elif fmt == "csv":
-        keys = list(payload)
-        out.write(",".join(keys) + "\n")
-        out.write(",".join(str(payload[k]) for k in keys) + "\n")
+        csv.writer(out, lineterminator="\n").writerows([payload, [
+            json.dumps(v) if isinstance(v, (list, dict)) else v
+            for v in payload.values()]])
     else:
         width = max(len(k) for k in payload)
         for k, v in payload.items():

@@ -2,20 +2,21 @@
 
 A decomposition expresses (-1)^{f(x)+f(0)} as cos(pi * sum_p (p.x) phi_p)
 over nonzero masks p, with the angles phi_p kept in units of pi.  The angles
-solve an integer linear system whose matrix has a closed-form dyadic inverse,
-so everything here runs in exact rational arithmetic; floats appear only in
-verification.
+solve an integer linear system whose dyadic inverse is a superset sum, and the
+phases are a Walsh-Hadamard transform of the angles: both run as exact subset-
+lattice butterflies (``boolean.yates``); floats appear only in verification.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolean import BooleanFunction, anf, dot2, popcount
+from .boolean import BooleanFunction, anf, dot2, popcount, yates
 
+# Bounds the exact rational oracle (``sierpinski_matrix``, O(8^n) to build)
+# and the GHZ schedules that ``table1`` lays out, one qubit per mask.
 MAX_PFD_ARITY = 6
 
 
@@ -36,11 +37,6 @@ class PeriodicDecomposition:
     @property
     def support(self) -> list[int]:
         return sorted(self.angles)
-
-    def phase_in_pi(self, x: int) -> Fraction:
-        """sum over masks of (p.x) phi_p, an exact rational in units of pi."""
-        return sum((phi for mask, phi in self.angles.items() if dot2(mask, x)),
-                   Fraction(0))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -74,9 +70,8 @@ def _chi_meets(a: int, b: int) -> int:
     return 1 if a & b else 0
 
 
-@functools.cache
 def sierpinski_matrix(n: int) -> SierpinskiSystem:
-    """The system for arity n, built and checked once per n (it is immutable)."""
+    """The system for arity n, with its inverse checked exactly."""
     if not 1 <= n <= MAX_PFD_ARITY:
         raise ValueError(f"n must be in 1..{MAX_PFD_ARITY}")
     masks = list(range(1, 1 << n))
@@ -113,42 +108,48 @@ def solve_pfd(f: BooleanFunction,
               offsets: dict[int, int] | None = None) -> PeriodicDecomposition:
     """Angles phi = M^{-1} (a + k) with a the ANF coefficients, k even integers.
 
-    The canonical solution takes k = 0.  Any even offset vector produces
-    another valid decomposition of the same function.
+    M^{-1} is an integer superset sum S of g_y = (-1)^|y| (a_y + k_y) 2^{n-|y|}
+    (g_0 = 0), scaled: phi_p = (-1)^{n-|p|+1} S[~p] / 2^{n-1}.  The canonical
+    solution takes k = 0; any even offset vector gives another decomposition.
     """
-    if f.n > MAX_PFD_ARITY:
+    n = f.n
+    if n > MAX_PFD_ARITY:
         raise ValueError(f"solve_pfd supports n <= {MAX_PFD_ARITY}")
-    inverse = sierpinski_matrix(f.n).inverse
-    masks = list(range(1, 1 << f.n))
-    poly = anf(f)
-    rhs = []
-    for y in masks:
+    monomials = anf(f).monomials
+    g = [0] * (1 << n)
+    for y in range(1, 1 << n):
         k = (offsets or {}).get(y, 0)
         if k % 2:
             raise ValueError("offsets must be even integers")
-        rhs.append((1 if y in poly.monomials else 0) + k)
+        w = popcount(y)
+        g[y] = (-1) ** w * ((y in monomials) + k) * (1 << (n - w))
+    sums = yates(g, lambda a, b: (a + b, b))
+    full = (1 << n) - 1
     angles: dict[int, Fraction] = {}
-    for i, p in enumerate(masks):
-        phi = sum((inverse[i][j] * rhs[j] for j in range(len(masks))),
-                  Fraction(0))
+    for p in range(1, 1 << n):
+        phi = Fraction((-1) ** (n - popcount(p) + 1) * sums[full ^ p],
+                       1 << (n - 1))
         if phi != 0:
             angles[p] = phi
-    return PeriodicDecomposition(f.n, angles)
+    return PeriodicDecomposition(n, angles)
 
 
 def verify_pfd(f: BooleanFunction, d: PeriodicDecomposition) -> tuple[bool, float]:
     """Check cos(pi * phase(x)) = (-1)^{f(x)+f(0)} on every input.
 
-    The verdict is exact: every phase must be an integer with the parity of
-    f(x) xor f(0).  The float residual, the largest gap between the cosine
-    and the sign, is returned beside it for reports.
+    phase(x) is (W(0) - W(x)) / 2 for W the exact Walsh-Hadamard transform of
+    the angles.  The verdict is exact: every phase must be an integer with the
+    parity of f(x) xor f(0).  The float residual, the largest gap between the
+    cosine and the sign, is returned beside it for reports.
     """
     if f.n != d.n:
         raise ValueError("arity mismatch")
+    walsh = yates([d.angles.get(m, Fraction(0)) for m in range(1 << f.n)],
+                  lambda a, b: (a + b, a - b))
     f0 = f.table[0]
     ok, worst = True, 0.0
     for x in range(1 << f.n):
-        phase, flip = d.phase_in_pi(x), f.table[x] ^ f0
+        phase, flip = (walsh[0] - walsh[x]) / 2, f.table[x] ^ f0
         ok = ok and phase.denominator == 1 and phase.numerator % 2 == flip
         worst = max(worst, abs(math.cos(math.pi * float(phase))
                                - (-1.0 if flip else 1.0)))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -447,6 +448,29 @@ class TestInputHardening:
             return
         assert_one_error_line(*run_main("qsp", f"--profile={profile}"),
                               "--profile")
+
+
+class TestCsv:
+    @pytest.mark.parametrize("argv", [
+        ("qsp", "--p", "3"),
+        ("pfd", "--fn", "mod3", "--n", "3"),
+        ("analyze", "--fn", "mod3", "--n", "3", "--spectrum"),
+    ])
+    def test_rows_parse_and_nested_fields_round_trip(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, row = list(csv.reader(io.StringIO(out)))
+        assert len(row) == len(header)
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert header == list(payload)
+        nested = [k for k, v in payload.items() if isinstance(v, (list, dict))]
+        assert nested or argv[0] == "analyze"
+        for key, field in zip(header, row):
+            if key in nested:
+                assert json.loads(field) == payload[key]
+            else:
+                assert field == str(payload[key])
 
 
 class TestTables:
