@@ -50,13 +50,15 @@ def parse_profile(text: str) -> list[int]:
 def emit(payload: dict, fmt: str, out) -> None:
     if fmt == "json":
         out.write(json.dumps(payload, indent=1) + "\n")
-    elif fmt == "csv":
-        csv.writer(out, lineterminator="\n").writerows([payload, [
-            json.dumps(v) if isinstance(v, (list, dict)) else v
-            for v in payload.values()]])
+        return
+    # list and dict values as JSON text, so the flat formats read back
+    row = [json.dumps(v) if isinstance(v, (list, dict)) else v
+           for v in payload.values()]
+    if fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows([payload, row])
     else:
         width = max(len(k) for k in payload)
-        for k, v in payload.items():
+        for k, v in zip(payload, row):
             out.write(f"{k:<{width}}  {v}\n")
 
 

@@ -115,10 +115,15 @@ def solve_pfd(f: BooleanFunction,
     n = f.n
     if n > MAX_PFD_ARITY:
         raise ValueError(f"solve_pfd supports n <= {MAX_PFD_ARITY}")
+    offsets = offsets or {}
+    stray = [y for y in offsets if y not in range(1, 1 << n)]
+    if stray:
+        raise ValueError(f"offset keys must be masks in 1..{(1 << n) - 1}, "
+                         f"got {stray}")
     monomials = anf(f).monomials
     g = [0] * (1 << n)
     for y in range(1, 1 << n):
-        k = (offsets or {}).get(y, 0)
+        k = offsets.get(y, 0)
         if k % 2:
             raise ValueError("offsets must be even integers")
         w = popcount(y)

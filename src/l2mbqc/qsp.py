@@ -121,8 +121,9 @@ class QspAngles:
     ``quotient_degree`` (2d; the root finder sees its degree-d reduction),
     ``division_remainder`` (relative), ``reciprocal_dev`` (relative gap
     between the quotient and its reversal), ``root_seed_dev`` (largest
-    distance of a reduced root from its seed), ``peel_residual`` (see
-    ``_peel_angles``) and ``reconstruction_residual``.
+    distance of a reduced root from its float seed, a companion-matrix
+    root from ``_seed_roots``), ``peel_residual`` (see ``_peel_angles``)
+    and ``reconstruction_residual``.
     """
 
     length: int
@@ -311,27 +312,20 @@ def _divide_grid_zeros(poly, q: int):
     return quot, rest[:2 * q]
 
 
-def _seed_roots(coeffs) -> np.ndarray:
-    """Float starting points for ``mp.polyroots`` on ``coeffs`` (highest
-    degree first): a Weierstrass (Jacobi Durand-Kerner) iteration in
-    complex128, started on the unit circle off the real axis.  ``_complete``
-    maps the inside ones to u = s + 1/s to seed the reduced polynomial.
-    mpmath's own start spirals in from 1 and needs 11 to 19 sweeps at 60
-    extra bits for p = 9 to 17; from these it needs three.
+def _seed_roots(quot) -> np.ndarray:
+    """Float seeds for ``mp.polyroots`` on the reduction of ``quot``.
+
+    ``quot`` is the self-reciprocal quotient of ``_complete``, from the
+    constant term up.  ``np.roots`` finds its float roots as the eigenvalues
+    of the companion matrix, a backward-stable method, after each
+    coefficient is divided by the largest one (int / int, rounded once).
+    Each root s inside the unit circle (which also drops any NaN) seeds u =
+    s + 1/s.  From these mpmath needs three sweeps at 60 extra bits.
     """
-    c = np.array([complex(x) for x in coeffs])
-    c /= c[0]
-    d = len(c) - 1
-    z = np.exp(1j * (2 * np.pi * np.arange(d) / d + 0.4))
-    with np.errstate(all="ignore"):
-        for _ in range(200):
-            diff = z[:, None] - z
-            np.fill_diagonal(diff, 1)
-            step = np.polyval(c, z) / np.prod(diff, axis=1)
-            z = z - step
-            if np.all(np.abs(step) <= 1e-14 * (1 + np.abs(z))):
-                break
-    return z
+    top = max(map(abs, quot))
+    s = np.roots([c / top for c in quot[::-1]])
+    s = s[np.abs(s) < 1]
+    return s + 1 / s
 
 
 def _reciprocal_reduction(quot):
@@ -373,7 +367,8 @@ def _complete(pair: LaurentPair):
     the division certificate, ``reciprocal_dev`` (the relative gap between
     the quotient and its reversal) and ``root_seed_dev``, the largest
     distance from a polished root u to its nearest float seed
-    (``_seed_roots`` on the quotient, each inside seed s mapped to s + 1/s).
+    (``_seed_roots``: each companion-matrix root s of the quotient inside
+    the circle, mapped to s + 1/s).
     """
     import mpmath as mp
 
@@ -406,12 +401,8 @@ def _complete(pair: LaurentPair):
                              f"(relative gap {gap:.1e})")
     qdeg = len(quot) - 1
     # the seeds move only where the polish starts, not what it converges
-    # to; each inside float root s of the quotient seeds u = s + 1/s, and
-    # mpmath starts the roots of missing (outside or non-finite) seeds at
-    # its defaults
-    seeds = _seed_roots(quot[::-1])
-    seeds = seeds[np.abs(seeds) < 1]
-    seeds = seeds + 1 / seeds
+    # to; mpmath starts the roots of missing seeds at its defaults
+    seeds = _seed_roots(quot)
     us = mp.polyroots(_reciprocal_reduction(quot)[::-1], maxsteps=600,
                       extraprec=60,
                       roots_init=[mp.mpc(s) for s in seeds]) if qdeg else []

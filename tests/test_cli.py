@@ -473,6 +473,24 @@ class TestCsv:
                 assert field == str(payload[key])
 
 
+class TestTableFormat:
+    @pytest.mark.parametrize("argv", [
+        ("qsp", "--p", "3"),
+        ("pfd", "--fn", "and", "--n", "2"),
+    ])
+    def test_nested_fields_are_json(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "table")
+        assert code == 0
+        fields = dict(line.split(None, 1) for line in out.splitlines())
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert list(fields) == list(payload)
+        nested = [k for k, v in payload.items() if isinstance(v, (list, dict))]
+        assert nested
+        for key in nested:
+            assert json.loads(fields[key]) == payload[key]
+
+
 class TestTables:
     def test_seed_default_ignores_environment(self, monkeypatch):
         # the seed comes from --seed alone; a stray variable cannot crash

@@ -76,6 +76,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_pfd(or_n(2), offsets={1: 1})
 
+    @pytest.mark.parametrize("key", [0, 4, -1])
+    def test_offset_key_outside_the_masks_rejected(self, key):
+        # an offset on a non-mask key would otherwise be dropped unread
+        with pytest.raises(ValueError, match=rf"1\.\.3, got \[{key}\]"):
+            solve_pfd(or_n(2), offsets={key: 2})
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_functions_solve_and_verify(self, n):
         rnd = random.Random(n)

@@ -172,8 +172,16 @@ def _remainder_degree(pair):
     return max(abs(k - L) for k, c in enumerate(rho) if abs(c) > tiny)
 
 
+_SEED_RNG = random.Random(5)
+# two profiles whose quotient roots spread from 0.018 to 57 in modulus, and
+# a seeded sample of 4 nonconstant profiles at each n = 5..8
+SEED_PROFILES = [(0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, 0)]
+SEED_PROFILES += [(0, *((m >> i) & 1 for i in range(n))) for n in (5, 6, 7, 8)
+                  for m in _SEED_RNG.sample(range(1, 1 << n), 4)]
+
+
 class TestGridZeroDivision:
-    @pytest.mark.parametrize("p", [3, 5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("p", [3, 5, 7, 9, 11, 13, 17, 23, 31, 41])
     def test_mod_p_certificate(self, p, modp_angles):
         angles = (modp_angles[p] if p in modp_angles
                   else qsp.synthesize_mod_p(p, 0))
@@ -219,25 +227,34 @@ class TestGridZeroDivision:
         qsp.synthesize_symmetric([0, 0, 0], 2)
         assert degrees == []
 
-    @pytest.mark.parametrize("bad_seeds", [
+    @pytest.mark.parametrize("bad_roots", [
         lambda coeffs: np.full(len(coeffs) - 1, np.nan + 0j),
         lambda coeffs: np.full(len(coeffs) - 1, 0.3 + 0.2j),
     ], ids=["nan", "all-equal"])
-    def test_root_seeds_change_speed_only(self, monkeypatch, bad_seeds):
+    def test_root_seeds_change_speed_only(self, monkeypatch, bad_roots):
         # useless starting points cost polish steps, never a different root;
         # p = 7 and 9 (reduced degrees 6 and 8) polish from mpmath's own
-        # starts, where the extra working precision is tightest
+        # starts, where the extra working precision is tightest.  The float
+        # roots are replaced, so the bad seeds pass the inside filter
         builds = [lambda: qsp.synthesize_mod_p(5, 2),
                   lambda: qsp.synthesize_symmetric([0, 1, 0], 2),
                   lambda: qsp.synthesize_mod_p(7, 0),
                   lambda: qsp.synthesize_mod_p(9, 0)]
         seeded = [build() for build in builds]
-        monkeypatch.setattr(qsp, "_seed_roots", bad_seeds)
+        monkeypatch.setattr(qsp.np, "roots", bad_roots)
         for build, good in zip(builds, seeded):
             angles = build()
             assert [x.hex() for x in angles.xi] == [x.hex() for x in good.xi]
             assert angles.residual == good.residual
             assert angles.stats["root_seed_dev"] > 1e-3
+
+    @pytest.mark.parametrize("profile", SEED_PROFILES,
+                             ids=lambda f: "".join(map(str, f)))
+    def test_seeds_land_on_every_root(self, profile):
+        n = len(profile) - 1
+        angles = qsp.synthesize_symmetric(list(profile), n)
+        assert angles.stats["root_seed_dev"] < 1e-8
+        assert verify_symmetric(angles, list(profile)) < 1e-9
 
     def test_angles_match_pinned_values(self, modp_angles, symmetric_angles):
         # values from before the grid zeros were divided out
@@ -365,12 +382,12 @@ class TestPinnedAngles:
     # division, which follows the rounding of the interpolant; the angles
     # and the other residuals must not move with it
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "a93ef1fe14317448618b1f3a6851724b0bcb36e18aec0879113627de118732fb",
-        "p5-all-j": "e8aabd889426f6d2b2c0e3a456d54fb6a67c7e2907cece761974567d5898b205",
-        "p7-all-j": "9593e7c0825783dc512769026653d038fa477de9a609e49471159fcd7dc5f751",
-        "p9-11-13": "05b2b011bfad33a5e7909bcff8fd258519755883b46e8ccd3009482743b64702",
-        "profiles-n2": "0b2da8c0b218e6f5669e2326b5aafdc954ab76c703c7a361144608290e9b67b2",
-        "profiles-n3": "333fea6f9e2300560b8a844361952a79aa9923fc6a1d03deb79705f619011987",
+        "p3-all-j": "54eb127abacb066209db3d7e641cde57b0cebca4eea666d02a95cc46cd2eae86",
+        "p5-all-j": "982a98ca9418ecf6ad6f596dfe32abe487b4162f3a30ce3b54c9f3e6fd0ad3bc",
+        "p7-all-j": "b5026511ed56bfa8689f704d62a0f3f0622bca95052ccef11f0e1765dd049bf0",
+        "p9-11-13": "09da2baccf1dc31bdfac6635b23cbafcf8a6ddf5e183957534049e08ca819807",
+        "profiles-n2": "c3dd5bee7a0690e48a6f1454bf5ea9daf9485d15bb175f3f4b80d57dc06eb790",
+        "profiles-n3": "598676385ed6f648452a5ce02b7d0dffdfe744e760b4d4dd5c65f9c1b775756d",
     }))
     def test_pinned_angles_and_seed_deviation(self, name, digest):
         keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
@@ -379,12 +396,12 @@ class TestPinnedAngles:
     # the float outputs alone, free of the 1e-50 residues of the exact
     # stages: a different interpolation or division order must not move them
     @pytest.mark.parametrize("name, digest", _pins({
-        "p3-all-j": "52013a4ed188d98d11eade4d011bdfb409c7ec4036d44dbd20530e0e144a543c",
-        "p5-all-j": "894b7910941d7cc6c300ca4c2773cc372c6fe54d5a6c9a2b4d2c22dc4ef188e9",
-        "p7-all-j": "d745f3cb1227ecc3520164c0bbb771bd6d13a0ef4a4e404f242553f52627f112",
-        "p9-11-13": "90d051af6bc0113e2a2089339ece1e0f5b6cec994f3402f454c42d20a87dce61",
-        "profiles-n2": "776e7392a7b59bc9cfd23376e5b8da3f77e3057b17497fb7c9d2fd53d0d3edc6",
-        "profiles-n3": "0ee8709f31a1196126ad48d402f0fc04d67bfd8e25eb0cb86c474e038db1840d",
+        "p3-all-j": "6d1959f202673c36cc0325cb2d0eb8910ab485f57a24f4141a4752a7a8ea1554",
+        "p5-all-j": "a1452f6523e55373df0cf744446f744a7ac0c240aaef69bd4bd75e279fe6bed2",
+        "p7-all-j": "a819e760bd720f94b8057dc50e1465161524d1f4a84ed11dbe27e4534667ed91",
+        "p9-11-13": "0caedb3561f7be5671c738f49b7ce325cc4fdd8d62e15eefa67409e3115418c5",
+        "profiles-n2": "6150906fe7f24702dfd7f22093627bfa6d4f981c8a50b55e7f6584811acc10a1",
+        "profiles-n3": "760722e14931e1628f6ba27805d30665b6be044f92db84c87826834064da81c9",
     }))
     def test_pinned_angles_and_float_certificates(self, name, digest):
         keys = ("reconstruction_residual", "root_seed_dev")
@@ -411,9 +428,9 @@ class TestPinnedAngles:
     # the same sets without division_remainder, which follows the remainder
     # arithmetic; the angles and the float certificates must not move with it
     @pytest.mark.parametrize("p, digest", [
-        (23, "46e463ad4ac2a1a654e8260f373d5765e288b958f5ac45c2554bb1117d1f7f0e"),
-        (31, "85967f0f3b57135447c05c8dc50984cb82e65ada33793ade9a1e16da4363e547"),
-        (41, "d2890085405250c19eb3cced8a380ddca1e242d6318546fedec2a8246b4bc275"),
+        (23, "8fcb3463d0c2baa0ded193af5f61bdeb77c5b1af76ce615ab97977874019af1e"),
+        (31, "d24ee7214b3c1b1d48c3ae6cf4faf1dced1373c70e4ca2aac72d1d9d3b516f0f"),
+        (41, "96f8e8c0ee297db0d49de10a549c62967b040193b9bdbf17c9de64bc53ba1d08"),
     ])
     def test_pinned_angles_and_seed_deviation_at_scale(self, p, digest):
         keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
@@ -445,9 +462,7 @@ def _mp_angles(pair):
                 quot[k - 2 * q] = rest[k]
                 rest[k - q] += 2 * rest[k]
                 rest[k - 2 * q] -= rest[k]
-            seeds = qsp._seed_roots(quot[::-1])
-            seeds = seeds[np.abs(seeds) < 1]
-            seeds = seeds + 1 / seeds
+            seeds = qsp._seed_roots(quot)
             us = mp.polyroots(qsp._reciprocal_reduction(quot)[::-1], maxsteps=600,
                               extraprec=60, roots_init=[mp.mpc(s) for s in seeds]
                               ) if len(quot) > 1 else []
@@ -480,7 +495,8 @@ def _mp_angles(pair):
 _RNG = random.Random(23)
 ORACLE_PROFILES = [(0, *bits) for n in (1, 2, 3, 4)
                    for bits in itertools.product((0, 1), repeat=n)]
-# a seeded sample at n = 5..8, plus two whose float root seeds do not converge
+# a seeded sample at n = 5..8, plus two whose quotient roots spread from
+# 0.018 to 57 in modulus
 ORACLE_PROFILES += [(0, *(_RNG.randint(0, 1) for _ in range(n)))
                     for n in (5, 6, 7, 8) for _ in range(3)]
 ORACLE_PROFILES += [(0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, 0)]
