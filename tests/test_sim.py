@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,8 @@ from l2mbqc.sim import (DenseEngine, bell_score,
                         effective_circuit, exact_distribution,
                         exact_distributions, run_schedule_batch, run_shot,
                         verify_protocol, xy_basis_vectors)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def fixed_angle_schedule(resource, thetas, o_ids=None):
@@ -239,6 +242,43 @@ class TestPinnedChainStep:
                 h.update(gap.hex().encode() + outcomes.tobytes())
         assert h.hexdigest() == (
             "3d5a6325bce061564eb35e246fd382f8ab9ed3323e43ae29d846bdfbb44b06d7")
+
+    # What a change to the step's float arithmetic must not move: the
+    # sampled bytes, the dense-forced outcomes without the gap, and the
+    # DP's peak_states and distributions to 1e-13 (held as values, not as a
+    # digest of rounded values: some sit within 1e-15 of a rounding edge).
+    def test_pinned_sampled_outcomes(self):
+        h = hashlib.sha256()
+        for seed, build in enumerate(self.EXACT_BUILDS):
+            s = build()
+            xs = np.arange(2048) % (1 << s.arity)
+            h.update(chain_sample(s, xs, np.random.default_rng(seed))
+                     .tobytes())
+        assert h.hexdigest() == (
+            "fdd25157eb05229c45e7e7e7d8bca3e6faf7a31a344aa90f0695f1fe3af2d030")
+
+    def test_pinned_dense_forced_outcomes(self):
+        h = hashlib.sha256()
+        for s in (mod3_protocol(2), lift_ghz_to_cluster(
+                compile_pfd_to_ghz(pfd.solve_pfd(boolean.and_n(2)), 0))):
+            for seed in range(11, 16):
+                outcomes, _ = sim._drive(s, np.array([seed % (1 << s.arity)]),
+                                         np.random.default_rng(seed),
+                                         dense=DenseEngine(s.resource))
+                h.update(outcomes.tobytes())
+        assert h.hexdigest() == (
+            "fe23006c7a5eeb8e5d379610cd5808d0dde21eb24bae9983405bcb59eada8285")
+
+    def test_pinned_exact_distributions_to_1e13(self):
+        pins = json.loads((DATA / "chain_step_exact_pins.json").read_text())
+        assert len(pins) == len(self.EXACT_BUILDS)
+        for build, pinned in zip(self.EXACT_BUILDS, pins):
+            s = build()
+            dists = exact_distributions(s, range(1 << s.arity))
+            assert len(dists) == len(pinned)
+            for d, (p0, p1, peak) in zip(dists, pinned):
+                assert d.peak_states == peak
+                assert abs(d[0] - p0) <= 1e-13 and abs(d[1] - p1) <= 1e-13
 
 
 def assert_chain_sample_matches_branches(s, inputs, rows_per_input, seed):
