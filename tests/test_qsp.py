@@ -408,9 +408,9 @@ class TestPinnedAngles:
         assert _angle_digest(_pinned_set(name), keys) == digest
 
     @pytest.mark.parametrize("p, digest", [
-        (15, "5723a2b8726ca464f66e8b4009308b64c6430c3c83bb0459938ae388beb3eb00"),
-        (17, "53ad5e04936b5c967e98e9198287c8d164d1dcfdd0b439ae6984699887caf959"),
-        (19, "fae82e04a8e59c243ff8a47a233d8f38d6f0324a40c289fe8843e16efe890ecf"),
+        pytest.param(15, "5723a2b8726ca464f66e8b4009308b64c6430c3c83bb0459938ae388beb3eb00", id="p15"),
+        pytest.param(17, "53ad5e04936b5c967e98e9198287c8d164d1dcfdd0b439ae6984699887caf959", id="p17"),
+        pytest.param(19, "fae82e04a8e59c243ff8a47a233d8f38d6f0324a40c289fe8843e16efe890ecf", id="p19"),
     ])
     def test_pinned_angles_beyond_13(self, p, digest):
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)], ()) == digest
@@ -418,9 +418,9 @@ class TestPinnedAngles:
     # the mod-p family at the scale of the certification targets, with the
     # solver and reconstruction residuals
     @pytest.mark.parametrize("p, digest", [
-        (23, "1a561a35c6c6e2a4454a4633cbe3bb1ad7510f7a0c610c7f7d92e8156acda797"),
-        (31, "f8d35c0f1701602ce4d17441b7706286afe1e52a4eedfafbdaf7a1c2eb6ee848"),
-        (41, "d09ea834b5062df9fc1aef8c2cb2da4c205c0db6f65942ddf0a094e2d577c6bf"),
+        pytest.param(23, "1a561a35c6c6e2a4454a4633cbe3bb1ad7510f7a0c610c7f7d92e8156acda797", id="p23"),
+        pytest.param(31, "f8d35c0f1701602ce4d17441b7706286afe1e52a4eedfafbdaf7a1c2eb6ee848", id="p31"),
+        pytest.param(41, "d09ea834b5062df9fc1aef8c2cb2da4c205c0db6f65942ddf0a094e2d577c6bf", id="p41"),
     ])
     def test_pinned_angle_digests_at_scale(self, p, digest):
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)]) == digest
@@ -428,9 +428,9 @@ class TestPinnedAngles:
     # the same sets without division_remainder, which follows the remainder
     # arithmetic; the angles and the float certificates must not move with it
     @pytest.mark.parametrize("p, digest", [
-        (23, "8fcb3463d0c2baa0ded193af5f61bdeb77c5b1af76ce615ab97977874019af1e"),
-        (31, "d24ee7214b3c1b1d48c3ae6cf4faf1dced1373c70e4ca2aac72d1d9d3b516f0f"),
-        (41, "96f8e8c0ee297db0d49de10a549c62967b040193b9bdbf17c9de64bc53ba1d08"),
+        pytest.param(23, "8fcb3463d0c2baa0ded193af5f61bdeb77c5b1af76ce615ab97977874019af1e", id="p23"),
+        pytest.param(31, "d24ee7214b3c1b1d48c3ae6cf4faf1dced1373c70e4ca2aac72d1d9d3b516f0f", id="p31"),
+        pytest.param(41, "96f8e8c0ee297db0d49de10a549c62967b040193b9bdbf17c9de64bc53ba1d08", id="p41"),
     ])
     def test_pinned_angles_and_seed_deviation_at_scale(self, p, digest):
         keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
