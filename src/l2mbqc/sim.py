@@ -9,10 +9,11 @@ need no environment.  The side processor sends each qubit one setting bit,
 so each site's four (setting, outcome) projections of its tensor are
 tabulated once per schedule (``_site_table``), and a sweep first computes
 the input parities P.x of each distinct input mask, which many sites share.
-One step (``_branches``) measures a site on a stack of bond factors by one
-matrix product with its table entry and a gather on (state, setting),
-returning both outcome branches, contiguous, and their weights and checking
-that those weights sum to the state's weight:
+One step (``_branches``) measures a site on a stack of bond factors, held
+as float64 with (re, im) pairs side by side, by one real matrix product
+with its table entry and a gather at the (state, setting) rows its caller
+passes, returning both outcome branches, contiguous, and their weights and
+checking that those weights sum to the state's weight:
 
 - sampling keeps one normalised factor per batch row, a row being one
   (input, shot) pair, and draws its branch by inverse CDF from a seeded
@@ -52,11 +53,14 @@ SAMPLE_CHUNK = 1024  # rows per chain sweep in verify_protocol; bounds memory
 
 
 def parity(v) -> np.ndarray:
-    """Bit parity of non-negative integers below 2**63, elementwise."""
+    """Bit parity of non-negative integers below 2**63, elementwise, as
+    uint8 like the outcome rows it is XORed with."""
     v = np.asarray(v, dtype=np.int64)
+    width = int(v.max(initial=0)).bit_length()
     for shift in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & 1
+        if shift < width:  # a wider shift reads only zero bits
+            v = v ^ (v >> shift)
+    return (v & 1).astype(np.uint8)
 
 
 def _id_rows(qids) -> np.ndarray:
@@ -205,7 +209,7 @@ class SiteTable(NamedTuple):
     """A schedule's per-site data, sites in id order (``_site_table``)."""
     angles: np.ndarray   # (N, setting)
     vectors: np.ndarray  # (N, setting, outcome, 2)
-    kernels: np.ndarray  # (N, l, setting * outcome * r)
+    kernels: np.ndarray  # (N, 2 * l, setting * outcome * r * 2), real
     a_rows: tuple[np.ndarray, ...]  # each site's a_ids as an intp array
 
 
@@ -224,8 +228,13 @@ def _site_table(s: MeasurementSchedule) -> SiteTable:
 def _build_site_table(s: MeasurementSchedule) -> SiteTable:
     """The (N, setting) angles offset + (-1)^(setting xor bias) * theta,
     their (N, setting, outcome, 2) eigenvectors (the Z basis on Pauli-Z
-    sites), the kernels v^H A, each an (l, setting * outcome * r) matrix,
-    bonds padded to 2, and each site's a_ids as an index array."""
+    sites), the kernels v^H A, bonds padded to 2, and each site's a_ids as
+    an index array.
+
+    A kernel K is the complex (l, setting * outcome * r) matrix v^H A,
+    stored as the real (2l, 2 * setting * outcome * r) matrix that acts on
+    (re, im) pairs: for a complex F, ``F.view(float) @ kernel`` equals
+    ``(F @ K).view(float)``, so the chain step is one real GEMM."""
     z = np.array([isinstance(q.basis, PauliZBasis) for q in s.qubits], bool)
     xy = [XYBasis(0.0) if zq else q.basis for zq, q in zip(z, s.qubits)]
     bias = np.array([b.bias for b in xy], dtype=np.int64)[:, None]
@@ -238,8 +247,11 @@ def _build_site_table(s: MeasurementSchedule) -> SiteTable:
     for a, T in zip(A, _chain_tensors(s.resource)):
         a[:T.shape[0], :, :T.shape[2]] = T
     # einsum, not a BLAS product, keeps exactly cancelling branches at 0
-    kernels = np.einsum("isoc,ilcr->ilsor", vectors.conj(), A)
-    table = SiteTable(angles, vectors, kernels.reshape(-1, 2, 8),
+    K = np.einsum("isoc,ilcr->ilsor", vectors.conj(), A).reshape(-1, 2, 8)
+    # F_c K = re(F_c) K + im(F_c) iK: row 2c of the real kernel is K[c] and
+    # row 2c + 1 is iK[c], each as (re, im) floats
+    kernels = (K[:, :, None] * np.array([[1], [1j]])).view(np.float64)
+    table = SiteTable(angles, vectors, kernels.reshape(-1, 4, 16),
                       tuple(_id_rows(q.a_ids) for q in s.qubits))
     for a in (table.angles, table.vectors, table.kernels, *table.a_rows):
         a.flags.writeable = False
@@ -251,41 +263,43 @@ _ONES.flags.writeable = False
 
 
 def _sq_norms(T: np.ndarray) -> np.ndarray:
-    """Squared norm over the last two axes, at most (2, 2), summed over the
-    float64 view by a matrix product, because numpy's sums over short axes
-    are slow."""
+    """Squared norm over the last two axes of a float64 stack of bond
+    blocks, at most (2, 4): a complex (2, 2) block with (re, im) pairs
+    side by side.  Summed by a matrix product, because numpy's sums over
+    short axes are slow."""
     size = T.shape[-2] * T.shape[-1]
-    f = T.reshape(-1, size).view(np.float64)
-    return ((f * f) @ _ONES[:2 * size]).reshape(T.shape[:-2])
+    f = T.reshape(-1, size)
+    return ((f * f) @ _ONES[:size]).reshape(T.shape[:-2])
 
 
-def _branches(F: np.ndarray, K: np.ndarray, setting: np.ndarray):
+def _branches(F: np.ndarray, K: np.ndarray, at: np.ndarray):
     """Both outcomes of measuring the next site, on a stack of states.
 
-    State i is the (k, l) factor F[i] of the bond matrix F^H F; its weight
-    is the squared norm of F[i], as the tensors are right-canonical.  K is
-    the site's kernel (``_site_table``), setting the states' setting bits.
-    Returns the (states, 2, k, r) branches as one C-contiguous array, so
-    branch m of state i is row 2i + m of ``B.reshape(2 * states, k, r)``,
-    their (states, 2) weights and the worst gap between a state's weight
-    and its branches' sum, relative to it, which must stay within
-    MARGINAL_TOL.
+    State i is the (k, l) complex factor F[i] of the bond matrix F^H F,
+    held as float64 with (re, im) pairs side by side, so F is (states, k,
+    2l); its weight is the squared norm of F[i], as the tensors are
+    right-canonical.  K is the site's real kernel (``_site_table``); the
+    product F @ K has two rows per factor row j, one per setting, and
+    ``at`` picks row 2j + setting for each factor row in order.  Returns
+    the (states, 2, k, 2r) branches as one C-contiguous array, so branch m
+    of state i is row 2i + m of ``B.reshape(2 * states, k, 2 * r)``, their
+    (states, 2) weights, and per state the gap between its weight and its
+    branches' sum and the weight itself.  Each gap must stay within
+    MARGINAL_TOL times the weight: a NaN fails, and a dead row (0 <= 0)
+    passes.
     """
     n, k, l = F.shape
-    r = K.shape[1] // 4
-    t = (F.reshape(n * k, l) @ K).reshape(2 * n * k, 2 * r)  # row, setting
-    B = t.take(2 * np.arange(n * k) + setting.repeat(k), axis=0)
+    c = K.shape[1] // 4  # floats in a branch's factor row
+    t = (F.reshape(n * k, l) @ K).reshape(2 * n * k, 2 * c)  # row, setting
     # a copy only at k > 1 (the DP); at k = 1 the swap is already contiguous
-    B = np.ascontiguousarray(B.reshape(n, k, 2, r).swapaxes(1, 2))
+    B = np.ascontiguousarray(
+        t.take(at, axis=0).reshape(n, k, 2, c).swapaxes(1, 2))
     w = _sq_norms(B)
     total = _sq_norms(F)
     dev = np.abs(w[:, 0] + w[:, 1] - total)
-    live = total > 0  # an exact DP row zeroed on its input has no marginal
-    gap = float(np.divide(dev, total, out=np.zeros(n), where=live)
-                .max(initial=0.0))
-    if gap > MARGINAL_TOL:
+    if not (dev <= MARGINAL_TOL * total).all():
         raise AssertionError("branch weights do not sum to the state weight")
-    return B, w, gap
+    return B, w, dev, total
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +310,23 @@ def _drive(s: MeasurementSchedule, xs: np.ndarray, rng,
            dense: DenseEngine | None = None):
     """Sample one run per input in xs by one chain sweep in id order.
 
-    Each row keeps a normalised (1, bond) factor and one uniform per site
-    picks its branch: outcome m of row i is flat branch 2i + m of the
-    contiguous ``_branches`` output, one ``take`` on branches and weights
-    alike.  Given a dense engine, outcomes are drawn from its marginals and
-    forced on both.  Returns the outcome rows (see ``chain_sample``) and the
-    largest dense-chain marginal gap.
+    Each row keeps a normalised (1, bond) factor, on floats as in
+    ``_branches``, and one uniform per site picks its branch: outcome m of
+    row i is flat branch 2i + m of the contiguous ``_branches`` output, one
+    ``take`` on branches and weights alike.  Given a dense engine, outcomes
+    are drawn from its marginals and forced on both.  Returns the outcome
+    rows (see ``chain_sample``) and the largest dense-chain marginal gap.
     """
     table = _site_table(s)
     px = input_parities(s.qubits, xs)
     rows2 = 2 * np.arange(len(xs))
     outcomes = np.zeros((s.n_qubits + 1, len(xs)), dtype=np.uint8)
-    F = np.zeros((len(xs), 1, 2), dtype=complex) + (1, 0)
+    F = np.zeros((len(xs), 1, 4)) + (1, 0, 0, 0)
     gap = 0.0
     for q, K, V, a in zip(s.qubits, table.kernels, table.vectors,
                           table.a_rows):
         setting = setting_bits(q, px, _row_parity(outcomes, a))
-        B, w, _ = _branches(F, K, setting)
+        B, w, *_ = _branches(F, K, rows2 + setting)
         p = w if dense is None else np.column_stack(
             dense.marginal(q.id, V[setting, 0], V[setting, 1]))
         out = (rng.random(len(xs)) >= p[:, 0]).view(np.uint8)
@@ -320,8 +334,8 @@ def _drive(s: MeasurementSchedule, xs: np.ndarray, rng,
         if dense is not None:
             gap = max(gap, float(np.max(np.abs(w - p))))
             dense.project(q.id, V[setting, out], p.reshape(-1).take(pick))
-        F = (B.reshape(-1, *B.shape[2:]).take(pick, axis=0)
-             / np.sqrt(w.reshape(-1).take(pick))[:, None, None])
+        F = B.reshape(-1, *B.shape[2:]).take(pick, axis=0)
+        F *= (1 / np.sqrt(w.reshape(-1).take(pick)))[:, None, None]
         outcomes[q.id] = out
     return outcomes, gap
 
@@ -424,12 +438,12 @@ def exact_distributions(s: MeasurementSchedule, xs) -> list[OutputDistribution]:
     does.  A branch of weight at most 1e-300 on an input is zeroed on that
     input, and a key is dropped once it is dead on every input.
 
-    rho is held as a square factor F with rho = F^H F, so ``_branches``
-    measures it as it does a sampled row and every weight is a sum of
-    squares; a merged stack of factors is squared up again by QR.  A
-    density matrix stored as such would let a zero-weight branch carry
-    rounding noise far above its own trace.  Each distribution carries the
-    whole sweep's counters.
+    rho is held as a square factor F with rho = F^H F, on floats as in
+    ``_branches``, so it is measured as a sampled row is and every weight
+    is a sum of squares; a merged stack of factors is squared up again by
+    QR on its complex view.  A density matrix stored as such would let a
+    zero-weight branch carry rounding noise far above its own trace.  Each
+    distribution carries the whole sweep's counters.
     """
     xs = np.asarray(xs, dtype=np.int64)
     flips = [0] * (s.n_qubits + 1)  # key bits that outcome 1 on qubit k toggles
@@ -439,32 +453,37 @@ def exact_distributions(s: MeasurementSchedule, xs) -> list[OutputDistribution]:
     for o in s.o_ids:
         flips[o] |= 1
     keys = [0]
-    # (inputs, keys, bond, bond), bonds padded to 2 as in the kernels
-    F = np.zeros((len(xs), 1, 1, 2), dtype=complex) + (1, 0)
+    # (inputs, keys, bond, 2 * bond), bonds padded to 2 as in the kernels
+    F = np.zeros((len(xs), 1, 1, 4)) + (1, 0, 0, 0)
     peak, dev = 1, 0.0
     px = input_parities(s.qubits, xs[:, None])
     for q, kernel in zip(s.qubits, _site_table(s).kernels):
         n, K, k, l = F.shape
-        bits = np.array([(key >> q.id) & 1 for key in keys], dtype=np.int64)
-        B, w, gap = _branches(F.reshape(n * K, k, l), kernel,
-                              setting_bits(q, px, bits).reshape(-1))
-        dev = max(dev, gap)
-        r = B.shape[-1]
+        bits = np.array([(key >> q.id) & 1 for key in keys], dtype=np.uint8)
+        setting = setting_bits(q, px, bits).reshape(-1)
+        B, w, gap, total = _branches(F.reshape(n * K, k, l), kernel,
+                                     2 * np.arange(n * K * k)
+                                     + setting.repeat(k))
+        # relative to the state's weight; a row zeroed on its input has none
+        dev = max(dev, float(np.divide(gap, total, out=np.zeros(n * K),
+                                       where=total > 0).max(initial=0.0)))
+        r = B.shape[-1] // 2
         alive = w.reshape(n, K, 2) > 1e-300
-        B = np.where(alive[..., None, None], B.reshape(n, K, 2, k, r), 0)
+        B = np.where(alive[..., None, None], B.reshape(n, K, 2, k, 2 * r), 0)
+        live = alive.any(axis=0).tolist()
         drop = ~(1 << q.id)
         groups: dict[int, list[np.ndarray]] = {}
         for i, key in enumerate(keys):
             for m, nk in ((0, key & drop), (1, (key ^ flips[q.id]) & drop)):
-                if alive[:, i, m].any():
+                if live[i][m]:
                     groups.setdefault(nk, []).append(B[:, i, m])
         keys = list(groups)
         rows = k * max(map(len, groups.values()), default=0)
-        F = np.zeros((n, len(keys), max(rows, r), r), dtype=complex)
+        F = np.zeros((n, len(keys), max(rows, r), 2 * r))
         for j, g in enumerate(groups.values()):
             F[:, j, :k * len(g)] = np.concatenate(g, axis=1)
         if rows > r:
-            F = np.linalg.qr(F, mode="r")
+            F = np.linalg.qr(F.view(complex), mode="r").view(np.float64)
         peak = max(peak, len(keys))
     y1 = np.array([s.c ^ (key & 1) for key in keys], dtype=bool)
     weights = _sq_norms(F)  # (inputs, keys)

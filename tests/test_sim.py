@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2mbqc import boolean, mbqc, pfd, qsp, sim
 from l2mbqc.mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, XYBasis,
@@ -49,11 +51,13 @@ class TestEngines:
         vectors, kernels = table.vectors, table.kernels
         # a Pauli-Z site reads the Z basis under either setting
         assert (vectors[0] == np.eye(2)).all()
-        start = np.array([[[1, 0]]], dtype=complex)  # bond padded to 2
+        start = np.array([[[1.0, 0, 0, 0]]])  # (re, im) pairs, bond 2
         for setting in (0, 1):
-            B, w, gap = sim._branches(start, kernels[0], np.array([setting]))
+            B, w, gap, total = sim._branches(start, kernels[0],
+                                             np.array([setting]))
             assert w[0] == pytest.approx([0.5, 0.5], abs=1e-12)
-            assert B.shape == (1, 2, 1, 2) and gap < 1e-12
+            assert B.view(complex).shape == (1, 2, 1, 2)
+            assert gap[0] / total[0] < 1e-12
 
     def test_chain_steps_in_id_order_only(self):
         # the chain steps through the id-sorted qubits zipped with its tensors,
@@ -227,7 +231,7 @@ class TestPinnedChainStep:
                 h.update(f"{d[0].hex()} {d[1].hex()} {d.peak_states} "
                          f"{d.marginal_dev.hex()};".encode())
         assert h.hexdigest() == (
-            "30db633a982b6453f855d8e2ec7db40cbbeee36e8489a5207da9538eace3bdf9")
+            "1c4b478e689787f7e07ed19d817dfc5573968e082c643a91e996ab6db51df94a")
 
     def test_pinned_dense_forced_runs(self):
         h = hashlib.sha256()
@@ -241,7 +245,7 @@ class TestPinnedChainStep:
                                          dense=DenseEngine(s.resource))
                 h.update(gap.hex().encode() + outcomes.tobytes())
         assert h.hexdigest() == (
-            "3d5a6325bce061564eb35e246fd382f8ab9ed3323e43ae29d846bdfbb44b06d7")
+            "8ff465b99d1f2114c9c27ef42f6aedd51a9a40580430d73caaf9d609dc268001")
 
     # What a change to the step's float arithmetic must not move: the
     # sampled bytes, the dense-forced outcomes without the gap, and the
@@ -325,6 +329,32 @@ class TestMarginalChecks:
             chain_sample(s, [0, 1], np.random.default_rng(0))
         with pytest.raises(AssertionError, match="state weight"):
             exact_distribution(s, 1)
+        with pytest.raises(AssertionError, match="state weight"):
+            exact_distributions(s, [0, 1])
+
+    def test_nan_state_fails_on_the_sampler_path(self):
+        # a NaN weight fails the check; a dead row (0 <= 0) passes
+        kernel = sim._site_table(mod3_protocol(1)).kernels[1]
+        F = np.zeros((3, 1, 4)) + (1, 0, 0, 0)
+        F[2] = 0.0
+        rows = 2 * np.arange(3) + np.array([0, 1, 1], dtype=np.uint8)
+        B, w, gap, total = sim._branches(F, kernel, rows)
+        assert total[2] == gap[2] == 0.0 and (w[2] == 0).all()
+        F[1, 0, 1] = np.nan
+        with pytest.raises(AssertionError, match="state weight"):
+            sim._branches(F, kernel, rows)
+
+    def test_nan_kernel_fails_on_the_dp_path(self, monkeypatch):
+        build = sim._chain_tensors
+
+        def nan_entry(resource):
+            out = build(resource)
+            out[1] = out[1].copy()
+            out[1][0, 1, 1] = np.nan
+            return out
+        monkeypatch.setattr(sim, "_chain_tensors", nan_entry)
+        s = mod3_protocol(1)
+        assert np.isnan(sim._site_table(s).kernels[1]).any()
         with pytest.raises(AssertionError, match="state weight"):
             exact_distributions(s, [0, 1])
 
@@ -464,21 +494,23 @@ class TestExactSweep:
         seen = []
         branches = sim._branches
 
-        def spy(F, K, setting):
-            B, w, gap = branches(F, K, setting)
-            seen.append((sim._sq_norms(F), w, gap))
-            return B, w, gap
+        def spy(F, K, at):
+            B, w, gap, total = branches(F, K, at)
+            seen.append((total, w, gap))
+            return B, w, gap, total
 
         monkeypatch.setattr(sim, "_branches", spy)
         dists = exact_distributions(s, [0, 1])
         # site 1 has one key, so its rows are the inputs 0 and 1
         assert seen[0][1][:, 1].tolist() == [pytest.approx(0.5), 0.0]
         # site 2 holds (input, key) rows; the key of outcome 1 is zero on
-        # input 1, and the marginal check skips it instead of reading 0/0,
-        # which would pass every comparison with MARGINAL_TOL
+        # input 1, which the marginal check passes as 0 <= 0 and the DP
+        # leaves out of its relative gap instead of reading 0/0
         assert seen[1][0].tolist() == [pytest.approx(0.5), pytest.approx(0.5),
                                        pytest.approx(1.0), 0.0]
-        assert all(0 <= gap < sim.MARGINAL_TOL for *_, gap in seen)
+        assert seen[1][2][3] == 0.0
+        assert all(0 <= gap[i] < sim.MARGINAL_TOL * total[i]
+                   for total, _, gap in seen for i in np.flatnonzero(total))
         for d in dists:
             assert math.isfinite(d.marginal_dev)
             assert 0 <= d.marginal_dev < sim.MARGINAL_TOL
@@ -734,6 +766,16 @@ class TestComposite:
         assert all(int(y) == target for y in ys)
 
 
+def complex_kernels(s):
+    """The (N, l, setting * outcome * r) complex kernels v^H A of a schedule,
+    from its site vectors and chain tensors, bonds padded to 2."""
+    A = np.zeros((s.n_qubits, 2, 2, 2), dtype=complex)
+    for a, T in zip(A, sim._chain_tensors(s.resource)):
+        a[:T.shape[0], :, :T.shape[2]] = T
+    vectors = sim._site_table(s).vectors
+    return np.einsum("isoc,ilcr->ilsor", vectors.conj(), A).reshape(-1, 2, 8)
+
+
 class TestSiteTable:
     @pytest.mark.parametrize("build, sweep", [
         (lambda: mbqc.modp_protocol(7, 0, 5, qsp.reference_angles(7)),
@@ -772,6 +814,17 @@ class TestSiteTable:
         distinct = {q.p_mask for q in s.qubits}
         assert len(calls) == len(distinct) < s.n_qubits
 
+    def test_parity_at_every_width(self):
+        # each prefix has another largest value, so the fold skips another
+        # number of shifts
+        v = np.array([0, 1, 2, 3, 5, 6, 2**16 + 1, 2**31 + 2**17, 2**32,
+                      2**62 + 2**33 + 1, 2**63 - 1], dtype=np.int64)
+        for end in range(len(v) + 1):
+            p = sim.parity(v[:end])
+            assert p.dtype == np.uint8
+            assert p.tolist() == [bin(int(x)).count("1") & 1
+                                  for x in v[:end]]
+
     def test_built_once_per_schedule(self, monkeypatch):
         calls = []
         build = sim._build_site_table
@@ -807,19 +860,37 @@ class TestSiteTable:
         # k = 1 is a sampled row, k = 2 a square DP factor
         s = mod3_protocol(1)
         kernel = sim._site_table(s).kernels[1]
-        F = np.random.default_rng(k).normal(size=(5, k, 2)).astype(complex)
+        F = np.random.default_rng(k).normal(size=(5, k, 4))
         F /= np.sqrt(sim._sq_norms(F))[:, None, None]
         setting = np.array([0, 1, 1, 0, 1])
-        B, w, _ = sim._branches(F, kernel, setting)
-        assert B.shape == (5, 2, k, 2) and B.flags.c_contiguous
+        B, w, *_ = sim._branches(F, kernel,
+                                 2 * np.arange(5 * k) + setting.repeat(k))
+        assert B.shape == (5, 2, k, 4) and B.flags.c_contiguous
         # branch m of state i is flat row 2i + m
-        for i, st in enumerate(setting):
+        K = complex_kernels(s)[1].reshape(2, 2, 2, 2)
+        for i, bit in enumerate(setting):
             for m in (0, 1):
-                want = F[i] @ kernel.reshape(2, 2, 2, 2)[:, st, m]
-                assert np.allclose(B.reshape(10, k, 2)[2 * i + m], want,
-                                   atol=1e-15)
+                want = F[i].view(complex) @ K[:, bit, m]
+                assert np.allclose(B.reshape(10, k, 4)[2 * i + m]
+                                   .view(complex), want, atol=1e-15)
                 assert w[i, m] == pytest.approx(
                     np.sum(np.abs(want) ** 2), abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([ghz, cluster1d]),
+           st.lists(st.floats(-7, 7), min_size=3, max_size=3),
+           st.sampled_from([1, 2]), st.integers(1, 6), st.randoms())
+    def test_real_kernel_is_the_complex_product(self, build, thetas, k, n,
+                                                rnd):
+        # F.view(float) @ kernel is (F @ K).view(float) for every site, on
+        # sampled rows (k = 1) and square DP factors (k = 2)
+        s = fixed_angle_schedule(build(3), thetas)
+        F = np.array([rnd.uniform(-1, 1) for _ in range(n * k * 4)])
+        F = F.reshape(n, k, 4)
+        for kernel, K in zip(sim._site_table(s).kernels, complex_kernels(s)):
+            assert kernel.shape == (4, 16) and kernel.dtype == np.float64
+            assert np.allclose(F @ kernel, (F.view(complex) @ K)
+                               .view(np.float64), rtol=0, atol=1e-15)
 
 
 class TestBasisVectors:
