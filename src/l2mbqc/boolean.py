@@ -48,19 +48,31 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {n}")
 
 
+def _weight_profile(n: int, bits: Sequence[int]) -> tuple[int, ...] | None:
+    """Entry w is the common value of ``bits[x]`` over the masks x of Hamming
+    weight w, for 2^n bits indexed by mask; None if some weight class
+    disagrees."""
+    prof: dict[int, int] = {}
+    for x, b in enumerate(bits):
+        if prof.setdefault(popcount(x), b) != b:
+            return None
+    return tuple(prof[w] for w in range(n + 1))
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """A function F_2^n -> F_2 stored as a truth table.
 
-    ``symmetric_profile`` is present iff the function depends only on the
-    Hamming weight of the input; entry w is the value at weight w.
+    ``symmetric_profile`` is derived from the table, not passed in: it is
+    present iff the function depends only on the Hamming weight of the
+    input, and entry w is the value at weight w.
     """
 
     n: int
     table: tuple[int, ...]
     kind: str = "custom"
     params: dict = field(default_factory=dict, compare=False)
-    symmetric_profile: tuple[int, ...] | None = None
+    symmetric_profile: tuple[int, ...] | None = field(init=False, compare=False)
 
     def __post_init__(self):
         _check_arity(self.n)
@@ -68,12 +80,8 @@ class BooleanFunction:
             raise ValueError("truth table length must be 2^n")
         if any(b not in (0, 1) for b in self.table):
             raise ValueError("truth table entries must be bits")
-        if self.symmetric_profile is not None:
-            if len(self.symmetric_profile) != self.n + 1:
-                raise ValueError("symmetric profile needs n+1 entries")
-            for x, b in enumerate(self.table):
-                if b != self.symmetric_profile[popcount(x)]:
-                    raise ValueError("profile disagrees with truth table")
+        object.__setattr__(self, "symmetric_profile",
+                           _weight_profile(self.n, self.table))
 
     def __call__(self, x: "int | str | Sequence[int]") -> int:
         return self.table[parse_input(x, self.n)]
@@ -93,16 +101,6 @@ class BooleanFunction:
         f0 = self.symmetric_profile[0]
         return [v ^ f0 for v in self.symmetric_profile], f0
 
-    def complement(self) -> "BooleanFunction":
-        return BooleanFunction(
-            self.n,
-            tuple(1 - b for b in self.table),
-            kind=f"not({self.kind})",
-            params=dict(self.params),
-            symmetric_profile=None if self.symmetric_profile is None
-            else tuple(1 - b for b in self.symmetric_profile),
-        )
-
     def to_json(self) -> str:
         table_int = sum(b << i for i, b in enumerate(self.table))
         width = -(-len(self.table) // 4)
@@ -119,21 +117,8 @@ class BooleanFunction:
         n = obj["n"]
         table_int = int(obj["table_hex"], 16)
         table = tuple((table_int >> i) & 1 for i in range(1 << n))
-        f = cls(n, table, kind=obj.get("kind", "custom"), params=obj.get("params", {}))
-        prof = _profile_of(f)
-        return f if prof is None else BooleanFunction(
-            n, table, kind=f.kind, params=f.params, symmetric_profile=prof)
-
-
-def _profile_of(f: BooleanFunction) -> tuple[int, ...] | None:
-    prof: list[int | None] = [None] * (f.n + 1)
-    for x, b in enumerate(f.table):
-        w = popcount(x)
-        if prof[w] is None:
-            prof[w] = b
-        elif prof[w] != b:
-            return None
-    return tuple(prof)  # type: ignore[arg-type]
+        return cls(n, table, kind=obj.get("kind", "custom"),
+                   params=obj.get("params", {}))
 
 
 def from_profile(profile: Sequence[int], n: int, kind: str = "custom",
@@ -143,8 +128,7 @@ def from_profile(profile: Sequence[int], n: int, kind: str = "custom",
     if len(profile) != n + 1:
         raise ValueError("profile needs n+1 entries")
     table = tuple(profile[popcount(x)] for x in range(1 << n))
-    return BooleanFunction(n, table, kind=kind, params=params or {},
-                           symmetric_profile=tuple(profile))
+    return BooleanFunction(n, table, kind=kind, params=params or {})
 
 
 def mod_p(p: int, j: int, n: int) -> BooleanFunction:
@@ -187,10 +171,7 @@ def from_table(table: Iterable[int], kind: str = "custom") -> BooleanFunction:
     n = (len(table) - 1).bit_length()
     if 1 << n != len(table):
         raise ValueError("table length must be a power of two")
-    f = BooleanFunction(n, table, kind=kind)
-    prof = _profile_of(f)
-    return f if prof is None else BooleanFunction(n, table, kind=kind,
-                                                  symmetric_profile=prof)
+    return BooleanFunction(n, table, kind=kind)
 
 
 def build(kind: str, n: int, **params) -> BooleanFunction:
@@ -229,15 +210,8 @@ class AnfPolynomial:
 
     def weight_coefficients(self) -> tuple[int, ...] | None:
         """Per-degree coefficients if the ANF is symmetric, else None."""
-        coef = [None] * (self.n + 1)
-        for m in range(1 << self.n):
-            w = popcount(m)
-            bit = 1 if m in self.monomials else 0
-            if coef[w] is None:
-                coef[w] = bit
-            elif coef[w] != bit:
-                return None
-        return tuple(coef)  # type: ignore[arg-type]
+        return _weight_profile(self.n, [int(m in self.monomials)
+                                        for m in range(1 << self.n)])
 
 
 def yates(vals: list, kernel) -> list:

@@ -71,12 +71,10 @@ class XYBasis:
     bias: int = 0
     offset: float = 0.0
 
-    kind = "xy"
-
 
 @dataclass(frozen=True)
 class PauliZBasis:
-    kind = "z"
+    """Pauli-Z measurement: no angle, no input mask, no adaptation."""
 
 
 def is_pi_multiple(theta: float, offset: float = 0.0) -> bool:

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .boolean import BooleanFunction, dot2, parse_input
 from .qsp import (FAILURE_TOL_OWN, QspAngles, rotation_product, verify_qsp,
                   verify_symmetric)
-
-DETERMINISM_TOL = 1e-9
 
 ALPHA = math.acos(1.0 / math.sqrt(3.0))  # frame angle of the three-cycle Clifford
 
@@ -101,7 +99,7 @@ class OneQubitProgram:
         return cls(obj["n"], gates, obj.get("flip_output", 0))
 
     def unitary(self, x) -> np.ndarray:
-        xi = parse_input(x, self.n) if self.n else 0
+        xi = parse_input(x, self.n)
         return rotation_product([(g.axis, g.effective_angle(xi))
                                  for g in self.gates])[0]
 
@@ -115,9 +113,9 @@ def evaluate(prog: OneQubitProgram, x) -> EvalResult:
     else:
         dist = (1.0 - p1, p1)
     det = None
-    if dist[0] >= 1.0 - DETERMINISM_TOL:
+    if dist[0] >= 1.0 - FAILURE_TOL_OWN:
         det = 0
-    elif dist[1] >= 1.0 - DETERMINISM_TOL:
+    elif dist[1] >= 1.0 - FAILURE_TOL_OWN:
         det = 1
     return EvalResult(U, dist, det)
 
@@ -263,8 +261,7 @@ def normalize_sign_form(prog: OneQubitProgram) -> OneQubitProgram:
         out += signed
         if signed or residue != 0.0:
             out.append(Gate(axis, residue))
-    return OneQubitProgram(prog.n, tuple(out), prog.flip_output,
-                           meta={**prog.meta, "sign_form": True})
+    return replace(prog, gates=tuple(out))
 
 
 def or_reduction_bank(n: int) -> list[OneQubitProgram]:

@@ -76,12 +76,12 @@ class LaurentPair:
     """Real cosine/sine series for the I and X components of the target.
 
     ``a`` and ``b`` are object arrays of exact ``mpf`` coefficients, one per
-    odd harmonic up to the odd ``degree``: index j multiplies
-    cos((2j+1)*phi/2) in A and sin((2j+1)*phi/2) in B.  ``grid_period`` is
-    q: grid points sit at phi_w = 4*pi*w/q.
+    odd harmonic: index j multiplies cos((2j+1)*phi/2) in A and
+    sin((2j+1)*phi/2) in B, so the degree, 2 len(a) - 1, is odd by
+    construction.  ``grid_period`` is q: grid points sit at phi_w =
+    4*pi*w/q.
     """
 
-    degree: int
     a: np.ndarray
     b: np.ndarray
     grid_period: int
@@ -89,14 +89,15 @@ class LaurentPair:
     residual: float
 
     def __post_init__(self):
-        if self.degree % 2 == 0:
-            raise ValueError("degree must be odd")
-        for name in ("a", "b"):
-            coeffs = np.asarray(getattr(self, name), dtype=object)
-            if coeffs.shape != ((self.degree + 1) // 2,):
-                raise ValueError("series need one coefficient per odd "
-                                 "harmonic <= degree")
-            object.__setattr__(self, name, coeffs)
+        a, b = (np.asarray(c, dtype=object) for c in (self.a, self.b))
+        if a.ndim != 1 or b.shape != a.shape:
+            raise ValueError("series need one coefficient per odd harmonic")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def degree(self) -> int:
+        return 2 * len(self.a) - 1
 
     def a_value(self, phi):
         return sum(float(c) * np.cos((2 * j + 1) * phi / 2)
@@ -116,6 +117,9 @@ class LaurentPair:
 class QspAngles:
     """Rotation-axis angles; xi[0] belongs to the first rotation applied.
 
+    The rotation count ``length`` is ``len(xi)`` and ``residual`` is
+    ``stats["reconstruction_residual"]`` (0.0 without it); both are derived,
+    so the ``L`` and ``residual`` keys of ``to_json`` are output only.
     ``stats`` is the synthesis certificate (empty for loaded tables):
     ``interp_residual``, ``grid_zeros`` (circle zeros divided out, 2q),
     ``quotient_degree`` (2d; the root finder sees its degree-d reduction),
@@ -126,16 +130,18 @@ class QspAngles:
     and ``reconstruction_residual``.
     """
 
-    length: int
     xi: tuple[float, ...]
     grid_period: int
     target: dict = field(default_factory=dict)
-    residual: float = 0.0
     stats: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        if len(self.xi) != self.length:
-            raise ValueError("angle count must equal length")
+    @property
+    def length(self) -> int:
+        return len(self.xi)
+
+    @property
+    def residual(self) -> float:
+        return self.stats.get("reconstruction_residual", 0.0)
 
     def to_json(self) -> str:
         return json.dumps({"L": self.length, "xi": list(self.xi),
@@ -145,9 +151,8 @@ class QspAngles:
     @classmethod
     def from_json(cls, text: str) -> "QspAngles":
         obj = json.loads(text)
-        return cls(obj["L"], tuple(obj["xi"]), obj.get("grid_period", 0),
-                   obj.get("target", {}), obj.get("residual", 0.0),
-                   obj.get("stats", {}))
+        return cls(tuple(obj["xi"]), obj.get("grid_period", 0),
+                   obj.get("target", {}), obj.get("stats", {}))
 
 
 def reference_angles(p: int) -> QspAngles:
@@ -158,7 +163,7 @@ def reference_angles(p: int) -> QspAngles:
     if key not in data["angles"]:
         raise KeyError(f"no reference angles for p={p}")
     xi = tuple(data["angles"][key])
-    return QspAngles(len(xi), xi, p, target={"p": p, "j": 0, "source": "reference"})
+    return QspAngles(xi, p, target={"p": p, "j": 0, "source": "reference"})
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +224,7 @@ def _make_pair(q: int, values: list[int], target_desc: tuple[int, ...]) -> Laure
         a, b, residual = _interp_system(q, [1 - v for v in values], list(values))
     if residual > SOLVE_RESIDUAL_TOL:
         raise SynthesisError(f"interpolation residual {residual:.2e}")
-    return LaurentPair(2 * q - 1, a, b, q, target_desc, residual)
+    return LaurentPair(a, b, q, target_desc, residual)
 
 
 def solve_mod_p_coeffs(p: int, j: int = 0) -> LaurentPair:
@@ -538,8 +543,8 @@ def complete_and_extract_angles(pair: LaurentPair) -> QspAngles:
     worst = _reconstruction_residual(xi, pair)
     if worst > 1e-10:
         raise SynthesisError(f"reconstruction residual {worst:.2e}")
-    return QspAngles(pair.degree, xi, pair.grid_period,
-                     target={"values": list(pair.target_values)}, residual=worst,
+    return QspAngles(xi, pair.grid_period,
+                     target={"values": list(pair.target_values)},
                      stats={"interp_residual": pair.residual, **stats,
                             "peel_residual": peel_residual,
                             "reconstruction_residual": worst})

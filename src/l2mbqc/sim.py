@@ -45,7 +45,7 @@ import numpy as np
 from .boolean import BooleanFunction, nchvm_bound, parse_input
 from .mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, Resource,
                    ResourceReport, XYBasis, resources)
-from .qsp import rotation_product
+from .qsp import FAILURE_TOL_OWN, rotation_product
 
 ENUM_CAP = 14  # qubits; caps the dense engine and branch enumeration
 MARGINAL_TOL = 1e-12
@@ -55,12 +55,7 @@ SAMPLE_CHUNK = 1024  # rows per chain sweep in verify_protocol; bounds memory
 def parity(v) -> np.ndarray:
     """Bit parity of non-negative integers below 2**63, elementwise, as
     uint8 like the outcome rows it is XORed with."""
-    v = np.asarray(v, dtype=np.int64)
-    width = int(v.max(initial=0)).bit_length()
-    for shift in (32, 16, 8, 4, 2, 1):
-        if shift < width:  # a wider shift reads only zero bits
-            v = v ^ (v >> shift)
-    return (v & 1).astype(np.uint8)
+    return np.bitwise_count(np.asarray(v, dtype=np.int64)) & 1
 
 
 def _id_rows(qids) -> np.ndarray:
@@ -357,7 +352,7 @@ def run_schedule_batch(s: MeasurementSchedule, x, shots: int, seed: int):
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    xi = parse_input(x, s.arity) if s.arity else 0
+    xi = parse_input(x, s.arity)
     outcomes = chain_sample(s, np.full(shots, xi),
                             np.random.default_rng(seed))
     return ({qid: outcomes[qid] for qid in range(1, s.n_qubits + 1)},
@@ -400,7 +395,7 @@ def branch_distribution(s: MeasurementSchedule, x) -> dict[tuple[int, ...], floa
     which makes it the independent oracle for ``exact_distribution`` and
     ``chain_sample``.
     """
-    xs = np.array([parse_input(x, s.arity) if s.arity else 0])
+    xs = np.array([parse_input(x, s.arity)])
     outcomes = np.zeros((s.n_qubits + 1, 1), dtype=np.uint8)
     result: dict = {}
     table = _site_table(s)
@@ -496,7 +491,7 @@ def exact_distributions(s: MeasurementSchedule, xs) -> list[OutputDistribution]:
 
 def exact_distribution(s: MeasurementSchedule, x) -> OutputDistribution:
     """Output distribution at one input, by ``exact_distributions``."""
-    return exact_distributions(s, [parse_input(x, s.arity) if s.arity else 0])[0]
+    return exact_distributions(s, [parse_input(x, s.arity)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +526,7 @@ def effective_unitaries(s: MeasurementSchedule, xs) -> np.ndarray:
 
 def effective_circuit(s: MeasurementSchedule, x) -> EffectiveCircuit:
     """Branch-independent circuit of a compiled schedule at a given input."""
-    U = effective_unitaries(s, [parse_input(x, s.arity) if s.arity else 0])[0]
+    U = effective_unitaries(s, [parse_input(x, s.arity)])[0]
     p1 = float(abs(U[1, 0]) ** 2)
     dist = (p1, 1.0 - p1) if s.c else (1.0 - p1, p1)
     return EffectiveCircuit(U, dist)
@@ -594,13 +589,14 @@ class SimulationReport:
     def failure(self) -> str | None:
         """Why the run is no determinism certificate, or None: one must have
         run (zero shots is none), and each that ran must agree: analytic and
-        exact success above 1 - 1e-9 on every input, every shot correct."""
+        exact success above 1 - FAILURE_TOL_OWN on every input, every shot
+        correct."""
         if (self.min_analytic is None and self.min_exact is None
                 and self.empirical_rate is None):
             return "no certificate: no analytic or exact result and no shots"
         bad = [f"{k} {v}" for k, v in (("min_analytic", self.min_analytic),
                                        ("min_exact", self.min_exact))
-               if v is not None and not v > 1 - 1e-9]
+               if v is not None and not v > 1 - FAILURE_TOL_OWN]
         if not self.all_shots_correct:
             bad.append(f"empirical_rate {self.empirical_rate}")
         return "not deterministic: " + ", ".join(bad) if bad else None
@@ -723,6 +719,6 @@ def compare_engines(s: MeasurementSchedule, x, seed: int = 11) -> float:
     Outcomes are drawn from the dense marginals and forced on the chain.
     Returns the largest per-measurement marginal disagreement.
     """
-    xs = np.array([parse_input(x, s.arity) if s.arity else 0])
+    xs = np.array([parse_input(x, s.arity)])
     return _drive(s, xs, np.random.default_rng(seed),
                   DenseEngine(s.resource))[1]

@@ -61,6 +61,10 @@ class TestBuilders:
                   parity_n(2), constant(1, 3)):
             assert f.is_symmetric
 
+    def test_profile_derived_from_a_direct_table(self):
+        assert BooleanFunction(2, (0, 1, 1, 0)).symmetric_profile == (0, 1, 0)
+        assert BooleanFunction(2, (0, 1, 0, 0)).symmetric_profile is None
+
     def test_build_dispatch(self):
         assert build("mod_p", 3, p=3, j=1).table == mod_p(3, 1, 3).table
         assert build("and", 2).table == and_n(2).table

@@ -206,6 +206,15 @@ class TestCompileSimulate:
         assert_one_error_line(code, out, err, flag)
         assert err == f"error: {flag} is not used {mode}\n"
 
+    def test_input_bits_at_arity_zero_exit_1(self, tmp_path):
+        # an arity-0 schedule reads no input, so a one-bit --x is refused
+        s = mbqc.MeasurementSchedule(mbqc.cluster1d(0), 0, (), frozenset(), 1)
+        path = tmp_path / "empty.json"
+        path.write_text(s.to_json())
+        assert run_main("simulate", "--schedule", str(path))[0] == 0
+        assert_one_error_line(*run_main("simulate", "--schedule", str(path),
+                                        "--x", "1"), "is not 0 bits")
+
     def test_schedule_file_is_closed(self, tmp_path):
         path = tmp_path / "mod3.json"
         path.write_text(mbqc.mod3_protocol(1).to_json())

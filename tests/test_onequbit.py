@@ -105,7 +105,7 @@ class TestQspProgram:
 
     def test_unverified_angles_rejected(self):
         from l2mbqc.qsp import QspAngles
-        bogus = QspAngles(5, (0.1, 0.2, 0.3, 0.4, 0.5), 3)
+        bogus = QspAngles((0.1, 0.2, 0.3, 0.4, 0.5), 3)
         with pytest.raises(ValueError):
             build_qsp_program(3, 0, 2, bogus)
 

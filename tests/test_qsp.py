@@ -71,10 +71,8 @@ class TestModPSolve:
         pair = solve_mod_p_coeffs(3, 0)
         assert pair.degree == 5
         assert pair.a.shape == pair.b.shape == (3,)
-        with pytest.raises(ValueError, match="odd"):
-            _pair(4, [1, 0], [0, 0], 3)
         with pytest.raises(ValueError, match="harmonic"):
-            _pair(5, [1, 0, 0], [0, 0], 3)
+            _pair([1, 0, 0], [0, 0], 3)
 
     def test_residual_reported(self):
         assert solve_mod_p_coeffs(9, 0).residual < 1e-12
@@ -113,9 +111,9 @@ ALL_PROFILES = [(0, *bits) for n in (1, 2, 3)
                 for bits in itertools.product((0, 1), repeat=n)]
 
 
-def _pair(degree, a, b, q):
+def _pair(a, b, q):
     """A hand-built pair; coefficient j belongs to harmonic 2j + 1."""
-    return LaurentPair(degree, [mpmath.mpf(c) for c in a],
+    return LaurentPair([mpmath.mpf(c) for c in a],
                        [mpmath.mpf(c) for c in b], q, (0,), 0.0)
 
 
@@ -307,7 +305,7 @@ class TestGridZeroDivision:
 
     def test_remainder_without_grid_zeros_rejected(self):
         # feasible (1 - A^2 >= 3/4), but nothing vanishes at the grid points
-        pair = _pair(1, ["0.5"], [0], 3)
+        pair = _pair(["0.5"], [0], 3)
         assert pair.min_remainder() > 0
         with pytest.raises(SynthesisError, match="grid zeros"):
             complete_and_extract_angles(pair)
@@ -540,13 +538,13 @@ class TestPeel:
 
     def test_all_zero_series_rejected(self):
         # nothing survives the deflation, which leaves an odd degree gap
-        pair = _pair(3, [0, 0], [0, 0], 3)
+        pair = _pair([0, 0], [0, 0], 3)
         with pytest.raises(SynthesisError, match="deflation changed parity"):
             qsp._peel_angles(pair, np.zeros(4, dtype=object))
 
     def test_vanishing_leading_coefficient_rejected(self):
         # 1e-35 counts as a layer (above 1e-38) but is no axis (below 1e-30)
-        pair = _pair(1, ["1e-35"], [0], 3)
+        pair = _pair(["1e-35"], [0], 3)
         with pytest.raises(SynthesisError, match="vanishing leading coefficient"):
             qsp._peel_angles(pair, np.zeros(2, dtype=object))
 
@@ -554,7 +552,7 @@ class TestPeel:
         # |P| and |Q| agree to 1e-22, so the axis lies in the XY plane, but
         # at a norm of 1e6 the projector leaves a residue of 5e-17
         with mpmath.workdps(qsp.SYNTHESIS_DPS):
-            pair = _pair(1, ["2e6"], ["2000000.0000000000000002"], 3)
+            pair = _pair(["2e6"], ["2000000.0000000000000002"], 3)
             with pytest.raises(SynthesisError, match="peel residue 5.0e-17"):
                 qsp._peel_angles(pair, np.zeros(2, dtype=object))
 
@@ -563,7 +561,7 @@ class TestPeel:
         pair = solve_mod_p_coeffs(5, 0)
         with mpmath.workdps(qsp.SYNTHESIS_DPS):
             G, _ = qsp._complete(pair)
-            neg = LaurentPair(pair.degree, -pair.a, -pair.b, 5, (0,), 0.0)
+            neg = LaurentPair(-pair.a, -pair.b, 5, (0,), 0.0)
             with pytest.raises(SynthesisError, match="nonidentity residual layer"):
                 qsp._peel_angles(neg, -G)
 
@@ -573,20 +571,20 @@ class TestCompletion:
         # A = cos(L phi/2), B = -sin(L phi/2) is a plain power of the X
         # rotation, so every extracted axis angle is the same
         L = 5
-        pair = _pair(L, [0, 0, 1], [0, 0, -1], 2 * L + 1)
+        pair = _pair([0, 0, 1], [0, 0, -1], 2 * L + 1)
         angles = complete_and_extract_angles(pair)
         spread = max(angles.xi) - min(angles.xi)
         assert spread < 1e-12
 
     def test_infeasible_pair_rejected(self):
-        pair = _pair(1, [2], [0], 3)
+        pair = _pair([2], [0], 3)
         with pytest.raises(SynthesisError):
             complete_and_extract_angles(pair)
 
     def test_negative_remainder_gives_no_real_factor(self):
         # A = cos(3 phi/2), B = 3 sin(3 phi/2): 1 - A^2 - B^2 = -8 sin^2(3 phi/2)
         # = 2 w^-3 (w^3 - 1)^2 has its grid zeros, but its factor is imaginary
-        pair = _pair(3, [0, 1], [0, 3], 3)
+        pair = _pair([0, 1], [0, 3], 3)
         with mpmath.workdps(qsp.SYNTHESIS_DPS):
             with pytest.raises(SynthesisError,
                                match=r"completion not real \(imag 1.4e\+00\)"):
@@ -652,7 +650,7 @@ class TestReconstruct:
         rng = np.random.default_rng(42)
         for _ in range(100):
             L = int(rng.integers(1, 12))
-            angles = QspAngles(L, tuple(rng.uniform(-np.pi, np.pi, L)), 3)
+            angles = QspAngles(tuple(rng.uniform(-np.pi, np.pi, L)), 3)
             dev = unitarity_deviation(angles, float(rng.uniform(0, 4 * np.pi)))
             assert dev < 1e-13
 
@@ -676,7 +674,7 @@ class TestReconstruct:
         # probabilities are invariant under reversing the sequence and
         # flipping every axis angle
         ref = reference_angles(5)
-        flipped = QspAngles(ref.length, tuple(-x for x in reversed(ref.xi)), 5)
+        flipped = QspAngles(tuple(-x for x in reversed(ref.xi)), 5)
         for w in range(5):
             phi = 4 * np.pi * w / 5
             a = abs(reconstruct_unitary(ref, phi)[1, 0]) ** 2
@@ -720,6 +718,13 @@ class TestSerialization:
     def test_json_without_stats_still_loads(self):
         a = QspAngles.from_json('{"L": 1, "xi": [0.5], "grid_period": 3}')
         assert a.stats == {} and a.xi == (0.5,)
+
+    def test_length_and_residual_are_derived(self, modp_angles):
+        # L and residual in the JSON are output only
+        a = QspAngles.from_json('{"L": 7, "xi": [0.5, 0.25], "residual": 1.0}')
+        assert a.length == 2 and a.residual == 0.0
+        assert modp_angles[3].residual == \
+            modp_angles[3].stats["reconstruction_residual"]
 
     def test_target_records_the_request(self, modp_angles):
         a = modp_angles[3]
