@@ -419,6 +419,7 @@ class TestPinnedAngles:
         pytest.param(23, "1a561a35c6c6e2a4454a4633cbe3bb1ad7510f7a0c610c7f7d92e8156acda797", id="p23"),
         pytest.param(31, "f8d35c0f1701602ce4d17441b7706286afe1e52a4eedfafbdaf7a1c2eb6ee848", id="p31"),
         pytest.param(41, "d09ea834b5062df9fc1aef8c2cb2da4c205c0db6f65942ddf0a094e2d577c6bf", id="p41"),
+        pytest.param(61, "691a7a1a79bb55498a4118bf900901641e0ca094e2c62b524469ecd2f57fb5c8", id="p61"),
     ])
     def test_pinned_angle_digests_at_scale(self, p, digest):
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)]) == digest
@@ -429,6 +430,7 @@ class TestPinnedAngles:
         pytest.param(23, "8fcb3463d0c2baa0ded193af5f61bdeb77c5b1af76ce615ab97977874019af1e", id="p23"),
         pytest.param(31, "d24ee7214b3c1b1d48c3ae6cf4faf1dced1373c70e4ca2aac72d1d9d3b516f0f", id="p31"),
         pytest.param(41, "96f8e8c0ee297db0d49de10a549c62967b040193b9bdbf17c9de64bc53ba1d08", id="p41"),
+        pytest.param(61, "d7879405700036253eef5b63d4f915989b840ef38ad7c9487eaf382893b0bb5b", id="p61"),
     ])
     def test_pinned_angles_and_seed_deviation_at_scale(self, p, digest):
         keys = ("interp_residual", "reconstruction_residual", "root_seed_dev")
