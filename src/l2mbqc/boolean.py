@@ -8,6 +8,7 @@ x_{i+1}.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -18,13 +19,17 @@ def parse_input(x: "int | str | Sequence[int]", n: int) -> int:
     """Normalize an input to its integer index.
 
     Strings are read left to right as x_1 x_2 ... x_n; sequences likewise.
-    Integers are taken as already-packed indices.
+    Integers of any integral type (numpy's too) are taken as already-packed
+    indices; a bool is neither an index nor a bit string and is refused.
     """
     if isinstance(x, str):
         if len(x) != n or any(ch not in "01" for ch in x):
             raise ValueError(f"input string {x!r} is not {n} bits")
         return sum(1 << i for i, ch in enumerate(x) if ch == "1")
-    if isinstance(x, int):
+    if isinstance(x, bool):
+        raise ValueError(f"input {x!r} is a bool, not an index or bit string")
+    if isinstance(x, numbers.Integral):
+        x = int(x)
         if not 0 <= x < (1 << n):
             raise ValueError(f"input index {x} out of range for arity {n}")
         return x

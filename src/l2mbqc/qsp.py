@@ -11,18 +11,18 @@ three exact stages:
    equispaced grid this is a closed-form cosine/sine transform, not a solve,
    in mpmath at SYNTHESIS_DPS digits;
 2. complete the pair to a unitary by spectral factorization of the
-   remainder 1 - A^2 - B^2: its double grid zeros are divided out exactly,
-   and the self-reciprocal quotient is root-found at half its degree, as a
-   polynomial in u = w + 1/w with w = z^2;
+   remainder 1 - A^2 - B^2, a polynomial in w = z^2: its double grid zeros
+   are divided out exactly, and the roots of the self-reciprocal quotient
+   inside the circle are polished by Newton's method from float seeds;
 3. extract the rotation angles by peeling rank-one projector factors off
    the matrix Laurent polynomial.
 
 Every series coefficient is bounded by 1 in modulus, so stages 2 and 3 run
 in fixed point: the interpolant is rounded once to Python ints at scale
 2^F (``_FRAC_BITS``, the bits of SYNTHESIS_DPS digits plus guard bits), and
-the remainder, the division, the identity check and the peel are int
-products and shifts.  Only the root finding, the root square roots and the
-product of the root factors use mpmath numbers.
+the remainder, the division, the root polish, the root-factor product, the
+identity check and the peel are int products and shifts.  mpmath computes
+the interpolant and one arctangent per peeled layer.
 
 The grid is phi_w = 4*pi*w/q with an odd period q and L = 2q-1: q = 2n+1
 for a symmetric profile on n bits, and the weight-counting functions are
@@ -35,7 +35,6 @@ does not pay for it.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -51,8 +50,13 @@ FAILURE_TOL_OWN = 1e-9
 FAILURE_TOL_REFERENCE = 1e-10
 # completion and peeling run on Python ints at scale 2^_FRAC_BITS: the bits
 # of SYNTHESIS_DPS digits plus 20 guard bits
-_FRAC_BITS = int(SYNTHESIS_DPS * math.log2(10)) + 20
+_GUARD_BITS = 20
+_FRAC_BITS = int(SYNTHESIS_DPS * math.log2(10)) + _GUARD_BITS
 _ONE = 1 << _FRAC_BITS
+# Newton doubles the correct bits of a root each step: from one correct bit
+# it reaches _FRAC_BITS in _FRAC_BITS.bit_length() steps, and one more step
+# shows the step has dropped into the guard bits
+_POLISH_STEPS = _FRAC_BITS.bit_length() + 1
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -122,11 +126,12 @@ class QspAngles:
     so the ``L`` and ``residual`` keys of ``to_json`` are output only.
     ``stats`` is the synthesis certificate (empty for loaded tables):
     ``interp_residual``, ``grid_zeros`` (circle zeros divided out, 2q),
-    ``quotient_degree`` (2d; the root finder sees its degree-d reduction),
+    ``quotient_degree`` (2d; its d roots inside the circle are polished),
     ``division_remainder`` (relative), ``reciprocal_dev`` (relative gap
     between the quotient and its reversal), ``root_seed_dev`` (largest
-    distance of a reduced root from its float seed, a companion-matrix
-    root from ``_seed_roots``), ``peel_residual`` (see ``_peel_angles``)
+    distance of a polished root from its float seed, a companion-matrix
+    root from ``_seed_roots``, both mapped to u = w + 1/w),
+    ``peel_residual`` (see ``_peel_angles``)
     and ``reconstruction_residual``.
     """
 
@@ -317,39 +322,57 @@ def _divide_grid_zeros(poly, q: int):
     return quot, rest[:2 * q]
 
 
+def _horner(coeffs, t):
+    """sum_k coeffs[k] t^k for fixed-point complex pairs (re, im).
+
+    The coefficients share one scale, which the value keeps; t is at scale
+    2^F.
+    """
+    acc = (0, 0)
+    for re, im in reversed(coeffs):
+        acc = _cmul(acc, t)
+        acc = (acc[0] + re, acc[1] + im)
+    return acc
+
+
 def _seed_roots(quot) -> np.ndarray:
-    """Float seeds for ``mp.polyroots`` on the reduction of ``quot``.
+    """Float seeds for ``_polish_root``: the roots of ``quot`` inside the circle.
 
     ``quot`` is the self-reciprocal quotient of ``_complete``, from the
     constant term up.  ``np.roots`` finds its float roots as the eigenvalues
     of the companion matrix, a backward-stable method, after each
     coefficient is divided by the largest one (int / int, rounded once).
-    Each root s inside the unit circle (which also drops any NaN) seeds u =
-    s + 1/s.  From these mpmath needs three sweeps at 60 extra bits.
+    The roots s with |s| < 1 (which also drops any NaN) are the seeds.
     """
     top = max(map(abs, quot))
     s = np.roots([c / top for c in quot[::-1]])
-    s = s[np.abs(s) < 1]
-    return s + 1 / s
+    return s[np.abs(s) < 1]
 
 
-def _reciprocal_reduction(quot):
-    """R with quot(w) = w^d R(w + 1/w), for a self-reciprocal quotient.
+def _polish_root(quot, seed: complex):
+    """Newton's method on ``quot`` from a float seed, in the fixed-point layout.
 
-    ``quot`` lists the 2d + 1 coefficients from the constant term up; the
-    upper half is read.  w^k + w^-k is the Dickson polynomial D_k(u), with
-    D_0 = 2, D_1 = u and D_(k+1) = u D_k - D_(k-1), so R = quot[d] +
-    sum_k quot[d+k] D_k.  Returns R from the constant term up.
+    ``quot`` lists integer coefficients from the constant term up; Q and Q'
+    are complex Horner sums (``_horner``) at the coefficients' scale, and
+    the step Q/Q' is one exact int division to scale 2^F.  The polish stops
+    once a step falls below 2^_GUARD_BITS units, within ``_POLISH_STEPS``
+    steps.  Returns the root as a (re, im) pair at scale 2^F.
     """
-    d = (len(quot) - 1) // 2
-    R = np.zeros(d + 1, dtype=object)
-    R[0] = quot[d]
-    prev = np.array([2] + [0] * d, dtype=object)
-    cur = np.array([0, 1] + [0] * (d - 1), dtype=object)
-    for c in quot[d + 1:]:
-        R = R + cur * c
-        prev, cur = cur, np.concatenate(([0], cur[:-1])) - prev
-    return R
+    coeffs = [(c, 0) for c in quot]
+    slopes = [(k * c, 0) for k, c in enumerate(quot)][1:]
+    w = (round(seed.real * _ONE), round(seed.imag * _ONE))
+    for _ in range(_POLISH_STEPS):
+        (vr, vi), (dr, di) = _horner(coeffs, w), _horner(slopes, w)
+        n = dr * dr + di * di
+        if not n:
+            break
+        step = (((vr * dr + vi * di) << _FRAC_BITS) // n,
+                ((vi * dr - vr * di) << _FRAC_BITS) // n)
+        w = (w[0] - step[0], w[1] - step[1])
+        if step[0] ** 2 + step[1] ** 2 < 1 << 2 * _GUARD_BITS:
+            return w
+    raise SynthesisError(f"root polish did not converge within "
+                         f"{_POLISH_STEPS} steps")
 
 
 def _complete(pair: LaurentPair):
@@ -361,22 +384,23 @@ def _complete(pair: LaurentPair):
     q-th roots of unity, so it is divided exactly by (w^q - 1)^2 first.  The
     quotient, of degree 2d (``quotient_degree``), is real and
     self-reciprocal, so its roots, simple and off the circle, come in pairs
-    w, 1/w; the root finder sees only the degree-d integer polynomial R in
-    u = w + 1/w (``_reciprocal_reduction``), and each root u gives back the
-    inside root of its pair.  The factor takes those d roots plus one copy
-    of each grid point, the exact factor w^q - 1.  Conjugation symmetry of
-    that set keeps the factor real, and the double grid zeros make the
-    readout deterministic.  The factor is rounded to the fixed-point layout
-    and checked against the remainder by complex Horner at two points off
-    the circle.  Returns (G, stats): the real factor G laid out like A, then
-    the division certificate, ``reciprocal_dev`` (the relative gap between
-    the quotient and its reversal) and ``root_seed_dev``, the largest
-    distance from a polished root u to its nearest float seed
-    (``_seed_roots``: each companion-matrix root s of the quotient inside
-    the circle, mapped to s + 1/s).
+    w, 1/w: d of them lie inside the circle.  Their companion-matrix roots
+    (``_seed_roots``) seed one Newton polish each on the integer quotient
+    (``_polish_root``), in (re, im) int pairs at scale 2^F.  The factor
+    takes those d roots plus one copy of each grid point, the exact factor
+    w^q - 1: the product sigma = (w^q - 1) prod (w - r) is formed in int
+    pairs at scale 2^(2F), since its low coefficients are as small as
+    prod |r|, and scaled by the integer square root of qc[-1] / (sigma_top
+    sigma_0).  Conjugation symmetry of the root set keeps the factor real,
+    and the double grid zeros make the readout deterministic.  The factor
+    is checked against the remainder by complex Horner at two points off
+    the circle; no mpmath arithmetic is left here.  Returns (G, stats):
+    the real factor G laid out like A, then the division certificate,
+    ``reciprocal_dev`` (the relative gap between the quotient and its
+    reversal) and ``root_seed_dev``, the largest distance from u = r + 1/r
+    of a polished root r (exact, rounded once) to its nearest float seed
+    s + 1/s.
     """
-    import mpmath as mp
-
     L = pair.degree
     q = pair.grid_period
     A = _z_series(pair.a, 1)
@@ -405,43 +429,52 @@ def _complete(pair: LaurentPair):
         raise SynthesisError(f"quotient is not self-reciprocal "
                              f"(relative gap {gap:.1e})")
     qdeg = len(quot) - 1
-    # the seeds move only where the polish starts, not what it converges
-    # to; mpmath starts the roots of missing seeds at its defaults
+    d = qdeg // 2
     seeds = _seed_roots(quot)
-    us = mp.polyroots(_reciprocal_reduction(quot)[::-1], maxsteps=600,
-                      extraprec=60,
-                      roots_init=[mp.mpc(s) for s in seeds]) if qdeg else []
-    gaps = np.abs(np.array(us, dtype=complex)[:, None] - seeds)
-    seed_dev = float(np.max(np.min(gaps, axis=1, initial=np.inf), initial=0.0))
-    selected = []
-    for u in us:
-        # w = (u +- sqrt(u^2 - 4)) / 2; the sign with the larger modulus
-        # avoids cancellation, and its partner is 1/w
-        r = mp.sqrt(u * u - 4)
-        big = (u + r) / 2 if abs(u + r) >= abs(u - r) else (u - r) / 2
-        if abs(abs(big) - 1) < mp.mpf("1e-15"):
+    if len(seeds) != d:
+        raise SynthesisError(f"{len(seeds)} of the quotient's {qdeg} "
+                             f"companion roots lie inside the circle, not {d}")
+    roots = [_polish_root(quot, s) for s in seeds]
+    for i, (wr, wi) in enumerate(roots):
+        if abs(_abs(wr, wi) - _ONE) * 10 ** 15 < _ONE:
             raise SynthesisError("remainder has a zero on the circle off the grid")
-        selected.append(1 / big)
+        # roots closer than 2^(-F/2) are one root: its two seeds converged
+        if any((wr - xr) ** 2 + (wi - xi) ** 2 < _ONE for xr, xi in roots[:i]):
+            raise SynthesisError("two seeds converged to one root")
 
-    unity = np.array([-1] + [0] * (q - 1) + [1], dtype=object)  # w^q - 1
-    sigma = functools.reduce(np.convolve, ([-r, 1] for r in selected), unity)
-    # qc is at scale 2^(2F), so the factor comes out at 2^F
-    ghat = [(_fixed(mp.re(c), 0), _fixed(mp.im(c), 0)) for c in
-            sigma * mp.sqrt(mp.mpf(qc[-1]) / (sigma[deg] * sigma[0]))]
+    def u_of(wr, wi):
+        # w + 1/w from the exact ints, each part one int / int, rounded once
+        n = wr * wr + wi * wi
+        return complex(wr * (n + _ONE * _ONE) / (_ONE * n),
+                       wi * (n - _ONE * _ONE) / (_ONE * n))
+
+    us = np.array([u_of(*r) for r in roots], dtype=complex)
+    gaps = np.abs(us[:, None] - (seeds + 1 / seeds))
+    seed_dev = float(np.max(np.min(gaps, axis=1, initial=np.inf), initial=0.0))
+
+    # (w^q - 1) prod (w - r) as (re, im) int arrays at scale 2^(2F); at 2^F
+    # the small low coefficients lose ~32 digits by p = 1009
+    sr = np.array([-_ONE * _ONE] + [0] * (q - 1) + [_ONE * _ONE], dtype=object)
+    si = np.zeros(q + 1, dtype=object)
+    for rr, ri in roots:
+        sr, si = (np.append(0, sr) - np.append((sr * rr - si * ri) >> _FRAC_BITS, 0),
+                  np.append(0, si) - np.append((sr * ri + si * rr) >> _FRAC_BITS, 0))
+    # scale by sqrt(qc[-1] / (sigma_top sigma_0)); qc is at scale 2^(2F), so
+    # the factor comes out at 2^F, imaginary if the ratio is negative
+    ratio = (qc[-1] << 4 * _FRAC_BITS) // (sr[-1] * sr[0])
+    scale = (math.isqrt(ratio), 0) if ratio >= 0 else (0, math.isqrt(-ratio))
+    ghat = [tuple(x >> _FRAC_BITS for x in _cmul(c, scale)) for c in zip(sr, si)]
     shift = -(deg + 1) // 2  # ghat[k] multiplies w^(k + shift)
 
     def at(coeffs, low, t, t_inv):
-        # sum_k coeffs[k] t^(k + low) for low <= 0, by complex Horner
-        acc = (0, 0)
-        for re, im in reversed(coeffs):
-            acc = _cmul(acc, t)
-            acc = (acc[0] + re, acc[1] + im)
+        # sum_k coeffs[k] t^(k + low) for low <= 0
+        acc = _horner(coeffs, t)
         for _ in range(-low):
             acc = _cmul(acc, t_inv)
         return acc
 
-    for ut in (("0.7311", "0.211"), ("1.3917", "-0.4101")):
-        t = tuple(_fixed(mp.mpf(x)) for x in ut)
+    for t in ((7311 * _ONE // 10000, 211 * _ONE // 1000),
+              (13917 * _ONE // 10000, -4101 * _ONE // 10000)):
         n = t[0] * t[0] + t[1] * t[1]
         t_inv = (t[0] * _ONE * _ONE // n, -t[1] * _ONE * _ONE // n)
         lhs = _cmul(at(ghat, shift, t, t_inv), at(ghat, shift, t_inv, t))

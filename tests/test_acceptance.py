@@ -5,6 +5,7 @@ deliberately honest check of a published closed-form angle table that is
 mathematically wrong beyond two bits; that sub-test documents the failure
 instead of papering over it (see the repository ERRATA notes).
 """
+import hashlib
 import math
 import random
 import time
@@ -46,6 +47,23 @@ def test_criterion_02_own_synthesis():
             br = abs(qsp.reconstruct_unitary(ref, phi)[1, 0]) ** 2 > 0.5
             assert bo == br
     stamp("02 own QSP synthesis", t0, 30.0)
+
+
+def test_criterion_02b_synthesis_past_p61():
+    """Own angles for primes past 61: pinned, failure < 1e-9 for every residue."""
+    pins = {
+        67: "577f19380aec934ab962bc09bf11a97b1fb49f3caf70913fd1d457a262671ec2",
+        83: "0f645930035d15b56aabc7eb31214eb415b5301e21374d9dd3f188c252b23dff",
+        101: "8db7072e276f2533b4d5840ed56002566bd8295920856bd229576095404b0f84",
+    }
+    t0 = time.perf_counter()
+    for p, digest in pins.items():
+        own = qsp.synthesize_mod_p(p, 0)
+        words = " ".join(x.hex() for x in own.xi).encode()
+        assert hashlib.sha256(words).hexdigest() == digest, p
+        for j in range(p):
+            assert qsp.verify_qsp(own, p, j, 2 * p + 1) < 1e-9, (p, j)
+    stamp("02b synthesis past p = 61", t0, 30.0)
 
 
 def test_criterion_03_mod3_protocol():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,17 @@ class TestEvaluate:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             and_n(3)("11")
+
+    @pytest.mark.parametrize("x", [np.int64(5), np.uint8(5), np.int32(5)])
+    def test_numpy_integer_index(self, x):
+        index = boolean.parse_input(x, 3)
+        assert index == 5 and type(index) is int
+        assert mod_p(3, 0, 3)(x) == 1
+
+    @pytest.mark.parametrize("x", [True, False])
+    def test_bool_refused(self, x):
+        with pytest.raises(ValueError, match="is a bool"):
+            boolean.parse_input(x, 1)
 
 
 class TestBuilders:

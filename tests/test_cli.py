@@ -128,6 +128,24 @@ class TestQsp:
         assert_one_error_line(code, out, err, flag)
         assert err == f"error: {flag} is not used with {mode}\n"
 
+    def test_p67_synthesizes(self, capsys):
+        # the first prime at which the mpmath root finder gave up
+        code, out, _ = run_cli(capsys, "qsp", "--p", "67", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert float(payload["worst_failure"]) < qsp.FAILURE_TOL_OWN
+        assert payload["stats"]["quotient_degree"] == 132
+
+    def test_unconverged_polish_is_one_error_line(self, monkeypatch):
+        # the polish failure is a SynthesisError, the only kind synthesis
+        # raises, so cli.main reports it in one line
+        monkeypatch.setattr(qsp, "_POLISH_STEPS", 1)
+        with pytest.raises(qsp.SynthesisError) as info:
+            qsp.synthesize_mod_p(5, 0)
+        assert type(info.value) is qsp.SynthesisError
+        code, out, err = run_main("qsp", "--p", "5")
+        assert_one_error_line(code, out, err, "root polish did not converge")
+
     def test_phase_report_reads_p(self, capsys):
         code, out, _ = run_cli(capsys, "qsp", "--p", "5", "--phi", "0.4",
                                "--format", "json")

@@ -159,15 +159,27 @@ def test_closed_form_matches_lu_solve(build):
     assert pair.residual <= 1e-45
 
 
-def _remainder_degree(pair):
-    """Degree in w = z^2 of the remainder 1 - A^2 - B^2."""
-    L = pair.degree
+def _remainder(pair):
+    """The remainder 1 - A^2 - B^2 at scale 2^(2F), w^m at index m + L."""
     A = qsp._z_series(pair.a, 1)
     iB = qsp._z_series(pair.b, -1)
-    rho = np.convolve(iB, iB) - np.convolve(A, A)  # w^m at index m + L
-    rho[L] += qsp._ONE ** 2  # at scale 2^(2F)
-    tiny = qsp._ONE ** 2 // 10 ** 40
-    return max(abs(k - L) for k, c in enumerate(rho) if abs(c) > tiny)
+    rho = np.convolve(iB, iB) - np.convolve(A, A)
+    rho[pair.degree] += qsp._ONE ** 2
+    return rho
+
+
+def _remainder_degree(pair):
+    """Degree in w = z^2 of the remainder 1 - A^2 - B^2."""
+    L, tiny = pair.degree, qsp._ONE ** 2 // 10 ** 40
+    return max(abs(k - L) for k, c in enumerate(_remainder(pair)) if abs(c) > tiny)
+
+
+def _quotient(pair, deg):
+    """The remainder of degree ``deg`` with its double grid zeros divided out."""
+    L = pair.degree
+    quot, _ = qsp._divide_grid_zeros(_remainder(pair)[L - deg:L + deg + 1],
+                                     pair.grid_period)
+    return quot
 
 
 _SEED_RNG = random.Random(5)
@@ -209,19 +221,19 @@ class TestGridZeroDivision:
 
     def test_root_finder_sees_only_the_quotient(self, monkeypatch):
         degrees = []
-        real = mpmath.polyroots
+        real = qsp._polish_root
 
-        def counting(coeffs, *args, **kwargs):
-            degrees.append(len(coeffs) - 1)
-            return real(coeffs, *args, **kwargs)
+        def counting(quot, seed):
+            degrees.append(len(quot) - 1)
+            return real(quot, seed)
 
-        monkeypatch.setattr(mpmath, "polyroots", counting)
-        # the degree-12 quotient at p = 7 is self-reciprocal: the root finder
-        # sees its degree-6 reduction in u = w + 1/w
+        monkeypatch.setattr(qsp, "_polish_root", counting)
+        # the degree-12 quotient at p = 7 is self-reciprocal: one polish from
+        # each of its 6 roots inside the circle
         qsp.synthesize_mod_p(7, 0)
-        assert degrees == [6]
+        assert degrees == [12] * 6
         degrees.clear()
-        # the constant-zero profile leaves a constant quotient: no root finding
+        # the constant-zero profile leaves a constant quotient: no polish
         qsp.synthesize_symmetric([0, 0, 0], 2)
         assert degrees == []
 
@@ -230,21 +242,43 @@ class TestGridZeroDivision:
         lambda coeffs: np.full(len(coeffs) - 1, 0.3 + 0.2j),
     ], ids=["nan", "all-equal"])
     def test_root_seeds_change_speed_only(self, monkeypatch, bad_roots):
-        # useless starting points cost polish steps, never a different root;
-        # p = 7 and 9 (reduced degrees 6 and 8) polish from mpmath's own
-        # starts, where the extra working precision is tightest.  The float
-        # roots are replaced, so the bad seeds pass the inside filter
-        builds = [lambda: qsp.synthesize_mod_p(5, 2),
-                  lambda: qsp.synthesize_symmetric([0, 1, 0], 2),
-                  lambda: qsp.synthesize_mod_p(7, 0),
-                  lambda: qsp.synthesize_mod_p(9, 0)]
-        seeded = [build() for build in builds]
+        # there is no fallback root finder: without one seed inside the
+        # circle for each root there, synthesis stops (none are inside for
+        # NaN roots; all 2d are for the equal ones)
         monkeypatch.setattr(qsp.np, "roots", bad_roots)
-        for build, good in zip(builds, seeded):
-            angles = build()
-            assert [x.hex() for x in angles.xi] == [x.hex() for x in good.xi]
-            assert angles.residual == good.residual
-            assert angles.stats["root_seed_dev"] > 1e-3
+        for p in (5, 7, 9):
+            with pytest.raises(SynthesisError,
+                               match=r"companion roots lie inside the circle"):
+                qsp.synthesize_mod_p(p, 0)
+
+    def test_seeds_converging_to_one_root_rejected(self, monkeypatch):
+        # d copies of one good seed all polish to the same root
+        real = qsp._seed_roots
+        monkeypatch.setattr(qsp, "_seed_roots",
+                            lambda quot: np.full_like(real(quot), real(quot)[0]))
+        with pytest.raises(SynthesisError, match="two seeds converged to one root"):
+            qsp.synthesize_mod_p(7, 0)
+
+    def test_unconverged_polish_rejected(self, monkeypatch):
+        # one Newton step from a float seed moves ~1e-15, far above the
+        # 2^(20 - F) stop rule
+        monkeypatch.setattr(qsp, "_POLISH_STEPS", 1)
+        with pytest.raises(SynthesisError, match="root polish did not converge "
+                                                 "within 1 steps"):
+            qsp.synthesize_mod_p(5, 0)
+
+    def test_polish_reaches_the_layout_resolution(self):
+        # every polished root of the p = 41 quotient is settled: the next
+        # Newton step |Q / Q'| would be below the stop rule's 2^(20 - F)
+        pair = solve_mod_p_coeffs(41, 0)
+        deg = _remainder_degree(pair)
+        quot = _quotient(pair, deg)
+        slopes = [(k * c, 0) for k, c in enumerate(quot)][1:]
+        for seed in qsp._seed_roots(quot):
+            w = qsp._polish_root(quot, seed)
+            value = qsp._horner([(c, 0) for c in quot], w)
+            slope = qsp._horner(slopes, w)
+            assert qsp._abs(*value) <= qsp._abs(*slope) >> (qsp._FRAC_BITS - 20)
 
     @pytest.mark.parametrize("profile", SEED_PROFILES,
                              ids=lambda f: "".join(map(str, f)))
@@ -269,13 +303,12 @@ class TestGridZeroDivision:
 
     def test_perturbed_roots_fail_identity_check(self, monkeypatch):
         # a 1e-20 relative error in every root is far past the 1e-25 check
-        real = mpmath.polyroots
+        real = qsp._polish_root
 
-        def scaled(coeffs, *args, **kwargs):
-            return [r * (1 + mpmath.mpf("1e-20"))
-                    for r in real(coeffs, *args, **kwargs)]
+        def scaled(quot, seed):
+            return tuple(x + x // 10 ** 20 for x in real(quot, seed))
 
-        monkeypatch.setattr(mpmath, "polyroots", scaled)
+        monkeypatch.setattr(qsp, "_polish_root", scaled)
         with pytest.raises(SynthesisError, match="failed identity check"):
             qsp.synthesize_mod_p(5, 0)
 
@@ -293,13 +326,19 @@ class TestGridZeroDivision:
             qsp.synthesize_mod_p(5, 0)
 
     def test_zero_on_circle_rejected(self, monkeypatch):
-        # a real root u in (-2, 2) is a pair of quotient roots on the circle
-        real = mpmath.polyroots
+        # the first polished root is moved radially onto the unit circle
+        real = qsp._polish_root
+        calls = []
 
-        def on_circle(coeffs, *args, **kwargs):
-            return [mpmath.mpf("0.5")] + real(coeffs, *args, **kwargs)[1:]
+        def on_circle(quot, seed):
+            wr, wi = real(quot, seed)
+            calls.append(seed)
+            if len(calls) > 1:
+                return wr, wi
+            n = qsp._abs(wr, wi)
+            return wr * qsp._ONE // n, wi * qsp._ONE // n
 
-        monkeypatch.setattr(mpmath, "polyroots", on_circle)
+        monkeypatch.setattr(qsp, "_polish_root", on_circle)
         with pytest.raises(SynthesisError, match="zero on the circle off the grid"):
             qsp.synthesize_mod_p(5, 0)
 
@@ -437,13 +476,34 @@ class TestPinnedAngles:
         assert _angle_digest([qsp.synthesize_mod_p(p, 0)], keys) == digest
 
 
+def _reciprocal_reduction(quot):
+    """R with quot(w) = w^d R(w + 1/w), for a self-reciprocal quotient.
+
+    ``quot`` lists the 2d + 1 coefficients from the constant term up; the
+    upper half is read.  w^k + w^-k is the Dickson polynomial D_k(u), with
+    D_0 = 2, D_1 = u and D_(k+1) = u D_k - D_(k-1), so R = quot[d] +
+    sum_k quot[d+k] D_k.  Returns R from the constant term up.
+    """
+    d = (len(quot) - 1) // 2
+    R = np.zeros(d + 1, dtype=object)
+    R[0] = quot[d]
+    prev = np.array([2] + [0] * d, dtype=object)
+    cur = np.array([0, 1] + [0] * (d - 1), dtype=object)
+    for c in quot[d + 1:]:
+        R = R + cur * c
+        prev, cur = cur, np.concatenate(([0], cur[:-1])) - prev
+    return R
+
+
 def _mp_angles(pair):
     """Float angles from the completion and peel in mpf/mpc objects.
 
     An oracle independent of the fixed-point layout, as ``_lu_interpolant``
     is for the closed form: the remainder, the grid-zero division, the
     spectral factor and the peel all run on mpmath numbers at
-    SYNTHESIS_DPS.  The root finding is shared; the checks are left out.
+    SYNTHESIS_DPS.  Its own root finder, ``mp.polyroots`` on the half-degree
+    reduction in u = w + 1/w, replaces the fixed-point Newton polish of the
+    quotient in w; the checks are left out.
     """
     mp = mpmath
     with mp.workdps(qsp.SYNTHESIS_DPS):
@@ -462,9 +522,10 @@ def _mp_angles(pair):
                 quot[k - 2 * q] = rest[k]
                 rest[k - q] += 2 * rest[k]
                 rest[k - 2 * q] -= rest[k]
-            seeds = qsp._seed_roots(quot)
-            us = mp.polyroots(qsp._reciprocal_reduction(quot)[::-1], maxsteps=600,
-                              extraprec=60, roots_init=[mp.mpc(s) for s in seeds]
+            s = np.roots([complex(c) for c in quot[::-1]])
+            s = s[np.abs(s) < 1]
+            us = mp.polyroots(_reciprocal_reduction(quot)[::-1], maxsteps=600,
+                              extraprec=60, roots_init=[mp.mpc(x + 1 / x) for x in s]
                               ) if len(quot) > 1 else []
             inside = []
             for u in us:
@@ -504,7 +565,7 @@ ORACLE_PROFILES += [(0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, 0)]
 
 @pytest.mark.parametrize("build", [
     *(pytest.param(functools.partial(solve_mod_p_coeffs, p), id=f"mod{p}")
-      for p in (3, 5, 7, 9, 13, 23, 41)),
+      for p in (3, 5, 7, 9, 13, 23, 41, 61)),
     *(pytest.param(functools.partial(solve_symmetric_coeffs, list(f), len(f) - 1),
                    id="".join(map(str, f))) for f in ORACLE_PROFILES),
 ])

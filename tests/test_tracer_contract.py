@@ -57,12 +57,14 @@ def test_synthesis_layers_each_get_one_span(tracing):
     with tracing.Tracer() as tr:
         qsp.synthesize_mod_p(5, 0)
     names = [span[0] for span in tr.spans]
-    layers = ("qsp.interp", "qsp.complete", "qsp.peel", "qsp.check",
-              "qsp.polyroots")
+    layers = ("qsp.interp", "qsp.complete", "qsp.peel", "qsp.check")
     assert {name: names.count(name) for name in layers} == dict.fromkeys(layers, 1)
-    # the root finder runs inside the completion, which its time is taken from
-    parent = tr.spans[names.index("qsp.polyroots")][3]
-    assert tr.spans[parent][0] == "qsp.complete"
+    # the root polish is the completion's own time: no span runs inside it,
+    # and mpmath's root finder no longer runs at all
+    complete = names.index("qsp.complete")
+    assert [span for span in tr.spans if span[3] == complete] == []
+    assert tr.spans[tr.spans[complete][3]][0] == "qsp.other"
+    assert tr.counts["qsp.polyroots_calls"] == 0
 
 
 def test_compiled_flag_read_by_sample_workload():
