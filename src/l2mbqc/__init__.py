@@ -7,20 +7,19 @@ simulation, and space-time resource accounting.
 from . import boolean, mbqc, onequbit, pfd, qsp, sim
 from .boolean import (AnfPolynomial, BooleanFunction, and_n, anf, build,
                       constant, f_max, from_profile, from_table, mod_p,
-                      mod_p_anf_coeffs, nchvm_bound, or_n, pairwise_and,
-                      parity_n, walsh_hadamard, walsh_spectrum)
+                      nchvm_bound, or_n, pairwise_and, parity_n,
+                      walsh_spectrum)
 from .mbqc import (MeasurementSchedule, Resource, ResourceReport,
                    compile_pfd_to_ghz, compile_to_cluster, lift_ghz_to_cluster,
                    mod3_protocol, modp_protocol, or_protocol,
                    qsp_symmetric_protocol, resources)
 from .onequbit import (OneQubitProgram, build_commuting_program,
                        build_mod3_clifford, build_qsp_program,
-                       build_symmetric_program, evaluate, moore_counter,
-                       normalize_sign_form, or_reduction_bank)
-from .pfd import (PeriodicDecomposition, SierpinskiSystem, or_decomposition,
+                       build_symmetric_program, normalize_sign_form,
+                       or_reduction_bank)
+from .pfd import (PeriodicDecomposition, or_decomposition,
                   or_decomposition_published, pairwise_and_decomposition,
-                  sierpinski_matrix, solve_pfd, sparsity_certificate,
-                  verify_pfd)
+                  solve_pfd, sparsity_certificate, verify_pfd)
 from .qsp import (LaurentPair, QspAngles, complete_and_extract_angles,
                   reconstruct_unitary, reference_angles, solve_mod_p_coeffs,
                   solve_symmetric_coeffs, synthesize_mod_p,

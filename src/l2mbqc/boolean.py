@@ -19,8 +19,9 @@ def parse_input(x: "int | str | Sequence[int]", n: int) -> int:
     """Normalize an input to its integer index.
 
     Strings are read left to right as x_1 x_2 ... x_n; sequences likewise.
-    Integers of any integral type (numpy's too) are taken as already-packed
-    indices; a bool is neither an index nor a bit string and is refused.
+    Integers of any integral type (numpy's too, and 0-d integer arrays) are
+    taken as already-packed indices; a bool, numpy's included, is neither an
+    index nor a bit string and is refused.
     """
     if isinstance(x, str):
         if len(x) != n or any(ch not in "01" for ch in x):
@@ -33,6 +34,8 @@ def parse_input(x: "int | str | Sequence[int]", n: int) -> int:
         if not 0 <= x < (1 << n):
             raise ValueError(f"input index {x} out of range for arity {n}")
         return x
+    if getattr(x, "ndim", None) == 0:  # a numpy scalar or 0-d array
+        return parse_input(x.item(), n)
     bits = list(x)
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError("input bit sequence has wrong length or non-bits")
@@ -41,11 +44,6 @@ def parse_input(x: "int | str | Sequence[int]", n: int) -> int:
 
 def popcount(x: int) -> int:
     return bin(x).count("1")
-
-
-def dot2(mask: int, x: int) -> int:
-    """Mod-2 dot product of two packed bit vectors."""
-    return popcount(mask & x) & 1
 
 
 def _check_arity(n: int) -> None:
@@ -179,18 +177,13 @@ def from_table(table: Iterable[int], kind: str = "custom") -> BooleanFunction:
     return BooleanFunction(n, table, kind=kind)
 
 
-def build(kind: str, n: int, **params) -> BooleanFunction:
+def build(kind: str, n: int) -> BooleanFunction:
     """Dispatch by kind name; used by the CLI function-spec parser."""
-    if kind == "mod_p":
-        return mod_p(params["p"], params.get("j", 0), n)
-    factories = {"and": and_n, "or": or_n, "pairwise_and": pairwise_and,
-                 "parity": parity_n}
+    factories = {"and": and_n, "or": or_n, "parity": parity_n}
     if kind in factories:
         return factories[kind](n)
     if kind in ("const0", "const1"):
         return constant(int(kind[-1]), n)
-    if kind == "custom":
-        return from_table(params["table"])
     raise ValueError(f"unknown function kind {kind!r}")
 
 
@@ -204,19 +197,6 @@ class AnfPolynomial:
     @property
     def degree(self) -> int:
         return max((popcount(m) for m in self.monomials), default=0)
-
-    def __call__(self, x: "int | str | Sequence[int]") -> int:
-        xi = parse_input(x, self.n)
-        acc = 0
-        for m in self.monomials:
-            if m & xi == m:
-                acc ^= 1
-        return acc
-
-    def weight_coefficients(self) -> tuple[int, ...] | None:
-        """Per-degree coefficients if the ANF is symmetric, else None."""
-        return _weight_profile(self.n, [int(m in self.monomials)
-                                        for m in range(1 << self.n)])
 
 
 def yates(vals: list, kernel) -> list:
@@ -238,13 +218,6 @@ def anf(f: BooleanFunction) -> AnfPolynomial:
     return AnfPolynomial(f.n, frozenset(m for m, c in enumerate(coef) if c))
 
 
-def walsh_hadamard(f: BooleanFunction, k: "int | str | Sequence[int]") -> float:
-    """Fourier coefficient 2^-n sum_x (-1)^{f(x) + k.x}."""
-    ki = parse_input(k, f.n)
-    total = sum(-1 if (f.table[x] ^ dot2(ki, x)) else 1 for x in range(1 << f.n))
-    return total / (1 << f.n)
-
-
 def walsh_spectrum(f: BooleanFunction) -> list[float]:
     """All 2^n Fourier coefficients via the fast transform."""
     vals = yates([(-1) ** b for b in f.table], lambda a, b: (a + b, a - b))
@@ -259,41 +232,3 @@ def f_max(f: BooleanFunction) -> float:
 def nchvm_bound(f: BooleanFunction) -> float:
     """Best success probability of any mod-2 linear (noncontextual) strategy."""
     return (1.0 + f_max(f)) / 2.0
-
-
-@dataclass(frozen=True)
-class ModPAnfCoefficients:
-    """Complete-degree-mu coefficients of the weight-counting functions.
-
-    ``vectors[mu][j]`` is the coefficient of the complete degree-mu symmetric
-    monomial sum in the function that is 0 iff the weight is j mod p.
-    """
-
-    p: int
-    n: int
-    vectors: tuple[tuple[int, ...], ...]
-
-    def coefficients_for(self, j: int) -> tuple[int, ...]:
-        return tuple(v[j % self.p] for v in self.vectors)
-
-
-def mod_p_anf_coeffs(p: int, n: int) -> ModPAnfCoefficients:
-    """Cyclic-shift recurrence for the counting functions' ANF coefficients.
-
-    Base case (0,1,...,1); each step adds the cyclically shifted previous
-    vector over F_2.  Every vector stays nonzero, which is what forces a
-    degree-n monomial for some residue j.
-    """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("p must be an odd integer >= 3")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vecs = [tuple(0 if j == 0 else 1 for j in range(p))]
-    for _ in range(n):
-        prev = vecs[-1]
-        vecs.append(tuple(prev[j] ^ prev[(j - 1) % p] for j in range(p)))
-    out = ModPAnfCoefficients(p, n, tuple(vecs))
-    for mu, v in enumerate(out.vectors):
-        if not any(v):
-            raise AssertionError(f"coefficient vector vanished at degree {mu}")
-    return out

@@ -13,11 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .boolean import BooleanFunction, dot2, parse_input
-from .qsp import (FAILURE_TOL_OWN, QspAngles, rotation_product, verify_qsp,
-                  verify_symmetric)
+from .boolean import BooleanFunction
+from .qsp import FAILURE_TOL_OWN, QspAngles, verify_qsp, verify_symmetric
 
 ALPHA = math.acos(1.0 / math.sqrt(3.0))  # frame angle of the three-cycle Clifford
 
@@ -49,21 +46,6 @@ class Gate:
     def __post_init__(self):
         if self.axis not in ("X", "Z"):
             raise ValueError("axis must be X or Z")
-
-    def effective_angle(self, x: int) -> float:
-        if self.cond.kind == "none":
-            return self.angle
-        if self.cond.kind == "select":
-            return self.angle if dot2(self.cond.mask, x) else 0.0
-        s = dot2(self.cond.mask, x) ^ self.cond.bias
-        return -self.angle if s else self.angle
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    unitary: np.ndarray
-    distribution: tuple[float, float]
-    deterministic_bit: int | None
 
 
 @dataclass(frozen=True)
@@ -97,51 +79,6 @@ class OneQubitProgram:
                                      g["cond"].get("bias", 0)))
                       for g in obj["gates"])
         return cls(obj["n"], gates, obj.get("flip_output", 0))
-
-    def unitary(self, x) -> np.ndarray:
-        xi = parse_input(x, self.n)
-        return rotation_product([(g.axis, g.effective_angle(xi))
-                                 for g in self.gates])[0]
-
-
-def evaluate(prog: OneQubitProgram, x) -> EvalResult:
-    """Exact product unitary and Z-readout distribution, with the output flip."""
-    U = prog.unitary(x)
-    p1 = abs(U[1, 0]) ** 2
-    if prog.flip_output:
-        dist = (p1, 1.0 - p1)
-    else:
-        dist = (1.0 - p1, p1)
-    det = None
-    if dist[0] >= 1.0 - FAILURE_TOL_OWN:
-        det = 0
-    elif dist[1] >= 1.0 - FAILURE_TOL_OWN:
-        det = 1
-    return EvalResult(U, dist, det)
-
-
-def truth_table(prog: OneQubitProgram) -> tuple[int, ...]:
-    """Deterministic output on every input; raises if any input is random."""
-    out = []
-    for x in range(1 << prog.n):
-        res = evaluate(prog, x)
-        if res.deterministic_bit is None:
-            raise ValueError(f"program is not deterministic on input {x:0{prog.n}b}")
-        out.append(res.deterministic_bit)
-    return tuple(out)
-
-
-def _clifford_cycle_unitary() -> np.ndarray:
-    """The order-3 Clifford rotation mapping Z, X, Y cyclically (Z to X)."""
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    Z = np.array([[1, 0], [0, -1]], dtype=complex)
-    axis = (X + Y + Z) / math.sqrt(3.0)
-    # rotation by -2pi/3 about the (1,1,1) axis sends Z->X->Y->Z
-    return np.cos(np.pi / 3) * np.eye(2) - 1j * np.sin(np.pi / 3) * axis
-
-
-CLIFFORD_CYCLE = _clifford_cycle_unitary()
 
 
 def build_mod3_clifford(n: int) -> OneQubitProgram:
@@ -283,71 +220,3 @@ def or_reduction_bank(n: int) -> list[OneQubitProgram]:
         bank.append(OneQubitProgram(n, tuple(gates),
                                     meta={"builder": "or_reduction", "mu": mu}))
     return bank
-
-
-def counter_bit_probability(n: int, mu: int, weight: int) -> float:
-    """Closed-form chance that counter bit mu reads 1 at the given weight."""
-    return math.sin(math.pi * weight / (1 << mu)) ** 2
-
-
-def counter_bit_is_certain_one(mu: int, weight: int) -> bool:
-    """Exact (integer) test for probability exactly 1: weight = 2^(mu-1) mod 2^mu."""
-    return weight % (1 << mu) == (1 << (mu - 1))
-
-
-@dataclass(frozen=True)
-class MooreCounter:
-    """Increment-mod-p unitary on kappa qubits, diagonalized by the DFT."""
-
-    p: int
-    kappa: int
-    matrix: np.ndarray
-
-    def counter_distribution(self, w: int) -> np.ndarray:
-        """Measurement distribution over counter states after w increments of |0>."""
-        dim = 1 << self.kappa
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
-        state = np.linalg.matrix_power(self.matrix, w) @ state
-        return np.abs(state) ** 2
-
-
-def moore_counter(p: int, n: int) -> MooreCounter:
-    """Dense increment-mod-p unitary built as DFT * diagonal * DFT-adjoint.
-
-    The diagonal is a tensor product of single-qubit Z rotations, so the
-    conjugation is the only entangling layer.  Capped at four counter qubits.
-    """
-    if p < 2:
-        raise ValueError("p >= 2")
-    kappa = math.ceil(math.log2(p))
-    if kappa > 4:
-        raise ValueError("counter register capped at 4 qubits")
-    dim = 1 << kappa
-    dft = np.eye(dim, dtype=complex)
-    block = np.array([[np.exp(-2j * np.pi * a * b / p) for b in range(p)]
-                      for a in range(p)]) / np.sqrt(p)
-    dft[:p, :p] = block
-    diag = np.ones(1, dtype=complex)
-    for jq in range(1, kappa + 1):
-        theta = (1 << jq) * np.pi / p
-        rzd = np.array([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
-        # qubit jq carries counter bit jq-1 (LSB first): kron in reversed order
-        diag = np.kron(rzd, diag)
-    M = dft @ np.diag(diag) @ dft.conj().T
-    mc = MooreCounter(p, kappa, M)
-    if np.max(np.abs(M @ M.conj().T - np.eye(dim))) > 1e-12:
-        raise AssertionError("counter unitary failed unitarity check")
-    return mc
-
-
-def check_mod3_cycle() -> float:
-    """Deviation of the stored cycle gate from its exponential form."""
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    Z = np.array([[1, 0], [0, -1]], dtype=complex)
-    dev = 0.0
-    for src, dst in ((Z, X), (X, Y), (Y, Z)):
-        dev = max(dev, float(np.max(np.abs(
-            CLIFFORD_CYCLE @ src @ CLIFFORD_CYCLE.conj().T - dst))))
-    return dev

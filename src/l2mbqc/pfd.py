@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boolean import BooleanFunction, anf, dot2, popcount, yates
+from .boolean import BooleanFunction, anf, popcount, yates
 
-# Bounds the exact rational oracle (``sierpinski_matrix``, O(8^n) to build)
-# and the GHZ schedules that ``table1`` lays out, one qubit per mask.
+# Bounds ``solve_pfd`` and the GHZ schedules that ``table1`` lays out, one
+# qubit per mask.
 MAX_PFD_ARITY = 6
 
 
@@ -50,58 +50,6 @@ class PeriodicDecomposition:
         obj = json.loads(text)
         return cls(obj["n"], {e["mask"]: Fraction(e["num"], e["den"])
                               for e in obj["angles"]})
-
-
-@dataclass(frozen=True)
-class SierpinskiSystem:
-    """The integer system linking ANF coefficients to decomposition angles.
-
-    Rows and columns run over nonzero masks in increasing integer order.
-    M[y][p] = 2^{|y|-1} if supp(p) meets supp(y) else 0; the inverse is
-    dyadic and known in closed form, verified exactly at construction.
-    """
-
-    n: int
-    matrix: tuple[tuple[int, ...], ...]
-    inverse: tuple[tuple[Fraction, ...], ...]
-
-
-def _chi_meets(a: int, b: int) -> int:
-    return 1 if a & b else 0
-
-
-def sierpinski_matrix(n: int) -> SierpinskiSystem:
-    """The system for arity n, with its inverse checked exactly."""
-    if not 1 <= n <= MAX_PFD_ARITY:
-        raise ValueError(f"n must be in 1..{MAX_PFD_ARITY}")
-    masks = list(range(1, 1 << n))
-    full = (1 << n) - 1
-    M = tuple(tuple((1 << (popcount(y) - 1)) * _chi_meets(p, y) for p in masks)
-              for y in masks)
-    Minv = tuple(tuple(
-        Fraction((-1) ** (dot2(p, y) + 1) * (1 - _chi_meets(p ^ full, y ^ full)),
-                 1 << (popcount(y) - 1))
-        for y in masks) for p in masks)
-    # exact check of the closed-form inverse
-    size = len(masks)
-    for i in range(size):
-        for k in range(size):
-            acc = sum(Minv[i][j] * M[j][k] for j in range(size))
-            if acc != (1 if i == k else 0):
-                raise AssertionError("closed-form inverse failed exact check")
-    return SierpinskiSystem(n, M, Minv)
-
-
-def brute_force_matrix_entry(y: int, p: int) -> int:
-    """Direct definition: number of subsets x of y with p.x odd."""
-    sub = y
-    count = 0
-    while True:
-        count += dot2(p, sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & y
-    return count
 
 
 def solve_pfd(f: BooleanFunction,

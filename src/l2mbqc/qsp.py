@@ -58,21 +58,9 @@ _ONE = 1 << _FRAC_BITS
 # shows the step has dropped into the guard bits
 _POLISH_STEPS = _FRAC_BITS.bit_length() + 1
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 class SynthesisError(RuntimeError):
     """Interpolation residual, feasibility, or completion failure."""
-
-
-def rot_x(theta: float) -> np.ndarray:
-    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _X
-
-
-def rot_z(theta: float) -> np.ndarray:
-    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _Z
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +152,10 @@ def reference_angles(p: int) -> QspAngles:
     """Checked-in published angle table for the weight-counting functions."""
     data = json.loads(resources.files("l2mbqc.data")
                       .joinpath("reference_angles.json").read_text())
-    key = str(p)
-    if key not in data["angles"]:
-        raise KeyError(f"no reference angles for p={p}")
-    xi = tuple(data["angles"][key])
+    if str(p) not in data["angles"]:
+        raise ValueError(f"no reference angles for p={p}; published tables "
+                         f"cover p = {', '.join(data['angles'])}")
+    xi = tuple(data["angles"][str(p)])
     return QspAngles(xi, p, target={"p": p, "j": 0, "source": "reference"})
 
 
@@ -639,11 +627,6 @@ def reconstruct_unitary(angles: QspAngles, phi, xi0: float | None = None) -> np.
     """
     U = _rotation_product(angles.xi, phi, xi0)
     return U[0] if np.ndim(phi) == 0 else U
-
-
-def unitarity_deviation(angles: QspAngles, phi: float) -> float:
-    U = reconstruct_unitary(angles, phi)
-    return float(np.max(np.abs(U.conj().T @ U - _I2)))
 
 
 def _worst_readout(angles: QspAngles, phis, targets) -> float:

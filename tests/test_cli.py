@@ -99,6 +99,13 @@ class TestQsp:
         assert code == 1 and out == ""
         assert err == f"error: --phi {float(phi)}: must be a finite phase\n"
 
+    @pytest.mark.parametrize("extra", [("--phi", "1"), ("--table2",)])
+    def test_unpublished_reference_modulus_exits_1(self, capsys, extra):
+        code, out, err = run_cli(capsys, "qsp", "--p", "11", *extra)
+        assert code == 1 and out == ""
+        assert err == ("error: no reference angles for p=11; published "
+                       "tables cover p = 3, 5, 7, 9\n")
+
     @pytest.mark.parametrize("extra", [(), ("--table2",)])
     def test_negative_sweep_exits_1(self, capsys, extra):
         code, out, err = run_cli(capsys, "qsp", "--p", "3", "--sweep", "-1",

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l2mbqc import boolean, onequbit, pfd
-from l2mbqc.onequbit import (ALPHA, CLIFFORD_CYCLE, Condition, Gate,
-                             OneQubitProgram, build_commuting_program,
-                             build_mod3_clifford, build_qsp_program,
-                             build_symmetric_program, check_mod3_cycle,
-                             counter_bit_is_certain_one,
-                             counter_bit_probability, evaluate, moore_counter,
-                             normalize_sign_form, or_reduction_bank,
-                             truth_table)
+from l2mbqc import boolean, pfd
+from l2mbqc.onequbit import (Condition, Gate, OneQubitProgram,
+                             build_commuting_program, build_mod3_clifford,
+                             build_qsp_program, build_symmetric_program,
+                             normalize_sign_form, or_reduction_bank)
 from l2mbqc.qsp import reference_angles
+from oracles import (CLIFFORD_CYCLE, X, Y, Z, counter_bit_is_certain_one,
+                     counter_bit_probability, counter_distribution,
+                     moore_counter, output_bit, program_unitary, readout,
+                     truth_table)
 
 
 @st.composite
@@ -39,12 +39,12 @@ def small_programs(draw):
 class TestEvaluate:
     def test_empty_program_outputs_zero(self):
         prog = OneQubitProgram(1, ())
-        assert evaluate(prog, 0).deterministic_bit == 0
+        assert output_bit(prog, 0) == 0
 
     def test_mod3_clifford_specific_input(self):
         # weight 2: the conjugated generator lands on the Y axis, reading 1
         prog = build_mod3_clifford(3)
-        assert evaluate(prog, "110").deterministic_bit == 1
+        assert output_bit(prog, "110") == 1
 
     def test_qsp_mod5_full_truth_table(self, modp_angles):
         prog = build_qsp_program(5, 0, 5, modp_angles[5])
@@ -53,16 +53,10 @@ class TestEvaluate:
 
 class TestMod3Clifford:
     def test_cycle_gate_matches_exponential(self):
-        assert check_mod3_cycle() < 1e-12
-
-    def test_cycle_axis_form(self):
-        # the axis matrix squares to I, so the exponential has a closed form
-        X = np.array([[0, 1], [1, 0]], dtype=complex)
-        Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        Z = np.array([[1, 0], [0, -1]], dtype=complex)
-        axis = (X + Y + Z) / math.sqrt(3)
-        target = math.cos(math.pi / 3) * np.eye(2) - 1j * math.sin(math.pi / 3) * axis
-        assert np.max(np.abs(CLIFFORD_CYCLE - target)) < 1e-12
+        # conjugation by the cycle gate sends Z to X, X to Y and Y to Z
+        for src, dst in ((Z, X), (X, Y), (Y, Z)):
+            conj = CLIFFORD_CYCLE @ src @ CLIFFORD_CYCLE.conj().T
+            assert np.max(np.abs(conj - dst)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_truth_tables(self, n):
@@ -73,7 +67,7 @@ class TestMod3Clifford:
             assert build_mod3_clifford(n).meta["abstract_gate_count"] == 2 * n + 1
 
     def test_n1_zero_input(self):
-        assert evaluate(build_mod3_clifford(1), 0).deterministic_bit == 0
+        assert output_bit(build_mod3_clifford(1), 0) == 0
 
 
 class TestQspProgram:
@@ -92,12 +86,12 @@ class TestQspProgram:
 
     def test_reference_angles_n2(self):
         prog = build_qsp_program(3, 0, 2, reference_angles(3))
-        assert evaluate(prog, "11").deterministic_bit == 1
+        assert output_bit(prog, "11") == 1
 
     def test_zero_input_matches_function(self, modp_angles):
         for p, j in ((3, 0), (5, 2)):
             prog = build_qsp_program(p, j, 3, modp_angles[p])
-            assert evaluate(prog, 0).deterministic_bit == boolean.mod_p(p, j, 3)(0)
+            assert output_bit(prog, 0) == boolean.mod_p(p, j, 3)(0)
 
     def test_nonzero_residue_truth_table(self, modp_angles):
         prog = build_qsp_program(3, 2, 4, modp_angles[3])
@@ -119,7 +113,7 @@ class TestSymmetricProgram:
     def test_zero_input_zero_function(self, symmetric_angles):
         f = boolean.pairwise_and(2)
         prog = build_symmetric_program(f, 2, symmetric_angles[(0, 0, 1)])
-        assert evaluate(prog, 0).deterministic_bit == 0
+        assert output_bit(prog, 0) == 0
 
     def test_mod31_n3_truth_table(self, symmetric_angles):
         # value 1 at weight zero flips the classical output bit
@@ -147,7 +141,8 @@ class TestCommutingProgram:
         prog = build_commuting_program(pfd.solve_pfd(boolean.and_n(2)))
         rev = OneQubitProgram(prog.n, tuple(reversed(prog.gates)))
         for x in range(4):
-            assert np.allclose(prog.unitary(x), rev.unitary(x), atol=1e-12)
+            assert np.allclose(program_unitary(prog, x),
+                               program_unitary(rev, x), atol=1e-12)
 
 
 class TestNormalizeSignForm:
@@ -155,10 +150,8 @@ class TestNormalizeSignForm:
         gate = Gate("X", math.pi / 3, Condition("select", 1))
         prog = OneQubitProgram(1, (gate,))
         ns = normalize_sign_form(prog)
-        assert evaluate(ns, 1).distribution == pytest.approx(
-            evaluate(prog, 1).distribution, abs=1e-12)
-        assert evaluate(ns, 0).distribution == pytest.approx(
-            evaluate(prog, 0).distribution, abs=1e-12)
+        for x in (0, 1):
+            assert readout(ns, x) == pytest.approx(readout(prog, x), abs=1e-12)
 
     def test_no_select_gates_remain(self):
         ns = normalize_sign_form(build_mod3_clifford(2))
@@ -169,7 +162,7 @@ class TestNormalizeSignForm:
     def test_unitary_preserved_up_to_phase(self, prog):
         ns = normalize_sign_form(prog)
         for x in range(1 << prog.n):
-            U, V = prog.unitary(x), ns.unitary(x)
+            U, V = program_unitary(prog, x), program_unitary(ns, x)
             assert abs(abs(np.trace(U.conj().T @ V)) - 2) < 1e-10
 
     @pytest.mark.parametrize("kappa", [4, 5, 6])
@@ -185,12 +178,11 @@ class TestNormalizeSignForm:
 class TestOrReductionBank:
     def test_zero_input_all_zero(self):
         for prog in or_reduction_bank(4):
-            assert evaluate(prog, 0).deterministic_bit == 0
+            assert output_bit(prog, 0) == 0
 
     def test_weight_two_bit_two_certain(self):
         bank = or_reduction_bank(4)
-        res = evaluate(bank[1], "1100")
-        assert res.distribution[1] == pytest.approx(1.0, abs=1e-12)
+        assert readout(bank[1], "1100")[1] == pytest.approx(1.0, abs=1e-12)
         assert counter_bit_is_certain_one(2, 2)
 
     def test_register_width(self):
@@ -206,16 +198,15 @@ class TestOrReductionBank:
             pr_all_zero = 1.0
             certain = False
             for mu, prog in enumerate(bank, 1):
-                pr_all_zero *= 1 - counter_bit_probability(n, mu, w)
+                pr_all_zero *= 1 - counter_bit_probability(mu, w)
                 certain = certain or counter_bit_is_certain_one(mu, w)
             assert certain and pr_all_zero == pytest.approx(0.0, abs=1e-30)
 
     def test_weight_four_aliases_under_narrow_register(self):
         # with only ceil(log2 n) = 2 counter bits at n = 4, weight 4 wraps
         # to the all-zero counter even though OR is 1
-        n, w = 4, 4
         for mu in (1, 2):
-            assert counter_bit_probability(n, mu, w) == pytest.approx(0.0, abs=1e-30)
+            assert counter_bit_probability(mu, 4) == pytest.approx(0.0, abs=1e-30)
 
 
 class TestProgramSerialization:
@@ -235,27 +226,23 @@ class TestProgramSerialization:
 
 class TestMooreCounter:
     def test_unitary_is_dft_conjugated_diagonal(self):
-        mc = moore_counter(3, 5)
+        M = moore_counter(3)
+        assert np.max(np.abs(M @ M.conj().T - np.eye(len(M)))) < 1e-12
         # the counter must increment each basis state below the modulus
         for a in range(3):
-            col = mc.matrix[:, a]
+            col = M[:, a]
             target = (a + 1) % 3
             assert abs(col[target]) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_steps(self):
-        dist = moore_counter(5, 5).counter_distribution(0)
+        dist = counter_distribution(5, 0)
         assert dist[0] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_counter_support(self, p):
-        mc = moore_counter(p, 10)
         for w in range(11):
-            pr0 = mc.counter_distribution(w)[0]
+            pr0 = counter_distribution(p, w)[0]
             if w % p == 0:
                 assert pr0 == pytest.approx(1.0, abs=1e-12)
             else:
                 assert pr0 == pytest.approx(0.0, abs=1e-12)
-
-    def test_register_cap(self):
-        with pytest.raises(ValueError):
-            moore_counter(17, 3)

@@ -14,12 +14,12 @@ from l2mbqc import boolean, mbqc, pfd, qsp, sim
 from l2mbqc.mbqc import (MeasurementSchedule, PauliZBasis, QubitSpec, XYBasis,
                          cluster1d, compile_pfd_to_ghz, composite, ghz,
                          lift_ghz_to_cluster, mod3_protocol)
-from l2mbqc.qsp import rot_x, rot_z
 from l2mbqc.sim import (DenseEngine, bell_score,
                         branch_distribution, chain_sample, compare_engines,
                         effective_circuit, exact_distribution,
                         exact_distributions, run_schedule_batch, run_shot,
                         verify_protocol, xy_basis_vectors)
+from oracles import rot_x, rot_z
 
 DATA = pathlib.Path(__file__).parent / "data"
 
